@@ -30,6 +30,7 @@ from .errors import (
     DegeneratePairError,
     FamilyError,
     IncompleteSpectrumError,
+    RecountError,
     SpectrumFormatError,
     YamabeError,
 )
@@ -37,16 +38,13 @@ from .product import (
     ProductFamily,
     homothety_reparametrization,
     make_family,
-    mean_curvature_at,
     product_spectrum_below,
     scalar_curvature_at,
-    scaled_mean_curvature,
 )
 from .spectra import (
     FactorSpectrum,
     custom_from_file,
     custom_spectrum,
-    eigenvalues_below,
     even_harmonic_multiplicity,
     flat_torus,
     harmonic_multiplicity,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import scalars
@@ -24,6 +23,7 @@ from .errors import (
     DegeneracyInstantError,
     DegeneratePairError,
     IncompleteSpectrumError,
+    RecountError,
 )
 from .product import ProductFamily
 from .scalars import Scalar
@@ -210,9 +210,9 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
     # decreasing branches: a < 0 (rho_i < T1) and b > 0, zero at s = (rho_j - T2)/(T1 - rho_i)
     if scalars.gt(t1, 0, tol):
         for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_below(t1)):
-            bound2 = t2 + s_max * (t1 - r1)
+            bound2 = max(t2 + s_max * (t1 - r1), 0)  # negative when T2 < 0
             for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_leq(bound2)):
-                if not scalars.gt(r2, t2, tol):
+                if (i == 0 and j == 0) or not scalars.gt(r2, t2, tol):
                     continue
                 s = (r2 - t2) / (t1 - r1)
                 if scalars.ge(s, s_min, tol) and scalars.le(s, s_max, tol):
@@ -221,9 +221,9 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
     # increasing branches: b < 0 (rho_j < T2) and a > 0, zero at s = (T2 - rho_j)/(rho_i - T1)
     if scalars.gt(t2, 0, tol):
         for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_below(t2)):
-            bound1 = t1 + (t2 - r2) / s_min
+            bound1 = max(t1 + (t2 - r2) / s_min, 0)  # negative when T1 < 0
             for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(bound1)):
-                if not scalars.gt(r1, t1, tol):
+                if (i == 0 and j == 0) or not scalars.gt(r1, t1, tol):
                     continue
                 s = (t2 - r2) / (r1 - t1)
                 if scalars.ge(s, s_min, tol) and scalars.le(s, s_max, tol):
@@ -247,65 +247,55 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
     return instants
 
 
-def morse_index(fam: ProductFamily, s) -> int:
-    """n_s: total multiplicity of branches (i + j > 0) with sigma_{i,j}(s) < 0,
-    i.e. product eigenvalues other than the constants' zero strictly below
-    R(s)/(m-1).  Exact check that s is not a degeneracy instant."""
+def _index_counts(fam: ProductFamily, s) -> Tuple[int, int, int]:
+    """(below, increasing, decreasing) at s: the total multiplicity of the
+    branches (i + j > 0) with sigma_{i,j}(s) < 0, and of the increasing and
+    the decreasing branches that vanish at s.  Every branch is monotone, so
+    the Morse index is below + increasing just left of s and below +
+    decreasing just right of it."""
     tol = fam.tolerance
     s = fam.coerce(s)
     if s <= 0:
         raise ValueError("family parameter s must be positive")
     theta = fam.threshold1 + fam.threshold2 / s
     if scalars.le(theta, 0, tol):
-        return 0
-    count = 0
+        return 0, 0, 0
+    below = increasing = decreasing = 0
     for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(theta)):
-        for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_leq(s * (theta - r1))):
+        # in float mode r1 may exceed theta by a rounding error
+        for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_leq(max(s * (theta - r1), 0))):
             if i == 0 and j == 0:
                 continue
             value = r1 + r2 / s
             if scalars.close(value, theta, tol):
-                raise DegeneracyInstantError(
-                    f"s = {scalars.fmt(s, tol)} is a degeneracy instant "
-                    f"(branch ({i},{j})); use index_jump instead"
-                )
-            if value < theta:
-                count += m1 * m2
-    return count
+                if scalars.sign(r2 - fam.threshold2, tol) < 0:
+                    increasing += m1 * m2
+                else:
+                    decreasing += m1 * m2
+            elif value < theta:
+                below += m1 * m2
+    return below, increasing, decreasing
 
 
-def index_jump(
-    fam: ProductFamily, instant: DegeneracyInstant, lam=None
-) -> Tuple[int, int, bool]:
-    """Morse indices just below and just above the instant, with epsilon set
-    to half the exact gap to the nearest other degeneracy instant (clamped by
-    s/2 away from 0).  certified means n_minus != n_plus, in which case the
+def morse_index(fam: ProductFamily, s) -> int:
+    """n_s: total multiplicity of branches (i + j > 0) with sigma_{i,j}(s) < 0,
+    i.e. product eigenvalues other than the constants' zero strictly below
+    R(s)/(m-1).  Exact check that s is not a degeneracy instant."""
+    below, increasing, decreasing = _index_counts(fam, s)
+    if increasing or decreasing:
+        raise DegeneracyInstantError(
+            f"s = {scalars.fmt(fam.coerce(s), fam.tolerance)} is a degeneracy instant; "
+            "use index_jump instead"
+        )
+    return below
+
+
+def index_jump(fam: ProductFamily, instant: DegeneracyInstant) -> Tuple[int, int, bool]:
+    """Morse indices just below and just above the instant, counted at the
+    instant itself.  certified means n_minus != n_plus, in which case the
     instant is a bifurcation instant."""
-    s0 = instant.s
-    eps = s0 / 2
-    for _ in range(64):
-        nearby = degeneracy_instants(fam, (s0 - eps, s0 + eps), lam)
-        others = [inst.s for inst in nearby if not scalars.close(inst.s, s0, fam.tolerance)]
-        if not others:
-            break
-        eps = min(abs(t - s0) for t in others) / 2
-    else:
-        raise DegeneracyInstantError(
-            f"could not isolate the instant s = {scalars.fmt(s0, fam.tolerance)}"
-        )
-    for _ in range(64):
-        try:
-            n_minus = morse_index(fam, s0 - eps)
-            n_plus = morse_index(fam, s0 + eps)
-            break
-        except DegeneracyInstantError:
-            # an endpoint landed exactly on a neighboring instant; shrink
-            eps = eps * 2 / 3
-    else:
-        raise DegeneracyInstantError(
-            f"could not evaluate the index on both sides of s = {scalars.fmt(s0, fam.tolerance)}"
-        )
-    return n_minus, n_plus, n_minus != n_plus
+    below, increasing, decreasing = _index_counts(fam, instant.s)
+    return below + increasing, below + decreasing, increasing != decreasing
 
 
 def _lemma_case(branch: EigenBranch, ci: CriticalIndices) -> str:
@@ -358,19 +348,30 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
         case = FamilyCase.INCREASING_UNBOUNDED
 
     ci = critical_indices(fam)
+    instants = degeneracy_instants(fam, window, lam)
     certified = []
-    for inst in degeneracy_instants(fam, window, lam):
-        n_minus, n_plus, ok = index_jump(fam, inst, lam)
-        certified.append(
-            CertifiedInstant(
-                instant=inst,
-                n_minus=n_minus,
-                n_plus=n_plus,
-                certified=ok,
-                side=_side(inst.branches),
-                lemma_cases=tuple(_lemma_case(br, ci) for br in inst.branches),
+    if instants:
+        # the index changes only at instants, and there by the exact jump
+        below, increasing, _ = _index_counts(fam, instants[0].s)
+        n_plus = below + increasing
+        for inst in instants:
+            n_minus, n_plus = n_plus, n_plus + inst.jump
+            certified.append(
+                CertifiedInstant(
+                    instant=inst,
+                    n_minus=n_minus,
+                    n_plus=n_plus,
+                    certified=n_minus != n_plus,
+                    side=_side(inst.branches),
+                    lemma_cases=tuple(_lemma_case(br, ci) for br in inst.branches),
+                )
             )
-        )
+        below, _, decreasing = _index_counts(fam, instants[-1].s)
+        if below + decreasing != n_plus:
+            raise RecountError(
+                f"{fam.label}: the Morse index after s = {scalars.fmt(instants[-1].s, tol)} "
+                f"recounts to {below + decreasing}, but the exact jumps sum to {n_plus}"
+            )
     return FamilyClassification(
         case=case,
         instants=tuple(certified),

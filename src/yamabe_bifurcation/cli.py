@@ -15,11 +15,10 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from . import bifurcation, oracle, product, scalars, spectra
+from . import bifurcation, product, scalars, spectra
 from .errors import (
     ConfigError,
     DegeneratePairError,
-    IncompleteSpectrumError,
     SpectrumFormatError,
     YamabeError,
 )
@@ -61,8 +60,6 @@ def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--config", metavar="PATH", help="config file; flags win on conflict")
     p.add_argument("--window", metavar="MIN:MAX")
     p.add_argument("--lambda-max", dest="lambda_max", metavar="Q")
-    p.add_argument("--mode", choices=["exact", "float"])
-    p.add_argument("--tol", metavar="T")
     p.add_argument("--format", dest="fmt", choices=["json", "csv", "text"])
     p.add_argument("--out", metavar="PATH")
 
@@ -90,7 +87,7 @@ def build_parser() -> _Parser:
 
 
 _CONFIG_KEYS = {
-    "factor1", "factor2", "window", "lambda_max", "mode", "tol",
+    "factor1", "factor2", "window", "lambda_max",
     "format", "out", "below", "samples", "limit",
 }
 
@@ -114,13 +111,11 @@ def _read_config(path) -> dict:
     return values
 
 
-def _parse_factor_tokens(tokens: List[Tuple[str, str]], tolerance) -> List[spectra.FactorSpectrum]:
+def _parse_factor_tokens(tokens: List[Tuple[str, str]]) -> List[spectra.FactorSpectrum]:
     """Turn the ordered flag stream into factor spectra, attaching each --r2
     to the sphere/hemisphere that precedes it."""
     out = []
     pending = None  # ("sphere"|"hemisphere", n)
-    if tolerance is not None:
-        raise ConfigError("floating mode requires custom spectrum files carrying the tolerance")
 
     def flush():
         nonlocal pending
@@ -188,17 +183,16 @@ def _factor_config_tokens(text: str) -> List[Tuple[str, str]]:
 
 
 def _gather_factors(args, config) -> List[spectra.FactorSpectrum]:
-    tolerance = float(args.tol) if getattr(args, "tol", None) else None
     tokens = getattr(args, "factor_args", None)
     if tokens:
-        return _parse_factor_tokens(tokens, tolerance)
+        return _parse_factor_tokens(tokens)
     tokens = []
     for key in ("factor1", "factor2"):
         if key in config:
             tokens.extend(_factor_config_tokens(config[key]))
     if not tokens:
         raise ConfigError("no factors specified")
-    return _parse_factor_tokens(tokens, tolerance)
+    return _parse_factor_tokens(tokens)
 
 
 def _setting(args, config, key, default=None):
@@ -409,6 +403,8 @@ def cmd_branches(args, config) -> int:
 
 def _verify_checks(fam, window, lam, samples):
     """Yield (name, passed, detail) for each oracle/engine comparison."""
+    from . import oracle  # numpy and scipy are needed by verify alone
+
     for idx, spec in ((1, fam.factor1), (2, fam.factor2)):
         name = f"factor{idx} {spec.label}"
         label = spec.label

@@ -31,5 +31,10 @@ class DegeneracyInstantError(YamabeError):
     """Morse index requested exactly at a degeneracy instant."""
 
 
+class RecountError(YamabeError):
+    """The Morse index recounted after the last instant differs from the one
+    summed from the exact jumps, so some instant was missed."""
+
+
 class ConfigError(YamabeError):
     """Bad CLI flags or config file."""

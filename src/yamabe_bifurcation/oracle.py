@@ -141,6 +141,10 @@ def dense_scan_degeneracy(
     for _i, _j, a, b, _mult in _float_branches(fam, float(lam)):
         values = a + b * inv
         signs = np.sign(values)
+        # a zero on a window end rounds to a tiny value and has no neighbor to flip with
+        for end in (0, -1):
+            if abs(values[end]) <= 1e-12 * (abs(a) + abs(b) * inv[end]):
+                signs[end] = 0.0
         exact_hits = np.nonzero(signs == 0.0)[0]
         for idx in exact_hits:
             s = grid[idx]

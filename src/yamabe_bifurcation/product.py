@@ -7,7 +7,6 @@ drive the whole branch analysis downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -78,22 +77,6 @@ def scalar_curvature_at(fam: ProductFamily, s) -> Scalar:
     return fam.factor1.scalar_curvature + fam.factor2.scalar_curvature / s
 
 
-def scaled_mean_curvature(h2, s) -> float:
-    """Boundary mean curvature under metric scaling: H(s) = H2 / sqrt(s)."""
-    if s <= 0:
-        raise ValueError("family parameter s must be positive")
-    if h2 == 0:
-        return 0
-    return float(h2) / math.sqrt(float(s))
-
-
-def mean_curvature_at(fam: ProductFamily, s):
-    """H of the product boundary at parameter s.  Admitted factors have
-    H2 = 0, so this is identically zero; kept as an executable witness of the
-    minimal-boundary hypothesis."""
-    return scaled_mean_curvature(0, s)
-
-
 def product_spectrum_below(fam: ProductFamily, s, bound) -> List[ProductLevel]:
     """Distinct product Laplacian eigenvalues rho_i + rho_j/s strictly below
     ``bound``, merged when coincident, each with its total multiplicity and
@@ -162,7 +145,7 @@ class ReparametrizedFamily:
         """Zeros of the affine branches a*s + b inside the window, computed by
         solving each linear equation directly (not by delegating to the base
         family's engine)."""
-        from .bifurcation import degeneracy_instants, enumeration_bounds
+        from .bifurcation import enumeration_bounds
 
         fam = self.base
         s_min = fam.coerce(window[0])

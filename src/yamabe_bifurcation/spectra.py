@@ -109,11 +109,6 @@ class FactorSpectrum:
         )
 
 
-def eigenvalues_below(spectrum: FactorSpectrum, bound) -> List[Level]:
-    """Module-level alias for :meth:`FactorSpectrum.eigenvalues_below`."""
-    return spectrum.eigenvalues_below(bound)
-
-
 def _enum_from_level_fn(level_fn: Callable[[int], Level]) -> Callable[[Scalar], List[Level]]:
     # level_fn(k) must be strictly increasing in its eigenvalue, which is what
     # guarantees completeness of the cutoff enumeration.

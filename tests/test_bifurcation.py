@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from yamabe_bifurcation import (
@@ -11,6 +11,7 @@ from yamabe_bifurcation import (
     FamilyCase,
     IncompleteSpectrumError,
     Monotonicity,
+    RecountError,
     branch_from_indices,
     branch_zero,
     classify_family,
@@ -23,6 +24,8 @@ from yamabe_bifurcation import (
     morse_index,
     sigma_value,
 )
+from yamabe_bifurcation import bifurcation
+from yamabe_bifurcation.oracle import brute_force_index
 
 WINDOW = (Fraction(1, 100), 20)
 
@@ -299,3 +302,122 @@ class TestEqualityBoundaryCases:
                     else Monotonicity.CONSTANT
                 )
                 assert br.monotonicity is expected
+
+
+def _custom_pair(t1, t2, levels1, levels2, tolerance=None):
+    """Closed and boundary custom factors of dimension 2 (m = 4, R = 3T),
+    declared complete up to 1000."""
+    num = float if tolerance else Fraction
+    f1 = custom_spectrum(2, num(3 * t1), [(num(e), m) for e, m in levels1], num(1000),
+                         tolerance=tolerance, label="closed")
+    f2 = custom_spectrum(2, num(3 * t2), [(num(e), m) for e, m in levels2], num(1000),
+                         has_boundary=True, boundary_minimal=True,
+                         tolerance=tolerance, label="boundary")
+    return make_family(f1, f2)
+
+
+# built once: constructing strategies on every draw dominates the run time
+_STEPS = st.lists(st.integers(1, 18).map(lambda k: Fraction(k, 6)), min_size=1, max_size=5)
+_MULTIPLICITY = st.integers(1, 3)
+_MAGNITUDE = st.integers(1, 16).map(lambda k: Fraction(k, 4))
+_THRESHOLD = {True: _MAGNITUDE, False: st.one_of(st.just(Fraction(0)), _MAGNITUDE.map(lambda t: -t))}
+_SIGNS = st.sampled_from([(True, True), (True, False), (False, True), (False, False)])
+_WINDOW_END = st.integers(3, 1000).map(lambda k: Fraction(k, 50))
+
+
+def _levels(draw):
+    levels, value = [(Fraction(0), 1)], Fraction(0)
+    for step in draw(_STEPS):
+        value += step
+        levels.append((value, draw(_MULTIPLICITY)))
+    return levels
+
+
+@st.composite
+def _families_and_windows(draw):
+    """A random exact family in one of the four curvature-sign cases, with a
+    window whose ends are often branch zeros themselves."""
+    pos1, pos2 = draw(_SIGNS)
+    t1, t2 = draw(_THRESHOLD[pos1]), draw(_THRESHOLD[pos2])
+    levels1, levels2 = _levels(draw), _levels(draw)
+    zeros = sorted({
+        (t2 - r2) / (r1 - t1)
+        for i, (r1, _) in enumerate(levels1)
+        for j, (r2, _) in enumerate(levels2)
+        if i + j > 0 and (r1 - t1) * (r2 - t2) < 0
+        and Fraction(1, 20) <= (t2 - r2) / (r1 - t1) <= 20
+    })
+    end = st.one_of(_WINDOW_END, st.sampled_from(zeros)) if zeros else _WINDOW_END
+    s_min, s_max = sorted((draw(end), draw(end)))
+    assume(s_min < s_max)
+    return _custom_pair(t1, t2, levels1, levels2), (s_min, s_max), zeros
+
+
+class TestSweep:
+    @given(_families_and_windows())
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_matches_brute_force(self, case):
+        fam, (s_min, s_max), zeros = case
+        assume(not is_degenerate_pair(fam))
+        cls = classify_family(fam, (s_min, s_max))
+        assert [ci.instant.s for ci in cls.instants] == [z for z in zeros if s_min <= z <= s_max]
+        probes = []
+        if cls.instants:
+            first, last = cls.instants[0], cls.instants[-1]
+            if first.instant.s != s_min:
+                probes.append((s_min, first.n_minus))
+            if last.instant.s != s_max:
+                probes.append((s_max, last.n_plus))
+        for left, right in zip(cls.instants, cls.instants[1:]):
+            assert left.n_plus == right.n_minus
+            probes.append(((left.instant.s + right.instant.s) / 2, left.n_plus))
+        for s, expected in probes:
+            theta = fam.threshold1 + fam.threshold2 / s
+            assert brute_force_index(fam, s, max(theta, 0) + 1) == expected
+
+    def test_needs_completeness_only_up_to_enumeration_bounds(self):
+        levels1 = [(0, 1), (Fraction(1, 2), 2), (2, 1), (Fraction(5, 2), 3)]
+        levels2 = [(0, 1), (Fraction(1, 3), 1), (Fraction(3, 2), 2), (3, 1)]
+
+        def family(lambda_max):
+            return make_family(
+                custom_spectrum(2, 3, levels1, lambda_max, label="closed"),
+                custom_spectrum(2, 3, levels2, lambda_max, has_boundary=True,
+                                boundary_minimal=True, label="boundary"),
+            )
+
+        window = (Fraction(1, 2), 2)
+        assert bifurcation.enumeration_bounds(family(100), window) == (3, 3)
+        tight = classify_family(family(3), window).instants
+        assert [(ci.instant.s, ci.n_minus, ci.n_plus) for ci in tight] == [
+            (Fraction(1, 2), 10, 12), (Fraction(2, 3), 12, 8), (1, 8, 11), (2, 11, 12),
+        ]
+        assert tight == classify_family(family(100), window).instants
+
+    def test_missed_instant_fails_the_recount(self, sphere_hemisphere, monkeypatch):
+        real = bifurcation.degeneracy_instants
+
+        def dropping_one(fam, window, lam=None):
+            instants = real(fam, window, lam)
+            return instants[:5] + instants[6:]
+
+        monkeypatch.setattr(bifurcation, "degeneracy_instants", dropping_one)
+        with pytest.raises(RecountError):
+            classify_family(sphere_hemisphere, WINDOW)
+
+
+class TestFloatMode:
+    # the increasing branch (1, 0) vanishes at s = T2/(rho_1 - T1) = 20/113,
+    # where s*(theta - rho_1) rounds to -1.6e-16 in floating point
+    LEVELS1 = [(0, 1), (Fraction(41, 10), 2)]
+    LEVELS2 = [(0, 1), (Fraction(11, 2), 1)]
+
+    def test_index_at_an_i0_branch_zero(self):
+        exact = _custom_pair(Fraction(1, 3), Fraction(2, 3), self.LEVELS1, self.LEVELS2)
+        fam = _custom_pair(Fraction(1, 3), Fraction(2, 3), self.LEVELS1, self.LEVELS2, 1e-9)
+        (inst,) = degeneracy_instants(fam, (Fraction(1, 10), 1))
+        assert [(br.i, br.j) for br in inst.branches] == [(1, 0)]
+        with pytest.raises(DegeneracyInstantError):
+            morse_index(fam, inst.s)
+        (exact_inst,) = degeneracy_instants(exact, (Fraction(1, 10), 1))
+        assert index_jump(fam, inst) == index_jump(exact, exact_inst) == (2, 0, True)

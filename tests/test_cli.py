@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,36 @@ class TestScan:
         code, _, _ = run(capsys, ["scan", *SPHERE_HEMI, "--window", "1:2", "--bogus"])
         assert code == EXIT_CONFIG
 
+    def test_constant_branch_excluded_when_r1_positive_r2_negative(self, capsys, tmp_path):
+        # the constants' branch (0, 0) would vanish at s = -T2/T1 = 1/2
+        levels = "eig 0 1\neig 1 1\n"
+        f1 = write_custom(tmp_path, "f1.spec", levels, dim=2, curv=2)
+        f2 = tmp_path / "f2.spec"
+        f2.write_text(
+            "dim = 2\nscalar_curvature = -1\nhas_boundary = true\n"
+            f"boundary_minimal = true\nlambda_max = 10\n{levels}"
+        )
+        for window, expected in (("1/10:1", []), ("1/10:10", [("2", [[0, 1]])])):
+            code, out, _ = run(
+                capsys, ["scan", "--custom", f1, "--custom", str(f2), "--window", window, "--format", "json"]
+            )
+            assert code == EXIT_OK
+            instants = json.loads(out)["instants"]
+            assert [(inst["s"], inst["branches"]) for inst in instants] == expected
+            assert all(i + j > 0 for inst in instants for i, j in inst["branches"])
+
+    def test_scan_does_not_import_numpy(self):
+        script = (
+            "import sys\n"
+            "from yamabe_bifurcation import cli\n"
+            "cli.main(['scan', '--sphere', '2', '--hemisphere', '2', '--window', '1:3'])\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "s = 2" in proc.stdout
+
 
 class TestConfigFile:
     def test_config_supplies_everything(self, capsys, tmp_path):
@@ -247,6 +281,15 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert "FD Neumann spectrum" in out
+
+    def test_instant_on_window_end(self, capsys):
+        # 1/75 is the zero of an increasing branch; the dense scan must count it
+        code, out, _ = run(
+            capsys, ["verify", "--torus", "3/4,3/4", "--hemisphere", "2", "--r2", "3/2", "--window", "1/75:1"]
+        )
+        assert "13 exact instants, 13 brackets" in out
+        assert "all checks passed" in out
+        assert code == EXIT_OK
 
     def test_fault_injection_fails(self, capsys, monkeypatch):
         """Corrupting the catalog hemisphere multiplicity table must be caught

@@ -12,11 +12,9 @@ from yamabe_bifurcation import (
     homothety_reparametrization,
     interval_neumann,
     make_family,
-    mean_curvature_at,
     product_spectrum_below,
     round_sphere,
     scalar_curvature_at,
-    scaled_mean_curvature,
 )
 
 
@@ -50,13 +48,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             scalar_curvature_at(sphere_hemisphere, 0)
 
-    def test_mean_curvature_scaling_law(self):
-        assert scaled_mean_curvature(3, 9) == 1.0
-        assert scaled_mean_curvature(0, 5) == 0
-
     def test_product_boundary_stays_minimal(self, sphere_hemisphere):
+        # H scales as H2/sqrt(s) under s*g2, so a minimal boundary stays minimal
         for s in (Fraction(1, 3), 1, 7):
-            assert mean_curvature_at(sphere_hemisphere, s) == 0
+            scaled = sphere_hemisphere.factor2.rescaled_metric(s)
+            assert scaled.boundary_minimal
+            assert make_family(sphere_hemisphere.factor1, scaled).factor2 is scaled
 
 
 class TestProductSpectrum:

@@ -9,7 +9,6 @@ from yamabe_bifurcation import (
     SpectrumFormatError,
     custom_from_file,
     custom_spectrum,
-    eigenvalues_below,
     flat_torus,
     hemisphere_neumann,
     interval_neumann,
@@ -133,8 +132,8 @@ class TestTorus:
 
 class TestEigenvaluesBelow:
     def test_strict_inequality(self):
-        assert eigenvalues_below(interval_neumann(1), 5) == [(0, 1), (1, 1), (4, 1)]
-        assert eigenvalues_below(round_sphere(2, 1), 2) == [(0, 1)]
+        assert interval_neumann(1).eigenvalues_below(5) == [(0, 1), (1, 1), (4, 1)]
+        assert round_sphere(2, 1).eigenvalues_below(2) == [(0, 1)]
 
     def test_custom_beyond_completeness_errors(self):
         spec = custom_spectrum(2, 1, [(0, 1), (2, 2)], 3)
