@@ -176,6 +176,28 @@ def enumeration_bounds(fam: ProductFamily, window) -> Tuple[Scalar, Scalar]:
     return (fam.threshold1 + t2 / s_min, fam.threshold2 + s_max * t1)
 
 
+def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Scalar, List[EigenBranch]]]:
+    """Group branch zeros, recorded as (s, branch), into instants, ascending.
+
+    Exact mode merges equal zeros.  Float mode sorts the zeros and chains
+    each to the next when they differ by at most tol * max(1, |larger|);
+    on a sorted list that single linkage is transitive, so the clusters do
+    not depend on the order of recording.  A cluster keeps its first
+    recorded zero as its s."""
+    if tol is None:
+        groups: Dict[Scalar, List[EigenBranch]] = {}
+        for s, branch in found:
+            groups.setdefault(s, []).append(branch)
+        return sorted(groups.items(), key=lambda item: item[0])
+    clusters: List[List[Tuple[int, Scalar, EigenBranch]]] = []  # (rank recorded, s, branch)
+    for rank, (s, branch) in sorted(enumerate(found), key=lambda item: item[1][0]):
+        if clusters and scalars.close(s, clusters[-1][-1][1], tol):
+            clusters[-1].append((rank, s, branch))
+        else:
+            clusters.append([(rank, s, branch)])
+    return [(min(cluster)[1], [branch for _, _, branch in cluster]) for cluster in clusters]
+
+
 def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[DegeneracyInstant]:
     """All degeneracy instants with s_min <= s <= s_max, ascending, coincident
     branch zeros merged into one instant with summed multiplicity and the
@@ -198,14 +220,7 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
 
     t1 = fam.threshold1
     t2 = fam.threshold2
-    zeros: Dict[Scalar, List[EigenBranch]] = {}
-
-    def record(s, branch):
-        for key in zeros:
-            if scalars.close(key, s, tol):
-                zeros[key].append(branch)
-                return
-        zeros[s] = [branch]
+    found: List[Tuple[Scalar, EigenBranch]] = []
 
     # decreasing branches: a < 0 (rho_i < T1) and b > 0, zero at s = (rho_j - T2)/(T1 - rho_i)
     if scalars.gt(t1, 0, tol):
@@ -216,7 +231,7 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
                     continue
                 s = (r2 - t2) / (t1 - r1)
                 if scalars.ge(s, s_min, tol) and scalars.le(s, s_max, tol):
-                    record(s, EigenBranch(i, j, r1 - t1, r2 - t2, m1 * m2, tol))
+                    found.append((s, EigenBranch(i, j, r1 - t1, r2 - t2, m1 * m2, tol)))
 
     # increasing branches: b < 0 (rho_j < T2) and a > 0, zero at s = (T2 - rho_j)/(rho_i - T1)
     if scalars.gt(t2, 0, tol):
@@ -227,11 +242,11 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
                     continue
                 s = (t2 - r2) / (r1 - t1)
                 if scalars.ge(s, s_min, tol) and scalars.le(s, s_max, tol):
-                    record(s, EigenBranch(i, j, r1 - t1, r2 - t2, m1 * m2, tol))
+                    found.append((s, EigenBranch(i, j, r1 - t1, r2 - t2, m1 * m2, tol)))
 
     instants = []
-    for s in sorted(zeros):
-        branches = tuple(sorted(zeros[s], key=lambda br: (br.i, br.j)))
+    for s, branches in _merge_zeros(found, tol):
+        branches = tuple(sorted(branches, key=lambda br: (br.i, br.j)))
         jump = sum(
             br.multiplicity if br.monotonicity is Monotonicity.DECREASING else -br.multiplicity
             for br in branches

@@ -403,12 +403,11 @@ def cmd_branches(args, config) -> int:
 
 def _verify_checks(fam, window, lam, samples):
     """Yield (name, passed, detail) for each oracle/engine comparison."""
-    from . import oracle  # numpy and scipy are needed by verify alone
+    from . import oracle  # numpy is needed by verify alone
 
     for idx, spec in ((1, fam.factor1), (2, fam.factor2)):
         name = f"factor{idx} {spec.label}"
-        label = spec.label
-        if label.startswith("I("):
+        if spec.kind == "interval":
             # recover lambda from the first nonzero eigenvalue 1/lambda^2
             lam_param = math.sqrt(1.0 / float(spec.level(1)[0]))
             grid = oracle.fd_interval_spectrum(lam_param, 2000, 10)
@@ -419,7 +418,7 @@ def _verify_checks(fam, window, lam, samples):
                 err = abs(approx - exact) / max(exact, 1e-12) if exact else abs(approx)
                 worst = max(worst, err)
             yield (f"{name}: FD Neumann spectrum", worst < 1e-3, f"max rel err {worst:.2e}")
-        elif label.startswith("S^") and "+(" in label:
+        elif spec.kind == "hemisphere":
             n = spec.dim
             if n <= 4:
                 ok = all(
@@ -427,7 +426,7 @@ def _verify_checks(fam, window, lam, samples):
                     for k in range(0, 11)
                 )
                 yield (f"{name}: hemisphere multiplicities", ok, "even-harmonic kernel ranks, k <= 10")
-        elif label.startswith("S^"):
+        elif spec.kind == "sphere":
             n = spec.dim
             if n <= 4:
                 ok = all(

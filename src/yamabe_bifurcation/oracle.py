@@ -1,9 +1,10 @@
 """Independent ground-truth computations used to validate the engine.
 
-Everything here is intentionally naive -- dense linear algebra, double loops,
-dense scans -- and shares no computation with the exact engine it checks:
+Everything here is intentionally naive -- bisection, dense linear algebra,
+double loops, dense scans -- and shares no computation with the exact engine
+it checks:
 
-* finite-difference Neumann spectrum of the interval,
+* finite-difference Neumann spectrum of the interval, by Sturm-count bisection,
 * harmonic-polynomial dimension counts by explicit kernel rank,
 * dense sign-change scan for degeneracy instants,
 * brute-force Morse index.
@@ -12,11 +13,11 @@ dense scans -- and shares no computation with the exact engine it checks:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .product import ProductFamily
 
@@ -26,6 +27,49 @@ class GridSpectrum:
     grid_points: int
     eigenvalues: Tuple[float, ...]
     error_estimate: float  # worst-case relative discretization error, O(h^2)
+
+
+def _sturm_count(diag: Sequence[float], off_sq: Sequence[float], x: float, pivmin: float) -> int:
+    """Number of eigenvalues below x: the negative pivots of the LDL^T
+    factorization of T - xI.  ``off_sq`` holds 0 and then the squared
+    off-diagonal; a pivot smaller than ``pivmin`` in magnitude is replaced
+    by -pivmin, as in LAPACK's dstebz."""
+    count = 0
+    q = 1.0
+    for a, b2 in zip(diag, off_sq):
+        q = a - x - b2 / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+    return count
+
+
+def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float], count: int) -> List[float]:
+    """The ``count`` smallest eigenvalues of the symmetric tridiagonal matrix
+    with diagonal ``diag`` and off-diagonal ``off``, ascending, by bisection
+    on Sturm counts (Barth, Martin & Wilkinson 1967) inside the Gershgorin
+    interval, down to an absolute width of 2 eps ||T||.  Every count narrows
+    the brackets of all the eigenvalues it separates."""
+    radius = [abs(b) for b in off]
+    discs = list(zip(diag, [0.0] + radius, radius + [0.0]))
+    lowest = min(d - left - right for d, left, right in discs)
+    highest = max(d + left + right for d, left, right in discs)
+    width = 2 * sys.float_info.epsilon * max(abs(lowest), abs(highest))
+    off_sq = [0.0] + [b * b for b in off]
+    pivmin = sys.float_info.min * max([1.0] + off_sq)
+    lo = [lowest] * count
+    hi = [highest] * count
+    for k in range(count):
+        while hi[k] - lo[k] > width:
+            mid = 0.5 * (lo[k] + hi[k])
+            below = _sturm_count(diag, off_sq, mid, pivmin)
+            for other in range(k, count):
+                if other < below:
+                    hi[other] = min(hi[other], mid)
+                else:
+                    lo[other] = max(lo[other], mid)
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
 def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSpectrum:
@@ -43,15 +87,13 @@ def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSp
     if length <= 0:
         raise ValueError("interval length must be positive")
     h = length / grid_points
-    diag = np.full(grid_points, 2.0 / h**2)
+    diag = [2.0 / h**2] * grid_points
     diag[0] = diag[-1] = 1.0 / h**2
-    off = np.full(grid_points - 1, -1.0 / h**2)
-    values = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
-    )
+    off = [-1.0 / h**2] * (grid_points - 1)
+    values = _smallest_tridiagonal_eigenvalues(diag, off, count)
     # lambda_k^FD = (4/h^2) sin^2(k pi h / (2 L)); relative error ~ (k pi h / L)^2 / 12
     worst = (count * math.pi * h / length) ** 2 / 12.0
-    return GridSpectrum(grid_points, tuple(float(v) for v in values), worst)
+    return GridSpectrum(grid_points, tuple(values), worst)
 
 
 def _monomials(total: int, nvars: int) -> List[Tuple[int, ...]]:
@@ -110,17 +152,21 @@ def even_harmonic_dimension(n: int, k: int) -> int:
     return _laplacian_kernel_dimension(monos, n + 1)
 
 
+def _float_levels(spectrum, bound) -> List[Tuple[float, int]]:
+    return [(float(r), m) for r, m in spectrum.eigenvalues_leq(bound)]
+
+
 def _float_branches(fam: ProductFamily, lam: float) -> List[Tuple[int, int, float, float, int]]:
     t1 = float(fam.threshold1)
     t2 = float(fam.threshold2)
-    levels1 = fam.factor1.eigenvalues_leq(fam.coerce(lam))
-    levels2 = fam.factor2.eigenvalues_leq(fam.coerce(lam))
+    levels1 = _float_levels(fam.factor1, fam.coerce(lam))
+    levels2 = _float_levels(fam.factor2, fam.coerce(lam))
     out = []
     for i, (r1, m1) in enumerate(levels1):
         for j, (r2, m2) in enumerate(levels2):
             if i == 0 and j == 0:
                 continue
-            out.append((i, j, float(r1) - t1, float(r2) - t2, m1 * m2))
+            out.append((i, j, r1 - t1, r2 - t2, m1 * m2))
     return out
 
 
@@ -187,12 +233,12 @@ def brute_force_index(fam: ProductFamily, s, lam) -> int:
     if lam < theta or lam * s < s * theta:
         raise ValueError("lambda bound below R(s)/(m-1); enumeration would be incomplete")
     count = 0
-    levels1 = fam.factor1.eigenvalues_leq(fam.coerce(lam))
-    levels2 = fam.factor2.eigenvalues_leq(fam.coerce(lam * s))
+    levels1 = _float_levels(fam.factor1, fam.coerce(lam))
+    levels2 = _float_levels(fam.factor2, fam.coerce(lam * s))
     for i, (r1, m1) in enumerate(levels1):
         for j, (r2, m2) in enumerate(levels2):
             if i == 0 and j == 0:
                 continue
-            if float(r1) - t1 + (float(r2) - t2) / s < 0:
+            if r1 - t1 + (r2 - t2) / s < 0:
                 count += m1 * m2
     return count

@@ -16,10 +16,11 @@ silently truncating.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -36,7 +37,9 @@ class FactorSpectrum:
 
     ``enum_leq(bound)`` must return the complete ascending list of distinct
     (eigenvalue, multiplicity) pairs with eigenvalue <= bound; it is the only
-    enumeration primitive, everything else derives from it.
+    enumeration primitive, everything else is served from one table of its
+    largest result so far.  ``kind`` names the constructor (interval, sphere,
+    hemisphere, torus or custom).
     """
 
     dim: int
@@ -44,9 +47,12 @@ class FactorSpectrum:
     has_boundary: bool
     boundary_minimal: bool
     label: str
+    kind: str
     enum_leq: Callable[[Scalar], List[Level]]
     lambda_max: Optional[Scalar] = None   # None: complete for every cutoff
     tolerance: Optional[float] = None     # None: exact rational mode
+    # [largest bound enumerated, its levels]; replace() builds a fresh one
+    _table: list = field(default_factory=lambda: [None, []], init=False, compare=False, repr=False)
 
     def _check_bound(self, bound) -> None:
         if bound < 0:
@@ -57,10 +63,21 @@ class FactorSpectrum:
                 f"but eigenvalues up to {scalars.fmt(bound, self.tolerance)} are required"
             )
 
+    def _levels_upto(self, bound) -> List[Level]:
+        """The table, enumerated afresh when ``bound`` lies beyond it."""
+        covered, levels = self._table
+        if covered is None or bound > covered:
+            levels = self.enum_leq(bound)
+            self._table[:] = [bound, levels]
+        return levels
+
     def eigenvalues_leq(self, bound) -> List[Level]:
         """All (eigenvalue, multiplicity) with eigenvalue <= bound, ascending."""
         self._check_bound(bound)
-        return self.enum_leq(bound)
+        levels = self._levels_upto(bound)
+        # the levels above the bound, tolerance included, form a suffix
+        end = bisect.bisect_left(levels, True, key=lambda lv: scalars.gt(lv[0], bound, self.tolerance))
+        return levels[:end]
 
     def eigenvalues_below(self, bound) -> List[Level]:
         """All (eigenvalue, multiplicity) with eigenvalue strictly < bound."""
@@ -78,7 +95,7 @@ class FactorSpectrum:
         if index < 0:
             raise ValueError("negative level index")
         if self.lambda_max is not None:
-            levels = self.enum_leq(self.lambda_max)
+            levels = self._levels_upto(self.lambda_max)
             if index >= len(levels):
                 raise IncompleteSpectrumError(
                     f"{self.label}: level {index} lies beyond the declared "
@@ -87,7 +104,7 @@ class FactorSpectrum:
             return levels[index]
         bound = self.scalar_curvature if self.scalar_curvature > 0 else 1
         while True:
-            levels = self.enum_leq(bound)
+            levels = self._levels_upto(bound)
             if index < len(levels):
                 return levels[index]
             bound *= 4
@@ -135,9 +152,10 @@ def harmonic_multiplicity(n: int, k: int) -> int:
 
 def even_harmonic_multiplicity(n: int, k: int) -> int:
     """Neumann multiplicity on the closed hemisphere of S^n: degree-k
-    harmonics even under the equatorial reflection, counted by summing the
-    S^(n-1) multiplicities over the matching-parity lower degrees."""
-    return sum(harmonic_multiplicity(n - 1, j) for j in range(k % 2, k + 1, 2))
+    harmonics even under the equatorial reflection.  Restriction to the
+    equatorial hyperplane maps them one to one onto the degree-k polynomials
+    in n variables, C(n+k-1, n-1) of them."""
+    return math.comb(n + k - 1, n - 1)
 
 
 def interval_neumann(length_over_pi) -> FactorSpectrum:
@@ -156,6 +174,7 @@ def interval_neumann(length_over_pi) -> FactorSpectrum:
         has_boundary=True,
         boundary_minimal=True,  # the boundary points are vacuously minimal
         label=f"I(lambda={scalars.fmt(lam)})",
+        kind="interval",
         enum_leq=_enum_from_level_fn(level),
     )
 
@@ -178,6 +197,7 @@ def round_sphere(n: int, radius_sq=1) -> FactorSpectrum:
         has_boundary=False,
         boundary_minimal=False,
         label=f"S^{n}(r2={scalars.fmt(r2)})",
+        kind="sphere",
         enum_leq=_enum_from_level_fn(level),
     )
 
@@ -201,6 +221,7 @@ def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
         has_boundary=True,
         boundary_minimal=True,
         label=f"S^{n}+(r2={scalars.fmt(r2)})",
+        kind="hemisphere",
         enum_leq=_enum_from_level_fn(level),
     )
 
@@ -242,6 +263,7 @@ def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
         has_boundary=False,
         boundary_minimal=False,
         label=f"T^{len(ells)}(l2/4pi2=[{label_ells}])",
+        kind="torus",
         enum_leq=enum,
     )
 
@@ -287,6 +309,7 @@ def custom_spectrum(
         has_boundary=has_boundary,
         boundary_minimal=boundary_minimal,
         label=label,
+        kind="custom",
         enum_leq=enum,
         lambda_max=lam_max,
         tolerance=tol,

@@ -421,3 +421,18 @@ class TestFloatMode:
             morse_index(fam, inst.s)
         (exact_inst,) = degeneracy_instants(exact, (Fraction(1, 10), 1))
         assert index_jump(fam, inst) == index_jump(exact, exact_inst) == (2, 0, True)
+
+    def test_chained_zeros_merge_into_one_instant(self):
+        """Zeros at 1, 1 + 0.6e-9 and 1 + 1.2e-9 chain within the tolerance
+        1e-9 although the outer two are not close: one instant, jump +3."""
+        f1 = custom_spectrum(2, 3.0, [(0.0, 1), (0.25, 1), (0.5, 1)], 10.0, tolerance=1e-9, label="closed")
+        f2 = custom_spectrum(
+            2, 3.0, [(0.0, 1), (1.5000000003, 1), (1.7500000009, 1), (2.0, 1)], 10.0,
+            has_boundary=True, boundary_minimal=True, tolerance=1e-9, label="boundary",
+        )
+        cls = classify_family(make_family(f1, f2), (0.5, 5.0))
+        (chain,) = [ci for ci in cls.instants if abs(ci.instant.s - 1) < 1e-6]
+        assert chain.instant.s == 1.0
+        assert [(br.i, br.j) for br in chain.instant.branches] == [(0, 3), (1, 2), (2, 1)]
+        assert chain.instant.jump == 3
+        assert chain.n_plus - chain.n_minus == 3

@@ -193,6 +193,20 @@ class TestScan:
         assert proc.returncode == 0, proc.stderr
         assert "s = 2" in proc.stdout
 
+    def test_verify_does_not_import_scipy(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from yamabe_bifurcation import cli\n"
+            "sys.exit(cli.main(['verify', '--sphere', '2', '--interval', '1',"
+            " '--window', '0.5:10', '--samples', '2000']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "FD Neumann spectrum" in proc.stdout
+        assert "all checks passed" in proc.stdout
+
 
 class TestConfigFile:
     def test_config_supplies_everything(self, capsys, tmp_path):
@@ -288,6 +302,18 @@ class TestVerify:
             capsys, ["verify", "--torus", "3/4,3/4", "--hemisphere", "2", "--r2", "3/2", "--window", "1/75:1"]
         )
         assert "13 exact instants, 13 brackets" in out
+        assert "all checks passed" in out
+        assert code == EXIT_OK
+
+    def test_custom_file_named_like_a_sphere(self, capsys, tmp_path, monkeypatch):
+        """The oracle is chosen by the factor's kind, not by its label."""
+        levels = "".join(f"eig {k * k}/2 1\n" for k in range(14))
+        write_custom(tmp_path, name="S^2.spec", levels=levels, dim=2, curv=2, lam=100)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(
+            capsys, ["verify", "--custom", "S^2.spec", "--hemisphere", "2", "--window", "0.5:5", "--samples", "2000"]
+        )
+        assert "FAIL" not in out
         assert "all checks passed" in out
         assert code == EXIT_OK
 

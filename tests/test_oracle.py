@@ -1,10 +1,23 @@
+import itertools
 import math
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from yamabe_bifurcation import degeneracy_instants, interval_neumann, morse_index
+from yamabe_bifurcation import (
+    custom_spectrum,
+    degeneracy_instants,
+    flat_torus,
+    hemisphere_neumann,
+    interval_neumann,
+    morse_index,
+    round_sphere,
+)
 from yamabe_bifurcation.oracle import (
+    _smallest_tridiagonal_eigenvalues,
     brute_force_index,
     dense_scan_degeneracy,
     even_harmonic_dimension,
@@ -34,6 +47,17 @@ class TestFiniteDifference:
         ratio = abs(coarse - 4.0) / abs(fine - 4.0)
         assert 3.5 < ratio < 4.5
 
+    @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2)])
+    def test_matches_closed_form_of_the_stencil(self, length_over_pi):
+        """The stencil's own eigenvalues are (4/h^2) sin^2(k pi h / (2L))."""
+        grid = fd_interval_spectrum(length_over_pi, 2000, 10)
+        length = math.pi * float(length_over_pi)
+        h = length / 2000
+        norm = 4.0 / h**2
+        for k, got in enumerate(grid.eigenvalues):
+            want = norm * math.sin(k * math.pi * h / (2 * length)) ** 2
+            assert abs(got - want) <= 16 * sys.float_info.epsilon * norm
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             fd_interval_spectrum(1, 8, 2)
@@ -41,6 +65,26 @@ class TestFiniteDifference:
             fd_interval_spectrum(1, 100, 80)
         with pytest.raises(ValueError):
             fd_interval_spectrum(0, 100, 2)
+
+
+class TestSturmBisection:
+    def test_matches_eigvalsh_on_random_tridiagonals(self):
+        rng = np.random.default_rng(20150)
+        for trial in range(150):
+            n = int(rng.integers(1, 61))
+            diag = rng.normal(scale=float(rng.choice([1e-3, 1, 1e3])), size=n)
+            off = rng.normal(size=n - 1)
+            if trial % 3 == 0:  # split into blocks; equal diagonals give multiple eigenvalues
+                off[rng.random(n - 1) < 0.4] = 0.0
+                diag[rng.random(n) < 0.5] = 1.0
+            want = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            count = int(rng.integers(1, n + 1))
+            got = _smallest_tridiagonal_eigenvalues(diag.tolist(), off.tolist(), count)
+            norm = max(abs(want[0]), abs(want[-1]))
+            assert np.abs(np.array(got) - want[:count]).max() <= 1e-9 * norm
+
+    def test_zero_matrix(self):
+        assert _smallest_tridiagonal_eigenvalues([0.0, 0.0, 0.0], [0.0, 0.0], 3) == [0.0, 0.0, 0.0]
 
 
 class TestHarmonicDimensions:
@@ -121,3 +165,66 @@ class TestBruteForceIndex:
     def test_insufficient_lambda_rejected(self, sphere_hemisphere):
         with pytest.raises(ValueError):
             brute_force_index(sphere_hemisphere, Fraction(1, 100), lam=10)
+
+
+def _float_custom():
+    return custom_spectrum(2, 1, [(0, 1), (0.5, 2), (1.5, 1), (4.0, 2)], 10, tolerance=1e-9)
+
+
+_SPECTRA = {
+    "interval": lambda: interval_neumann(Fraction(3, 2)),
+    "sphere": lambda: round_sphere(3, 2),
+    "hemisphere": lambda: hemisphere_neumann(2),
+    "torus": lambda: flat_torus([1, Fraction(2, 3)]),
+    "exact custom": lambda: custom_spectrum(
+        2, 1, [(0, 1), (Fraction(1, 2), 2), (Fraction(3, 2), 1), (4, 2)], 10
+    ),
+    "float custom": _float_custom,
+}
+_BOUNDS = [Fraction(3, 2), 4, Fraction(17, 2), 0]
+# 1.5 - 0.5e-9 takes in the level 1.5 only within the tolerance
+_FLOAT_BOUNDS = [1.5, 4.0, 8.5, 0.0, 1.4999999995]
+
+
+class TestLevelTable:
+    """Each spectrum serves every query from one table of its largest
+    enumeration; a fresh spectrum, asked once, is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(_SPECTRA))
+    def test_any_order_of_bounds_matches_a_fresh_spectrum(self, name):
+        make = _SPECTRA[name]
+        for order in itertools.permutations(_FLOAT_BOUNDS if name == "float custom" else _BOUNDS):
+            spec = make()
+            for bound in order:
+                assert spec.eigenvalues_leq(bound) == make().eigenvalues_leq(bound)
+                assert spec.eigenvalues_below(bound) == make().eigenvalues_below(bound)
+            assert [spec.level(k) for k in range(4)] == [make().level(k) for k in range(4)]
+
+    def test_float_bound_takes_in_levels_within_the_tolerance(self):
+        assert _float_custom().eigenvalues_leq(1.4999999995)[-1] == (1.5, 1)
+        assert _float_custom().eigenvalues_below(1.5000000005)[-1] == (0.5, 2)
+
+    def test_rescaled_metric_has_its_own_table(self):
+        spec = round_sphere(2)
+        spec.eigenvalues_leq(50)
+        scaled = spec.rescaled_metric(2)
+        assert scaled.eigenvalues_leq(10) == [(Fraction(e, 2), m) for e, m in spec.eigenvalues_leq(20)]
+        assert spec.eigenvalues_leq(10) == [(0, 1), (2, 3), (6, 5)]
+
+    def test_smaller_bound_after_larger_does_not_enumerate(self):
+        spec = interval_neumann(1)
+        bounds = []
+
+        def counting(bound):
+            bounds.append(bound)
+            return spec.enum_leq(bound)
+
+        counted = replace(spec, enum_leq=counting)
+        assert len(counted.eigenvalues_leq(100)) == 11
+        assert bounds == [100]  # enumerated up to the argument, not beyond
+        counted.eigenvalues_leq(10)
+        counted.eigenvalues_below(50)
+        assert counted.level(10) == (100, 1)
+        assert bounds == [100]
+        counted.eigenvalues_leq(101)
+        assert bounds == [100, 101]
