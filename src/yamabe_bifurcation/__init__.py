@@ -38,7 +38,6 @@ from .product import (
     ProductFamily,
     homothety_reparametrization,
     make_family,
-    product_spectrum_below,
     scalar_curvature_at,
 )
 from .spectra import (

@@ -92,7 +92,6 @@ class CertifiedInstant:
     n_plus: int
     certified: bool
     side: str  # "tending-to-zero" | "unbounded" | "mixed"
-    lemma_cases: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,11 @@ def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Sca
     """Group branch zeros, recorded as (s, branch), into instants, ascending.
 
     Exact mode merges equal zeros.  Float mode sorts the zeros and chains
-    each to the next when they differ by at most tol * max(1, |larger|);
-    on a sorted list that single linkage is transitive, so the clusters do
-    not depend on the order of recording.  A cluster keeps its first
-    recorded zero as its s."""
+    each to the next when scalars.close holds, i.e. when they differ by at
+    most tol * max(1, |a|, |b|), which for positive zeros is tol * max(1,
+    |larger|).  close is symmetric and, on a sorted list, that single
+    linkage is transitive, so the clusters do not depend on the order of
+    recording.  A cluster keeps its first recorded zero as its s."""
     if tol is None:
         groups: Dict[Scalar, List[EigenBranch]] = {}
         for s, branch in found:
@@ -313,12 +313,6 @@ def index_jump(fam: ProductFamily, instant: DegeneracyInstant) -> Tuple[int, int
     return below + increasing, below + decreasing, increasing != decreasing
 
 
-def _lemma_case(branch: EigenBranch, ci: CriticalIndices) -> str:
-    i_rel = "<" if branch.i < ci.i_star else (">" if branch.i > ci.i_star else "=")
-    j_rel = "<" if branch.j < ci.j_star else (">" if branch.j > ci.j_star else "=")
-    return f"i{i_rel}i*, j{j_rel}j* ({branch.monotonicity.value})"
-
-
 def _side(branches: Sequence[EigenBranch]) -> str:
     kinds = {br.monotonicity for br in branches}
     if kinds == {Monotonicity.INCREASING}:
@@ -362,7 +356,6 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
     else:
         case = FamilyCase.INCREASING_UNBOUNDED
 
-    ci = critical_indices(fam)
     instants = degeneracy_instants(fam, window, lam)
     certified = []
     if instants:
@@ -378,7 +371,6 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
                     n_plus=n_plus,
                     certified=n_minus != n_plus,
                     side=_side(inst.branches),
-                    lemma_cases=tuple(_lemma_case(br, ci) for br in inst.branches),
                 )
             )
         below, _, decreasing = _index_counts(fam, instants[-1].s)

@@ -449,25 +449,45 @@ def _verify_checks(fam, window, lam, samples):
         f"{len(instants)} exact instants, {len(brackets)} brackets",
     )
 
-    probes = [window[0], window[1]]
-    for left, right in zip([window[0]] + [i.s for i in instants], [i.s for i in instants] + [window[1]]):
-        probes.append((fam.coerce(left) + fam.coerce(right)) / 2)
-    all_ok = True
-    details = []
-    for s in probes:
-        try:
-            engine = bifurcation.morse_index(fam, s)
-        except YamabeError:
-            continue
-        brute = oracle.brute_force_index(fam, float(s), max(float(scan_lam), float(fam.threshold1 + fam.threshold2 / fam.coerce(s))) + 1)
-        if engine != brute:
-            all_ok = False
-            details.append(f"s={scalars.fmt(s, fam.tolerance)}: engine {engine} vs brute {brute}")
+    probes = _probe_indices(fam, window, instants)
+    checked = [(s, engine) for s, engine in probes if engine is not None]
+    brute = oracle.brute_force_indices(fam, [
+        (float(s), max(float(scan_lam), float(fam.threshold1 + fam.threshold2 / fam.coerce(s))) + 1)
+        for s, _ in checked
+    ])
+    details = [
+        f"s={scalars.fmt(s, fam.tolerance)}: engine {engine} vs brute {count}"
+        for (s, engine), count in zip(checked, brute)
+        if engine != count
+    ]
     yield (
         "Morse index vs brute force",
-        all_ok,
+        not details,
         "; ".join(details) if details else f"{len(probes)} probe points agree",
     )
+
+
+def _probe_indices(fam, window, instants) -> List[Tuple[scalars.Scalar, Optional[int]]]:
+    """verify's probe points -- both window ends, then the midpoint of every
+    gap between consecutive instants and window ends -- each paired with the
+    Morse index that scan reports there, or None for a probe on an instant
+    (within the family's tolerance).  The index is counted once, just left of
+    the first instant, and then moves by each instant's exact jump."""
+    times = [inst.s for inst in instants]
+    below, increasing, _ = bifurcation._index_counts(fam, times[0] if times else window[0])
+    gap_index = [below + increasing]
+    for inst in instants:
+        gap_index.append(gap_index[-1] + inst.jump)
+    probes = [(window[0], 0), (window[1], len(times))]
+    for gap, (left, right) in enumerate(zip([window[0]] + times, times + [window[1]])):
+        probes.append(((fam.coerce(left) + fam.coerce(right)) / 2, gap))
+    out = []
+    for s, gap in probes:
+        # a probe can only fall on one of the two instants that bound its gap
+        nearby = times[max(gap - 1, 0):gap + 1]
+        on_instant = any(scalars.close(fam.coerce(s), t, fam.tolerance) for t in nearby)
+        out.append((s, None if on_instant else gap_index[gap]))
+    return out
 
 
 def cmd_verify(args, config) -> int:

@@ -1,13 +1,17 @@
 """Independent ground-truth computations used to validate the engine.
 
 Everything here is intentionally naive -- bisection, dense linear algebra,
-double loops, dense scans -- and shares no computation with the exact engine
-it checks:
+exhaustive counts, dense scans -- and shares no computation with the exact
+engine it checks:
 
-* finite-difference Neumann spectrum of the interval, by Sturm-count bisection,
-* harmonic-polynomial dimension counts by explicit kernel rank,
+* finite-difference Neumann spectrum of the interval, by bisection on Sturm
+  counts, with a Newton step on det(T - xI) taken from the same LDL^T pass
+  once an eigenvalue is alone in its bracket,
+* harmonic-polynomial dimension counts by the numeric rank of the explicit
+  Laplacian matrix on monomials, summed over its parity blocks,
 * dense sign-change scan for degeneracy instants,
-* brute-force Morse index.
+* brute-force Morse index, counted over every pair of factor levels from one
+  float table per factor.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,20 +33,26 @@ class GridSpectrum:
     error_estimate: float  # worst-case relative discretization error, O(h^2)
 
 
-def _sturm_count(diag: Sequence[float], off_sq: Sequence[float], x: float, pivmin: float) -> int:
-    """Number of eigenvalues below x: the negative pivots of the LDL^T
-    factorization of T - xI.  ``off_sq`` holds 0 and then the squared
-    off-diagonal; a pivot smaller than ``pivmin`` in magnitude is replaced
-    by -pivmin, as in LAPACK's dstebz."""
+def _sturm_pass(diag: Sequence[float], off_sq: Sequence[float], x: float, pivmin: float) -> Tuple[int, float]:
+    """One LDL^T pass over T - xI: the number of eigenvalues below x (the
+    negative pivots q_i) and the Newton step 1 / sum(q_i'/q_i) for
+    det(T - xI), with q_i' = -1 + b_{i-1}^2 q_{i-1}' / q_{i-1}^2.  ``off_sq``
+    holds 0 and then the squared off-diagonal; a pivot smaller than
+    ``pivmin`` in magnitude is replaced by -pivmin, as in LAPACK's dstebz.
+    The step is NaN when the sum vanishes."""
     count = 0
     q = 1.0
+    ratio = total = 0.0  # ratio = q_i'/q_i
     for a, b2 in zip(diag, off_sq):
-        q = a - x - b2 / q
+        t = b2 / q
+        q = a - x - t
         if q < pivmin:
             if q > -pivmin:
                 q = -pivmin
             count += 1
-    return count
+        ratio = (t * ratio - 1.0) / q
+        total += ratio
+    return count, (1.0 / total if total else math.nan)
 
 
 def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float], count: int) -> List[float]:
@@ -50,7 +60,13 @@ def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float
     with diagonal ``diag`` and off-diagonal ``off``, ascending, by bisection
     on Sturm counts (Barth, Martin & Wilkinson 1967) inside the Gershgorin
     interval, down to an absolute width of 2 eps ||T||.  Every count narrows
-    the brackets of all the eigenvalues it separates."""
+    the brackets of all the eigenvalues it separates.
+
+    Once an eigenvalue is alone in its bracket, the next point is the Newton
+    iterate of det(T - xI) from the last one, as long as it falls inside the
+    bracket.  When the Newton step is below a quarter of the width, one count
+    half a width inside the bracket closes it; a count that does not confirm
+    the Newton estimate only moves the bracket end, and the search goes on."""
     radius = [abs(b) for b in off]
     discs = list(zip(diag, [0.0] + radius, radius + [0.0]))
     lowest = min(d - left - right for d, left, right in discs)
@@ -60,15 +76,25 @@ def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float
     pivmin = sys.float_info.min * max([1.0] + off_sq)
     lo = [lowest] * count
     hi = [highest] * count
+    below_lo = [0] * count  # eigenvalues counted below each bracket end
+    below_hi = [len(diag)] * count
     for k in range(count):
+        x = 0.5 * (lo[k] + hi[k])
         while hi[k] - lo[k] > width:
-            mid = 0.5 * (lo[k] + hi[k])
-            below = _sturm_count(diag, off_sq, mid, pivmin)
+            below, step = _sturm_pass(diag, off_sq, x, pivmin)
             for other in range(k, count):
                 if other < below:
-                    hi[other] = min(hi[other], mid)
-                else:
-                    lo[other] = max(lo[other], mid)
+                    if x < hi[other]:
+                        hi[other], below_hi[other] = x, below
+                elif x > lo[other]:
+                    lo[other], below_lo[other] = x, below
+            isolated = below_hi[k] - below_lo[k] == 1
+            if isolated and abs(step) <= 0.25 * width:
+                x = x + 0.5 * width if x == lo[k] else x - 0.5 * width
+            elif isolated and lo[k] < x - step < hi[k]:
+                x -= step
+            else:
+                x = 0.5 * (lo[k] + hi[k])
     return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
@@ -106,28 +132,30 @@ def _monomials(total: int, nvars: int) -> List[Tuple[int, ...]]:
 
 
 def _laplacian_kernel_dimension(monomials: List[Tuple[int, ...]], nvars: int) -> int:
-    degree = sum(monomials[0]) if monomials else 0
-    if degree < 2:
-        return len(monomials)
-    columns = len(monomials)
-    rows = []
-    index = {}
+    """Dimension of the kernel of the Laplacian on the span of ``monomials``,
+    all of one degree.  The Laplacian lowers one exponent by 2, so it keeps
+    the parity of every exponent: its matrix is block diagonal by parity
+    class, and the rank is the sum of the numeric ranks of the blocks."""
+    blocks: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for mono in monomials:
+        blocks.setdefault(tuple(e % 2 for e in mono), []).append(mono)
+    return sum(_laplacian_block_kernel_dimension(block, nvars) for block in blocks.values())
+
+
+def _laplacian_block_kernel_dimension(monomials: List[Tuple[int, ...]], nvars: int) -> int:
+    entries = []  # (row, column, value); each monomial maps to distinct images
+    rows: Dict[Tuple[int, ...], int] = {}
     for col, mono in enumerate(monomials):
-        for var in range(nvars):
-            e = mono[var]
-            if e < 2:
-                continue
-            image = list(mono)
-            image[var] = e - 2
-            image = tuple(image)
-            if image not in index:
-                index[image] = len(rows)
-                rows.append(np.zeros(columns))
-            rows[index[image]][col] += e * (e - 1)
-    if not rows:
-        return columns
-    matrix = np.vstack(rows)
-    return columns - int(np.linalg.matrix_rank(matrix))
+        for var, e in enumerate(mono):
+            if e >= 2:
+                image = mono[:var] + (e - 2,) + mono[var + 1:]
+                entries.append((rows.setdefault(image, len(rows)), col, e * (e - 1)))
+    if not entries:
+        return len(monomials)
+    matrix = np.zeros((len(rows), len(monomials)))
+    row, col, value = zip(*entries)
+    matrix[row, col] = value
+    return len(monomials) - int(np.linalg.matrix_rank(matrix))
 
 
 def harmonic_dimension(n: int, k: int) -> int:
@@ -154,6 +182,13 @@ def even_harmonic_dimension(n: int, k: int) -> int:
 
 def _float_levels(spectrum, bound) -> List[Tuple[float, int]]:
     return [(float(r), m) for r, m in spectrum.eigenvalues_leq(bound)]
+
+
+def _float_table(spectrum, bound) -> Tuple[np.ndarray, np.ndarray]:
+    """The levels up to ``bound`` as arrays of float values and integer
+    multiplicities."""
+    levels = _float_levels(spectrum, bound)
+    return np.array([r for r, _ in levels]), np.array([m for _, m in levels], dtype=np.int64)
 
 
 def _float_branches(fam: ProductFamily, lam: float) -> List[Tuple[int, int, float, float, int]]:
@@ -220,25 +255,35 @@ def dense_scan_degeneracy(
     return merged
 
 
-def brute_force_index(fam: ProductFamily, s, lam) -> int:
-    """Double loop over all (i, j) with rho_i <= lam and rho_j <= lam*s,
-    summing multiplicities where sigma_{i,j}(s) < 0.  No cleverness."""
-    s = float(s)
-    lam = float(lam)
-    if s <= 0:
-        raise ValueError("family parameter s must be positive")
+def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float]]) -> List[int]:
+    """For each (s, lam): sum the multiplicities of all (i, j) != (0, 0) with
+    rho_i <= lam, rho_j <= lam*s and sigma_{i,j}(s) < 0.  Each factor's
+    levels become one float table, at the largest bound any point needs;
+    each point is one outer sum over the table's leading part.  No
+    cleverness."""
     t1 = float(fam.threshold1)
     t2 = float(fam.threshold2)
-    theta = t1 + t2 / s
-    if lam < theta or lam * s < s * theta:
-        raise ValueError("lambda bound below R(s)/(m-1); enumeration would be incomplete")
-    count = 0
-    levels1 = _float_levels(fam.factor1, fam.coerce(lam))
-    levels2 = _float_levels(fam.factor2, fam.coerce(lam * s))
-    for i, (r1, m1) in enumerate(levels1):
-        for j, (r2, m2) in enumerate(levels2):
-            if i == 0 and j == 0:
-                continue
-            if r1 - t1 + (r2 - t2) / s < 0:
-                count += m1 * m2
-    return count
+    points = [(float(s), float(lam)) for s, lam in points]
+    for s, lam in points:
+        if s <= 0:
+            raise ValueError("family parameter s must be positive")
+        if lam < t1 + t2 / s:
+            raise ValueError("lambda bound below R(s)/(m-1); enumeration would be incomplete")
+    if not points:
+        return []
+    r1, m1 = _float_table(fam.factor1, fam.coerce(max(lam for _, lam in points)))
+    r2, m2 = _float_table(fam.factor2, fam.coerce(max(lam * s for s, lam in points)))
+    counts = []
+    for s, lam in points:
+        n1 = np.searchsorted(r1, lam, side="right")
+        n2 = np.searchsorted(r2, lam * s, side="right")
+        negative = (r1[:n1] - t1)[:, None] + ((r2[:n2] - t2) / s)[None, :] < 0
+        if negative.size:  # the constants' (0, 0) is not a branch
+            negative[0, 0] = False
+        counts.append(int(np.outer(m1[:n1], m2[:n2])[negative].sum()))
+    return counts
+
+
+def brute_force_index(fam: ProductFamily, s, lam) -> int:
+    """The brute-force Morse index at one point; see brute_force_indices."""
+    return brute_force_indices(fam, [(s, lam)])[0]

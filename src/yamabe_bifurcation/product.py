@@ -8,15 +8,12 @@ drive the whole branch analysis downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import scalars
 from .errors import FamilyError
 from .scalars import Scalar
 from .spectra import FactorSpectrum
-
-ProductLevel = Tuple[Scalar, int, List[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -77,34 +74,6 @@ def scalar_curvature_at(fam: ProductFamily, s) -> Scalar:
     return fam.factor1.scalar_curvature + fam.factor2.scalar_curvature / s
 
 
-def product_spectrum_below(fam: ProductFamily, s, bound) -> List[ProductLevel]:
-    """Distinct product Laplacian eigenvalues rho_i + rho_j/s strictly below
-    ``bound``, merged when coincident, each with its total multiplicity and
-    the list of contributing (i, j) pairs."""
-    s = fam.coerce(s)
-    if s <= 0:
-        raise ValueError("family parameter s must be positive")
-    bound = fam.coerce(bound)
-    tol = fam.tolerance
-    levels1 = fam.factor1.eigenvalues_below(bound)
-    levels2 = fam.factor2.eigenvalues_below(s * bound)
-    raw = []
-    for i, (r1, m1) in enumerate(levels1):
-        for j, (r2, m2) in enumerate(levels2):
-            value = r1 + r2 / s
-            if scalars.lt(value, bound, tol):
-                raw.append((value, m1 * m2, (i, j)))
-    raw.sort(key=lambda item: item[0])
-    merged: List[ProductLevel] = []
-    for value, mult, pair in raw:
-        if merged and scalars.close(merged[-1][0], value, tol):
-            prev = merged[-1]
-            merged[-1] = (prev[0], prev[1] + mult, prev[2] + [pair])
-        else:
-            merged.append((value, mult, [pair]))
-    return merged
-
-
 @dataclass(frozen=True)
 class ReparametrizedFamily:
     """The family {(1/s) g1 (+) g2}: at parameter s the whole product metric
@@ -116,14 +85,6 @@ class ReparametrizedFamily:
     @property
     def label(self) -> str:
         return f"(1/s){self.base.factor1.label} x {self.base.factor2.label}"
-
-    def family_at(self, s) -> ProductFamily:
-        """The (constant-in-parameter) product family snapshot at parameter s."""
-        s = self.base.coerce(s)
-        if s <= 0:
-            raise ValueError("family parameter s must be positive")
-        return ProductFamily(self.base.factor1.rescaled_metric(Fraction(1) / s if scalars.is_exact(s) else 1.0 / s),
-                             self.base.factor2)
 
     def sigma_value(self, i: int, j: int, s) -> Scalar:
         """Branch value of the reparametrized family: at parameter s the

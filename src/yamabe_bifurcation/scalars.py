@@ -3,7 +3,7 @@
 Exact mode stores everything as ``fractions.Fraction`` and compares with
 ``==``.  Floating mode stores plain floats; every comparison goes through a
 relative tolerance tau declared by the spectrum that owns the value:
-a ~ b  iff  |a - b| <= tau * max(1, |a|).
+a ~ b  iff  |a - b| <= tau * max(1, |a|, |b|), which is symmetric in a and b.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def is_exact(value) -> bool:
 def close(a, b, tol: Optional[float] = None) -> bool:
     if tol is None:
         return a == b
-    return abs(a - b) <= tol * max(1, abs(a))
+    return abs(a - b) <= tol * max(1, abs(a), abs(b))
 
 
 def lt(a, b, tol: Optional[float] = None) -> bool:

@@ -24,7 +24,7 @@ from yamabe_bifurcation import (
     morse_index,
     sigma_value,
 )
-from yamabe_bifurcation import bifurcation
+from yamabe_bifurcation import bifurcation, cli, scalars
 from yamabe_bifurcation.oracle import brute_force_index
 
 WINDOW = (Fraction(1, 100), 20)
@@ -335,8 +335,9 @@ def _levels(draw):
 
 @st.composite
 def _families_and_windows(draw):
-    """A random exact family in one of the four curvature-sign cases, with a
-    window whose ends are often branch zeros themselves."""
+    """The data (t1, t2, levels1, levels2) of a random exact family in one of
+    the four curvature-sign cases, with a window whose ends are often branch
+    zeros themselves."""
     pos1, pos2 = draw(_SIGNS)
     t1, t2 = draw(_THRESHOLD[pos1]), draw(_THRESHOLD[pos2])
     levels1, levels2 = _levels(draw), _levels(draw)
@@ -350,14 +351,15 @@ def _families_and_windows(draw):
     end = st.one_of(_WINDOW_END, st.sampled_from(zeros)) if zeros else _WINDOW_END
     s_min, s_max = sorted((draw(end), draw(end)))
     assume(s_min < s_max)
-    return _custom_pair(t1, t2, levels1, levels2), (s_min, s_max), zeros
+    return (t1, t2, levels1, levels2), (s_min, s_max), zeros
 
 
 class TestSweep:
     @given(_families_and_windows())
     @settings(max_examples=200, deadline=None)
     def test_sweep_matches_brute_force(self, case):
-        fam, (s_min, s_max), zeros = case
+        data, (s_min, s_max), zeros = case
+        fam = _custom_pair(*data)
         assume(not is_degenerate_pair(fam))
         cls = classify_family(fam, (s_min, s_max))
         assert [ci.instant.s for ci in cls.instants] == [z for z in zeros if s_min <= z <= s_max]
@@ -421,6 +423,46 @@ class TestFloatMode:
             morse_index(fam, inst.s)
         (exact_inst,) = degeneracy_instants(exact, (Fraction(1, 10), 1))
         assert index_jump(fam, inst) == index_jump(exact, exact_inst) == (2, 0, True)
+
+    @given(_families_and_windows())
+    @settings(max_examples=100, deadline=None)
+    def test_float_copy_reproduces_the_exact_sweep(self, case):
+        """Float copies (tol 1e-9) of exact data whose distinct zeros and
+        branch values lie far more than tol apart give the exact instants
+        within tol, with the same branches and indices, the closing recount
+        never raises, and verify's probe indices match morse_index."""
+        data, window, _ = case
+        exact = _custom_pair(*data)
+        assume(not is_degenerate_pair(exact))
+        approx = _custom_pair(*data, tolerance=1e-9)
+        want = classify_family(exact, window).instants
+        got = classify_family(approx, window).instants
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g.instant.s - w.instant.s) <= 1e-9 * max(1, w.instant.s)
+            assert [(br.i, br.j) for br in g.instant.branches] == [(br.i, br.j) for br in w.instant.branches]
+            assert (g.n_minus, g.n_plus, g.certified, g.side) == (w.n_minus, w.n_plus, w.certified, w.side)
+        # verify skips a probe within tol of an instant in s; morse_index
+        # refuses one with a branch value within tol of R(s)/(m-1)
+        for s, index in cli._probe_indices(approx, window, [ci.instant for ci in got]):
+            try:
+                expected = morse_index(approx, s)
+            except DegeneracyInstantError:
+                expected = None
+            assert index == expected
+
+    @given(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(0.1, 0.9),
+        st.sampled_from([1e-6, 1e-4, 1e-2]),
+    )
+    def test_close_is_symmetric(self, a, b, f, tol):
+        assert scalars.close(a, b, tol) == scalars.close(b, a, tol)
+        # farther than tol * |a| from a, but within tol * |far|
+        far = a * (1 + tol * (1 + f * tol))
+        if abs(a) >= 1:
+            assert scalars.close(a, far, tol) and scalars.close(far, a, tol)
 
     def test_chained_zeros_merge_into_one_instant(self):
         """Zeros at 1, 1 + 0.6e-9 and 1 + 1.2e-9 chain within the tolerance

@@ -4,12 +4,22 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from yamabe_bifurcation import cli, spectra
+from yamabe_bifurcation import (
+    DegeneracyInstantError,
+    bifurcation,
+    cli,
+    custom_spectrum,
+    degeneracy_instants,
+    make_family,
+    morse_index,
+    spectra,
+)
 from yamabe_bifurcation.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_FAILURE, EXIT_OK
 
 SPHERE_HEMI = ["--sphere", "2", "--hemisphere", "2"]
@@ -332,3 +342,88 @@ class TestVerify:
         assert code == EXIT_FAILURE
         assert "FAIL" in out
         assert "hemisphere multiplicities" in out.split("FAIL", 1)[1]
+
+    def test_wrong_jump_fails_the_brute_force_check(self, capsys, monkeypatch):
+        """The Morse check compares brute force with the indices that scan
+        reports, so one wrong jump fails it."""
+        real = bifurcation.degeneracy_instants
+
+        def bumped(fam, window, lam=None):
+            instants = real(fam, window, lam)
+            return instants[:3] + [replace(instants[3], jump=instants[3].jump + 1)] + instants[4:]
+
+        monkeypatch.setattr(bifurcation, "degeneracy_instants", bumped)
+        code, out, _ = run(capsys, ["verify", *SPHERE_HEMI, "--window", "0.01:20", "--samples", "2000"])
+        assert code == EXIT_FAILURE
+        assert "PASS degeneracy instants vs dense scan" in out
+        assert "FAIL Morse index vs brute force: s=" in out
+        assert "1 check(s) failed" in out
+
+    # stdout of one catalogue operation per verify stratum of the benchmark,
+    # recorded before the sweep, the block ranks and the Newton steps
+    GOLDEN = {
+        "sphere-hemisphere": (
+            "--sphere 3 --r2 2/3 --hemisphere 2 --r2 3 --window 1001/100000:3003/20",
+            "PASS factor1 S^3(r2=2/3): sphere multiplicities: harmonic kernel ranks, k <= 12\n"
+            "PASS factor2 S^2+(r2=3): hemisphere multiplicities: even-harmonic kernel ranks, k <= 10\n"
+            "PASS degeneracy instants vs dense scan: 33 exact instants, 33 brackets\n"
+            "PASS Morse index vs brute force: 36 probe points agree\n"
+            "all checks passed\n",
+        ),
+        "sphere-interval": (
+            "--sphere 2 --r2 2/3 --interval 5/2 --window 1001/100000:3003/20",
+            "PASS factor1 S^2(r2=2/3): sphere multiplicities: harmonic kernel ranks, k <= 12\n"
+            "PASS factor2 I(lambda=5/2): FD Neumann spectrum: max rel err 1.67e-05\n"
+            "PASS degeneracy instants vs dense scan: 37 exact instants, 37 brackets\n"
+            "PASS Morse index vs brute force: 40 probe points agree\n"
+            "all checks passed\n",
+        ),
+        "torus-hemisphere": (
+            "--torus 3/4,3/4 --hemisphere 2 --r2 3/2 --window 1001/150000:1001/1000",
+            "PASS factor2 S^2+(r2=3/2): hemisphere multiplicities: even-harmonic kernel ranks, k <= 10\n"
+            "PASS degeneracy instants vs dense scan: 23 exact instants, 23 brackets\n"
+            "PASS Morse index vs brute force: 26 probe points agree\n"
+            "all checks passed\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("stratum", sorted(GOLDEN))
+    def test_golden_output(self, capsys, stratum):
+        argv, expected = self.GOLDEN[stratum]
+        code, out, _ = run(capsys, ["verify", *argv.split()])
+        assert code == EXIT_OK
+        assert out == expected
+
+
+def _exact_custom_family():
+    return make_family(
+        custom_spectrum(2, 3, [(0, 1), (Fraction(1, 2), 2), (2, 2), (Fraction(7, 2), 1)], 100, label="closed"),
+        custom_spectrum(2, 3, [(0, 1), (Fraction(1, 3), 1), (Fraction(3, 2), 2), (3, 1)], 100,
+                        has_boundary=True, boundary_minimal=True, label="boundary"),
+    )
+
+
+class TestProbeIndices:
+    """verify's one-sweep indices equal a Morse count at every probe, and a
+    probe is skipped exactly when that count refuses it as an instant."""
+
+    @pytest.mark.parametrize("name, window", [
+        ("sphere_hemisphere", (Fraction(1, 100), 20)),
+        ("sphere_hemisphere", (Fraction(1, 2), 8)),  # both ends on instants
+        ("torus_hemisphere", (Fraction(1, 75), 1)),
+        ("sphere_interval", (Fraction(1, 2), 50)),
+        ("exact custom", (Fraction(1, 4), 4)),
+        ("exact custom", (Fraction(1, 2), 1)),
+        ("torus_interval", (Fraction(1, 10), 10)),  # no instants
+    ])
+    def test_sweep_matches_morse_index(self, request, name, window):
+        fam = _exact_custom_family() if name == "exact custom" else request.getfixturevalue(name)
+        instants = degeneracy_instants(fam, window)
+        probes = cli._probe_indices(fam, window, instants)
+        assert len(probes) == len(instants) + 3
+        for s, index in probes:
+            try:
+                expected = morse_index(fam, s)
+            except DegeneracyInstantError:
+                expected = None
+            assert index == expected, s

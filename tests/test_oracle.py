@@ -13,12 +13,15 @@ from yamabe_bifurcation import (
     flat_torus,
     hemisphere_neumann,
     interval_neumann,
+    make_family,
     morse_index,
     round_sphere,
 )
 from yamabe_bifurcation.oracle import (
+    _monomials,
     _smallest_tridiagonal_eigenvalues,
     brute_force_index,
+    brute_force_indices,
     dense_scan_degeneracy,
     even_harmonic_dimension,
     fd_interval_spectrum,
@@ -110,6 +113,34 @@ class TestHarmonicDimensions:
                 # sanity floor: strictly fewer odds than the full space
                 assert 0 < even <= harmonic_dimension(n, k)
 
+    @staticmethod
+    def _full_matrix_kernel_dimension(monomials, nvars):
+        """Kernel dimension from the rank of the whole Laplacian matrix, with
+        no parity blocks."""
+        if sum(monomials[0]) < 2:
+            return len(monomials)
+        images = sorted({
+            mono[:var] + (mono[var] - 2,) + mono[var + 1:]
+            for mono in monomials for var in range(nvars) if mono[var] >= 2
+        })
+        rows = {image: row for row, image in enumerate(images)}
+        matrix = np.zeros((len(images), len(monomials)))
+        for col, mono in enumerate(monomials):
+            for var in range(nvars):
+                e = mono[var]
+                if e >= 2:
+                    matrix[rows[mono[:var] + (e - 2,) + mono[var + 1:]], col] += e * (e - 1)
+        return len(monomials) - int(np.linalg.matrix_rank(matrix))
+
+    def test_block_ranks_match_the_full_matrix_rank(self):
+        for n in (1, 2, 3):
+            for k in range(9):
+                monos = _monomials(k, n + 1)
+                assert harmonic_dimension(n, k) == self._full_matrix_kernel_dimension(monos, n + 1)
+                if n >= 2:
+                    even = [m for m in monos if m[-1] % 2 == 0]
+                    assert even_harmonic_dimension(n, k) == self._full_matrix_kernel_dimension(even, n + 1)
+
     def test_limits_enforced(self):
         with pytest.raises(ValueError):
             harmonic_dimension(5, 2)
@@ -165,6 +196,40 @@ class TestBruteForceIndex:
     def test_insufficient_lambda_rejected(self, sphere_hemisphere):
         with pytest.raises(ValueError):
             brute_force_index(sphere_hemisphere, Fraction(1, 100), lam=10)
+        with pytest.raises(ValueError):
+            brute_force_indices(sphere_hemisphere, [(1.0, 300.0), (0.01, 10.0)])
+
+    @staticmethod
+    def _double_loop(fam, s, lam):
+        """The per-point double loop over exact levels converted to float."""
+        t1, t2 = float(fam.threshold1), float(fam.threshold2)
+        count = 0
+        for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(fam.coerce(lam))):
+            for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_leq(fam.coerce(lam * s))):
+                if (i, j) != (0, 0) and float(r1) - t1 + (float(r2) - t2) / s < 0:
+                    count += m1 * m2
+        return count
+
+    @pytest.mark.parametrize("name", ["sphere_hemisphere", "sphere_interval", "torus_hemisphere", "exact custom"])
+    def test_indices_match_single_points(self, name, request):
+        """One table for many points gives what each point gives alone,
+        whatever the order of the points and their bounds."""
+        if name == "exact custom":
+            fam = make_family(
+                custom_spectrum(2, 3, [(0, 1), (Fraction(1, 2), 2), (2, 2)], 2000),
+                custom_spectrum(2, 3, [(0, 1), (Fraction(1, 2), 1), (2, 2)], 2000,
+                                has_boundary=True, boundary_minimal=True),
+            )
+        else:
+            fam = request.getfixturevalue(name)
+        points = []
+        for s in (25.0, 0.005, 1.0, 0.37, 1.0, 6.5, 0.1):
+            theta = max(float(fam.threshold1 + fam.threshold2 / fam.coerce(s)), 0.0)
+            points += [(s, theta + 1), (s, theta + 40)]
+        got = brute_force_indices(fam, points)
+        assert got == [brute_force_index(fam, s, lam) for s, lam in points]
+        assert got == [self._double_loop(fam, s, lam) for s, lam in points]
+        assert brute_force_indices(fam, []) == []
 
 
 def _float_custom():

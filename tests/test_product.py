@@ -12,7 +12,6 @@ from yamabe_bifurcation import (
     homothety_reparametrization,
     interval_neumann,
     make_family,
-    product_spectrum_below,
     round_sphere,
     scalar_curvature_at,
 )
@@ -56,34 +55,6 @@ class TestGeometry:
             assert make_family(sphere_hemisphere.factor1, scaled).factor2 is scaled
 
 
-class TestProductSpectrum:
-    def test_example_at_one(self, sphere_hemisphere):
-        levels = product_spectrum_below(sphere_hemisphere, 1, 5)
-        assert [(v, m) for v, m, _ in levels] == [(0, 1), (2, 5), (4, 6)]
-        assert levels[1][2] == [(0, 1), (1, 0)]
-        assert levels[2][2] == [(1, 1)]
-
-    def test_example_at_half(self, sphere_hemisphere):
-        levels = product_spectrum_below(sphere_hemisphere, Fraction(1, 2), 5)
-        assert [(v, m) for v, m, _ in levels] == [(0, 1), (2, 3), (4, 2)]
-
-    def test_matches_double_loop(self, torus_hemisphere):
-        fam = torus_hemisphere
-        s, bound = Fraction(3, 7), 12
-        expected = {}
-        for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_below(bound)):
-            for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_below(s * bound)):
-                v = r1 + r2 / s
-                if v < bound:
-                    expected[v] = expected.get(v, 0) + m1 * m2
-        got = product_spectrum_below(fam, s, bound)
-        assert [(v, m) for v, m, _ in got] == sorted(expected.items())
-        for v, m, pairs in got:
-            assert m == sum(
-                fam.factor1.level(i)[1] * fam.factor2.level(j)[1] for i, j in pairs
-            )
-
-
 class TestHomothety:
     def test_instant_sets_coincide(self, sphere_hemisphere):
         repar, to_base = homothety_reparametrization(sphere_hemisphere)
@@ -100,12 +71,6 @@ class TestHomothety:
             br = branch_from_indices(sphere_hemisphere, i, j)
             for s in (Fraction(1, 3), 1, Fraction(8, 5)):
                 assert repar.sigma_value(i, j, s) == s * sigma_value(br, s)
-
-    def test_snapshot_scalar_curvature(self, sphere_hemisphere):
-        repar, _ = homothety_reparametrization(sphere_hemisphere)
-        snap = repar.family_at(Fraction(1, 2))
-        # (1/s) g1 has curvature s * R1
-        assert snap.factor1.scalar_curvature == 1
 
 
 @given(s=st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=40))
