@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import scalars
 from .errors import (
@@ -178,17 +178,12 @@ def enumeration_bounds(fam: ProductFamily, window) -> Tuple[Scalar, Scalar]:
 def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Scalar, List[EigenBranch]]]:
     """Group branch zeros, recorded as (s, branch), into instants, ascending.
 
-    Exact mode merges equal zeros.  Float mode sorts the zeros and chains
-    each to the next when scalars.close holds, i.e. when they differ by at
-    most tol * max(1, |a|, |b|), which for positive zeros is tol * max(1,
-    |larger|).  close is symmetric and, on a sorted list, that single
-    linkage is transitive, so the clusters do not depend on the order of
-    recording.  A cluster keeps its first recorded zero as its s."""
-    if tol is None:
-        groups: Dict[Scalar, List[EigenBranch]] = {}
-        for s, branch in found:
-            groups.setdefault(s, []).append(branch)
-        return sorted(groups.items(), key=lambda item: item[0])
+    The zeros are sorted and each is chained to the next when scalars.close
+    holds: when they are equal in exact mode, and in float mode when they
+    differ by at most tol * max(1, |a|, |b|), which for positive zeros is
+    tol * max(1, |larger|).  close is symmetric and, on a sorted list, that
+    single linkage is transitive, so the clusters do not depend on the order
+    of recording.  A cluster keeps its first recorded zero as its s."""
     clusters: List[List[Tuple[int, Scalar, EigenBranch]]] = []  # (rank recorded, s, branch)
     for rank, (s, branch) in sorted(enumerate(found), key=lambda item: item[1][0]):
         if clusters and scalars.close(s, clusters[-1][-1][1], tol):

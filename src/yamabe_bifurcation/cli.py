@@ -19,6 +19,7 @@ from . import bifurcation, product, scalars, spectra
 from .errors import (
     ConfigError,
     DegeneratePairError,
+    IncompleteSpectrumError,
     SpectrumFormatError,
     YamabeError,
 )
@@ -77,12 +78,12 @@ def build_parser() -> _Parser:
 
     br = sub.add_parser("branches", help="emit sampled branch curves as CSV plot data")
     _add_common_flags(br)
-    br.add_argument("--samples", type=int, default=200)
-    br.add_argument("--limit", type=int, default=4, help="zeroless branches to include")
+    br.add_argument("--samples", type=int, help="points per curve (default 200)")
+    br.add_argument("--limit", type=int, help="zeroless branches to include (default 4)")
 
     ve = sub.add_parser("verify", help="run the oracle suite against the engine")
     _add_common_flags(ve)
-    ve.add_argument("--samples", type=int, default=20000, help="dense-scan grid size")
+    ve.add_argument("--samples", type=int, help="dense-scan grid size (default 20000)")
     return p
 
 
@@ -202,6 +203,20 @@ def _setting(args, config, key, default=None):
     return config.get(key, default)
 
 
+def _number_setting(args, config, key, parse, least, default):
+    """Setting ``key`` read by ``parse`` (``default`` when unset), at least ``least``."""
+    value = _setting(args, config, key, default)
+    if value is None:
+        return None
+    try:
+        number = parse(value)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise ConfigError(f"bad {key} {value!r}")
+    if number < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value!r}")
+    return number
+
+
 def _parse_window(text) -> Tuple[Fraction, Fraction]:
     if text is None:
         raise ConfigError("missing --window MIN:MAX")
@@ -244,10 +259,9 @@ def cmd_spectrum(args, config) -> int:
     if len(factors) != 1:
         raise ConfigError("spectrum expects exactly one factor")
     spec = factors[0]
-    below = _setting(args, config, "below")
-    if below is None:
+    bound = _number_setting(args, config, "below", lambda text: scalars.as_scalar(text, spec.tolerance), 0, None)
+    if bound is None:
         raise ConfigError("missing --below Q")
-    bound = scalars.as_scalar(below, spec.tolerance)
     rows = spec.eigenvalues_below(bound)
     tol = spec.tolerance
     fmt = _setting(args, config, "fmt", config.get("format", "text"))
@@ -325,8 +339,7 @@ def _scan_text(payload) -> str:
 def cmd_scan(args, config) -> int:
     fam = _family(args, config)
     window = _parse_window(_setting(args, config, "window"))
-    lam_text = _setting(args, config, "lambda_max")
-    lam = None if lam_text is None else fam.coerce(lam_text)
+    lam = _number_setting(args, config, "lambda_max", fam.coerce, 0, None)
     result = bifurcation.classify_family(fam, window, lam)
     payload = _scan_payload(fam, result, lam)
     fmt = _setting(args, config, "fmt", config.get("format", "text"))
@@ -356,32 +369,13 @@ def cmd_scan(args, config) -> int:
 def cmd_branches(args, config) -> int:
     fam = _family(args, config)
     window = _parse_window(_setting(args, config, "window"))
-    samples = int(_setting(args, config, "samples", 200))
-    limit = int(_setting(args, config, "limit", 4))
-    if samples < 2:
-        raise ConfigError("need at least 2 samples")
-    lam_text = _setting(args, config, "lambda_max")
-    lam = None if lam_text is None else fam.coerce(lam_text)
+    samples = _number_setting(args, config, "samples", int, 2, 200)
+    limit = _number_setting(args, config, "limit", int, 0, 4)
+    lam = _number_setting(args, config, "lambda_max", fam.coerce, 0, None)
 
-    instants = bifurcation.degeneracy_instants(fam, window, lam)
-    branches = []
-    seen = set()
-    for inst in instants:
-        for br in inst.branches:
-            if (br.i, br.j) not in seen:
-                seen.add((br.i, br.j))
-                branches.append(br)
-    # pad with the first few zeroless branches for context
-    for i in range(limit):
-        for j in range(limit):
-            if i + j == 0 or (i, j) in seen:
-                continue
-            br = bifurcation.branch_from_indices(fam, i, j)
-            if bifurcation.branch_zero(br) is None:
-                seen.add((i, j))
-                branches.append(br)
-            if len(seen) >= len(instants) * 4 + limit:
-                break
+    # a branch has at most one zero, so it belongs to at most one instant
+    branches = [br for inst in bifurcation.degeneracy_instants(fam, window, lam) for br in inst.branches]
+    branches.extend(_zeroless_branches(fam, limit))
     branches.sort(key=lambda br: (br.i, br.j))
 
     lo, hi = float(window[0]), float(window[1])
@@ -399,6 +393,25 @@ def cmd_branches(args, config) -> int:
         writer.writerow(["%.17g" % s] + ["%.17g" % (float(br.a) + float(br.b) / s) for br in branches])
     _emit(buf.getvalue(), _setting(args, config, "out"))
     return EXIT_OK
+
+
+def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
+    """The first ``count`` zeroless branches in (i + j, i) order, skipping pairs
+    beyond a factor's listed levels.  A branch has no zero exactly when i, j
+    <= i*, j* or i, j >= i*, j*, so they lie on the diagonals up to i* + j* + count."""
+    ci = bifurcation.critical_indices(fam)
+    found = []
+    for d in range(1, ci.i_star + ci.j_star + count + 1):
+        for i in range(d + 1):
+            if len(found) == count:
+                return found
+            try:
+                br = bifurcation.branch_from_indices(fam, i, d - i)
+            except IncompleteSpectrumError:
+                continue
+            if bifurcation.branch_zero(br) is None:
+                found.append(br)
+    return found
 
 
 def _verify_checks(fam, window, lam, samples):
@@ -437,22 +450,25 @@ def _verify_checks(fam, window, lam, samples):
 
     need1, need2 = bifurcation.enumeration_bounds(fam, window)
     scan_lam = lam if lam is not None else max(need1, need2, 1)
-    instants = bifurcation.degeneracy_instants(fam, window, lam)
+    result = bifurcation.classify_family(fam, window, lam)
+    if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
+        raise DegeneratePairError(fam.label)
     brackets = oracle.dense_scan_degeneracy(fam, window, samples, scan_lam)
     matched = (
-        len(brackets) == len(instants)
-        and all(lo <= float(inst.s) <= hi for inst, (lo, hi) in zip(instants, brackets))
+        len(brackets) == len(result.instants)
+        and all(lo <= float(ci.instant.s) <= hi for ci, (lo, hi) in zip(result.instants, brackets))
     )
     yield (
         "degeneracy instants vs dense scan",
         matched,
-        f"{len(instants)} exact instants, {len(brackets)} brackets",
+        f"{len(result.instants)} exact instants, {len(brackets)} brackets",
     )
 
-    probes = _probe_indices(fam, window, instants)
+    probes = _probe_indices(fam, window, result.instants)
     checked = [(s, engine) for s, engine in probes if engine is not None]
+    # a level above R(s)/(m-1) gives no negative branch at s
     brute = oracle.brute_force_indices(fam, [
-        (float(s), max(float(scan_lam), float(fam.threshold1 + fam.threshold2 / fam.coerce(s))) + 1)
+        (float(s), float(max(fam.threshold1 + fam.threshold2 / fam.coerce(s), 0)) + 1)
         for s, _ in checked
     ])
     details = [
@@ -467,17 +483,16 @@ def _verify_checks(fam, window, lam, samples):
     )
 
 
-def _probe_indices(fam, window, instants) -> List[Tuple[scalars.Scalar, Optional[int]]]:
+def _probe_indices(fam, window, certified) -> List[Tuple[scalars.Scalar, Optional[int]]]:
     """verify's probe points -- both window ends, then the midpoint of every
     gap between consecutive instants and window ends -- each paired with the
-    Morse index that scan reports there, or None for a probe on an instant
-    (within the family's tolerance).  The index is counted once, just left of
-    the first instant, and then moves by each instant's exact jump."""
-    times = [inst.s for inst in instants]
-    below, increasing, _ = bifurcation._index_counts(fam, times[0] if times else window[0])
-    gap_index = [below + increasing]
-    for inst in instants:
-        gap_index.append(gap_index[-1] + inst.jump)
+    Morse index that scan prints for that gap, or None for a probe on an
+    instant (within the family's tolerance): the n_minus of the certified
+    instant that closes the gap, the n_plus of the last one, or morse_index
+    when the window holds no instant."""
+    times = [ci.instant.s for ci in certified]
+    gap_index = [ci.n_minus for ci in certified]
+    gap_index.append(certified[-1].n_plus if certified else bifurcation.morse_index(fam, window[0]))
     probes = [(window[0], 0), (window[1], len(times))]
     for gap, (left, right) in enumerate(zip([window[0]] + times, times + [window[1]])):
         probes.append(((fam.coerce(left) + fam.coerce(right)) / 2, gap))
@@ -493,9 +508,8 @@ def _probe_indices(fam, window, instants) -> List[Tuple[scalars.Scalar, Optional
 def cmd_verify(args, config) -> int:
     fam = _family(args, config)
     window = _parse_window(_setting(args, config, "window", "0.1:10"))
-    samples = int(_setting(args, config, "samples", 20000))
-    lam_text = _setting(args, config, "lambda_max")
-    lam = None if lam_text is None else fam.coerce(lam_text)
+    samples = _number_setting(args, config, "samples", int, 1000, 20000)
+    lam = _number_setting(args, config, "lambda_max", fam.coerce, 0, None)
     failures = 0
     lines = []
     for name, passed, detail in _verify_checks(fam, window, lam, samples):

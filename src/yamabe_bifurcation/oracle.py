@@ -16,6 +16,7 @@ engine it checks:
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -180,29 +181,11 @@ def even_harmonic_dimension(n: int, k: int) -> int:
     return _laplacian_kernel_dimension(monos, n + 1)
 
 
-def _float_levels(spectrum, bound) -> List[Tuple[float, int]]:
-    return [(float(r), m) for r, m in spectrum.eigenvalues_leq(bound)]
-
-
 def _float_table(spectrum, bound) -> Tuple[np.ndarray, np.ndarray]:
     """The levels up to ``bound`` as arrays of float values and integer
     multiplicities."""
-    levels = _float_levels(spectrum, bound)
-    return np.array([r for r, _ in levels]), np.array([m for _, m in levels], dtype=np.int64)
-
-
-def _float_branches(fam: ProductFamily, lam: float) -> List[Tuple[int, int, float, float, int]]:
-    t1 = float(fam.threshold1)
-    t2 = float(fam.threshold2)
-    levels1 = _float_levels(fam.factor1, fam.coerce(lam))
-    levels2 = _float_levels(fam.factor2, fam.coerce(lam))
-    out = []
-    for i, (r1, m1) in enumerate(levels1):
-        for j, (r2, m2) in enumerate(levels2):
-            if i == 0 and j == 0:
-                continue
-            out.append((i, j, r1 - t1, r2 - t2, m1 * m2))
-    return out
+    levels = spectrum.eigenvalues_leq(bound)
+    return np.array([float(r) for r, _ in levels]), np.array([m for _, m in levels], dtype=np.int64)
 
 
 def dense_scan_degeneracy(
@@ -218,8 +201,13 @@ def dense_scan_degeneracy(
         raise ValueError("window must satisfy 0 < s_min < s_max")
     grid = np.geomspace(s_lo, s_hi, samples)
     inv = 1.0 / grid
+    bound = fam.coerce(lam)
+    # Python floats, since each flip is bisected in scalar arithmetic
+    a_values = (_float_table(fam.factor1, bound)[0] - float(fam.threshold1)).tolist()
+    b_values = (_float_table(fam.factor2, bound)[0] - float(fam.threshold2)).tolist()
     brackets = []
-    for _i, _j, a, b, _mult in _float_branches(fam, float(lam)):
+    # the first pair, (0, 0), is the constants', not a branch
+    for a, b in itertools.islice(itertools.product(a_values, b_values), 1, None):
         values = a + b * inv
         signs = np.sign(values)
         # a zero on a window end rounds to a tiny value and has no neighbor to flip with

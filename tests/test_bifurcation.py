@@ -444,7 +444,7 @@ class TestFloatMode:
             assert (g.n_minus, g.n_plus, g.certified, g.side) == (w.n_minus, w.n_plus, w.certified, w.side)
         # verify skips a probe within tol of an instant in s; morse_index
         # refuses one with a branch value within tol of R(s)/(m-1)
-        for s, index in cli._probe_indices(approx, window, [ci.instant for ci in got]):
+        for s, index in cli._probe_indices(approx, window, got):
             try:
                 expected = morse_index(approx, s)
             except DegeneracyInstantError:

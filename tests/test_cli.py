@@ -41,6 +41,16 @@ def write_custom(tmp_path, name="deg.spec", levels="eig 0 1\neig 5/2 2\n",
     return str(path)
 
 
+def write_degenerate_pair(tmp_path):
+    """Two custom factors whose thresholds are both attained exactly."""
+    f2 = tmp_path / "f2.spec"
+    f2.write_text(
+        "dim = 2\nscalar_curvature = 5\nhas_boundary = true\n"
+        "boundary_minimal = true\nlambda_max = 10\neig 0 1\neig 5/4 2\n"
+    )
+    return write_custom(tmp_path, "f1.spec"), str(f2)
+
+
 class TestSpectrum:
     def test_text(self, capsys):
         code, out, _ = run(capsys, ["spectrum", "--sphere", "2", "--below", "7"])
@@ -137,14 +147,9 @@ class TestScan:
         assert payload["instants"] == []
 
     def test_degenerate_pair_exit_2(self, capsys, tmp_path):
-        f1 = write_custom(tmp_path, "f1.spec")
-        f2 = tmp_path / "f2.spec"
-        f2.write_text(
-            "dim = 2\nscalar_curvature = 5\nhas_boundary = true\n"
-            "boundary_minimal = true\nlambda_max = 10\neig 0 1\neig 5/4 2\n"
-        )
+        f1, f2 = write_degenerate_pair(tmp_path)
         code, _, err = run(
-            capsys, ["scan", "--custom", f1, "--custom", str(f2), "--window", "0.1:10"]
+            capsys, ["scan", "--custom", f1, "--custom", f2, "--window", "0.1:10"]
         )
         assert code == EXIT_DEGENERATE
         assert "degenerate pair" in err
@@ -172,6 +177,19 @@ class TestScan:
     def test_unknown_flag_exit_3(self, capsys):
         code, _, _ = run(capsys, ["scan", *SPHERE_HEMI, "--window", "1:2", "--bogus"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--sphere", "2", "--below", "abc"],
+        ["spectrum", "--sphere", "2", "--below", "-1"],
+        ["spectrum", "--torus", "1,1", "--below", "1/0"],
+        ["scan", *SPHERE_HEMI, "--window", "1:2", "--lambda-max", "abc"],
+        ["verify", *SPHERE_HEMI, "--window", "1:2", "--samples", "10"],
+    ])
+    def test_bad_number_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:")
+        assert "Traceback" not in err and out == ""
 
     def test_constant_branch_excluded_when_r1_positive_r2_negative(self, capsys, tmp_path):
         # the constants' branch (0, 0) would vanish at s = -T2/T1 = 1/2
@@ -261,6 +279,42 @@ class TestConfigFile:
         code, _, _ = run(capsys, ["scan", "--config", str(tmp_path / "absent.cfg")])
         assert code == EXIT_CONFIG
 
+    @staticmethod
+    def branches_config(tmp_path, settings):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text("factor1 = sphere 2\nfactor2 = hemisphere 2\nwindow = 1.5:2.5\n" + settings)
+        return str(cfg)
+
+    @staticmethod
+    def branches_table(out):
+        lines = out.splitlines()
+        header = next(line for line in lines if line.startswith("s,"))
+        return header.split(",")[1:], lines[lines.index(header) + 1:]
+
+    def test_config_sets_samples_and_limit(self, capsys, tmp_path):
+        cfg = self.branches_config(tmp_path, "samples = 3\nlimit = 1\n")
+        code, out, _ = run(capsys, ["branches", "--config", cfg])
+        assert code == EXIT_OK
+        curves, rows = self.branches_table(out)
+        assert curves == ["sigma_0_1", "sigma_1_1"]  # the instant's branch and one zeroless
+        assert len(rows) == 3
+
+    def test_samples_flag_wins_over_config(self, capsys, tmp_path):
+        cfg = self.branches_config(tmp_path, "samples = 3\n")
+        code, out, _ = run(capsys, ["branches", "--config", cfg, "--samples", "5"])
+        assert code == EXIT_OK
+        assert len(self.branches_table(out)[1]) == 5
+
+    @pytest.mark.parametrize("command, settings", [
+        ("branches", "samples = 3.5\n"),
+        ("branches", "limit = many\n"),
+        ("verify", "samples = lots\n"),
+    ])
+    def test_non_integer_config_value_exit_3(self, capsys, tmp_path, command, settings):
+        code, out, err = run(capsys, [command, "--config", self.branches_config(tmp_path, settings)])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and out == ""
+
 
 class TestBranches:
     def test_csv_shape_and_sign_change(self, capsys):
@@ -284,6 +338,34 @@ class TestBranches:
         )
         header = next(line for line in out.splitlines() if line.startswith("s,"))
         assert "sigma_1_1" in header  # no zero, kept for context
+
+    @pytest.mark.parametrize("limit, zeroless", [
+        ([], ["sigma_0_1", "sigma_0_2", "sigma_1_0", "sigma_1_1"]),
+        (["--limit", "1"], ["sigma_0_1"]),
+    ])
+    def test_limit_adds_exactly_that_many_zeroless_branches(self, capsys, limit, zeroless):
+        # a rigid family: no instants, and every branch is zeroless
+        code, out, _ = run(
+            capsys, ["branches", "--torus", "1,1", "--interval", "1", "--window", "1/2:2", "--samples", "2", *limit]
+        )
+        assert code == EXIT_OK
+        header = next(line for line in out.splitlines() if line.startswith("s,"))
+        assert header.split(",")[1:] == zeroless
+
+    def test_limit_stops_at_the_listed_levels(self, capsys, tmp_path):
+        closed = write_custom(tmp_path, "closed.spec", levels="eig 0 1\neig 1 2\n", dim=2, curv=2, lam=100)
+        boundary = tmp_path / "boundary.spec"
+        boundary.write_text(
+            "dim = 2\nscalar_curvature = 2\nhas_boundary = true\n"
+            "boundary_minimal = true\nlambda_max = 100\neig 0 1\neig 1 1\n"
+        )
+        code, out, _ = run(
+            capsys, ["branches", "--custom", closed, "--custom", str(boundary), "--window", "1/4:4", "--samples", "2"]
+        )
+        assert code == EXIT_OK
+        header = next(line for line in out.splitlines() if line.startswith("s,"))
+        # zeros at s = 1/2 and s = 2; (1, 1) is the only zeroless branch the listed levels allow
+        assert header.split(",")[1:] == ["sigma_0_1", "sigma_1_0", "sigma_1_1"]
 
 
 class TestVerify:
@@ -315,6 +397,15 @@ class TestVerify:
         assert "all checks passed" in out
         assert code == EXIT_OK
 
+    def test_instant_at_the_dense_scan_bound(self, capsys):
+        # the zero at s = 4/3 is on a level equal to the dense scan's exact
+        # bound 4/3, which rounds below itself as a float
+        code, out, _ = run(
+            capsys, ["verify", "--sphere", "2", "--hemisphere", "2", "--r2", "3/2", "--window", "2/3:4/3", "--samples", "2000"]
+        )
+        assert "1 exact instants, 1 brackets" in out
+        assert code == EXIT_OK
+
     def test_custom_file_named_like_a_sphere(self, capsys, tmp_path, monkeypatch):
         """The oracle is chosen by the factor's kind, not by its label."""
         levels = "".join(f"eig {k * k}/2 1\n" for k in range(14))
@@ -343,21 +434,43 @@ class TestVerify:
         assert "FAIL" in out
         assert "hemisphere multiplicities" in out.split("FAIL", 1)[1]
 
-    def test_wrong_jump_fails_the_brute_force_check(self, capsys, monkeypatch):
-        """The Morse check compares brute force with the indices that scan
-        reports, so one wrong jump fails it."""
+    @staticmethod
+    def _bump_jumps(monkeypatch, bumps):
+        """Add bumps[k] to the jump of the k-th instant the engine finds."""
         real = bifurcation.degeneracy_instants
 
         def bumped(fam, window, lam=None):
             instants = real(fam, window, lam)
-            return instants[:3] + [replace(instants[3], jump=instants[3].jump + 1)] + instants[4:]
+            return [replace(inst, jump=inst.jump + bumps.get(k, 0)) for k, inst in enumerate(instants)]
 
         monkeypatch.setattr(bifurcation, "degeneracy_instants", bumped)
+
+    def test_one_wrong_jump_fails_the_closing_recount(self, capsys, monkeypatch):
+        """verify certifies through the classify_family call that scan makes,
+        so one wrong jump fails its closing recount before brute force runs."""
+        self._bump_jumps(monkeypatch, {3: 1})
+        code, out, err = run(capsys, ["verify", *SPHERE_HEMI, "--window", "0.01:20", "--samples", "2000"])
+        assert code == EXIT_FAILURE
+        assert "recounts to" in err
+        assert out == ""
+
+    def test_wrong_jump_fails_the_brute_force_check(self, capsys, monkeypatch):
+        """The Morse check compares brute force with the indices that scan
+        reports, so two wrong jumps that cancel, which the closing recount
+        cannot see, fail it."""
+        self._bump_jumps(monkeypatch, {3: 1, 4: -1})
         code, out, _ = run(capsys, ["verify", *SPHERE_HEMI, "--window", "0.01:20", "--samples", "2000"])
         assert code == EXIT_FAILURE
         assert "PASS degeneracy instants vs dense scan" in out
-        assert "FAIL Morse index vs brute force: s=" in out
+        assert "FAIL Morse index vs brute force: s=23/493: engine 16 vs brute 15" in out
         assert "1 check(s) failed" in out
+
+    def test_degenerate_pair_exit_2(self, capsys, tmp_path):
+        f1, f2 = write_degenerate_pair(tmp_path)
+        code, out, err = run(capsys, ["verify", "--custom", f1, "--custom", f2, "--window", "0.1:10"])
+        assert code == EXIT_DEGENERATE
+        assert "degenerate pair" in err
+        assert out == ""
 
     # stdout of one catalogue operation per verify stratum of the benchmark,
     # recorded before the sweep, the block ranks and the Newton steps
@@ -418,9 +531,9 @@ class TestProbeIndices:
     ])
     def test_sweep_matches_morse_index(self, request, name, window):
         fam = _exact_custom_family() if name == "exact custom" else request.getfixturevalue(name)
-        instants = degeneracy_instants(fam, window)
-        probes = cli._probe_indices(fam, window, instants)
-        assert len(probes) == len(instants) + 3
+        certified = bifurcation.classify_family(fam, window).instants
+        probes = cli._probe_indices(fam, window, certified)
+        assert len(probes) == len(certified) + 3
         for s, index in probes:
             try:
                 expected = morse_index(fam, s)
