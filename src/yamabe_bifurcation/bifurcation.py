@@ -15,8 +15,7 @@ instant when the Morse index differs on its two sides.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import scalars
 from .errors import (
@@ -35,20 +34,13 @@ class Monotonicity(enum.Enum):
     CONSTANT = "constant"
 
 
-@dataclass(frozen=True)
-class EigenBranch:
+class _EigenBranch(NamedTuple):
     i: int
     j: int
     a: Scalar  # rho_i^(1) - T1
     b: Scalar  # rho_j^(2) - T2
     multiplicity: int
     tolerance: Optional[float] = None
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0 or self.i + self.j == 0:
-            raise ValueError("branch indices must satisfy i, j >= 0 and i + j > 0")
-        if self.multiplicity < 1:
-            raise ValueError("branch multiplicity must be positive")
 
     @property
     def monotonicity(self) -> Monotonicity:
@@ -61,16 +53,27 @@ class EigenBranch:
         return Monotonicity.CONSTANT
 
 
-@dataclass(frozen=True)
-class CriticalIndices:
+class EigenBranch(_EigenBranch):
+    # a NamedTuple body may not define __new__, so the checks live in a subclass
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+
+    def __new__(cls, i, j, a, b, multiplicity, tolerance=None):
+        if i < 0 or j < 0 or i + j == 0:
+            raise ValueError("branch indices must satisfy i, j >= 0 and i + j > 0")
+        if multiplicity < 1:
+            raise ValueError("branch multiplicity must be positive")
+        return super().__new__(cls, i, j, a, b, multiplicity, tolerance)
+
+
+class CriticalIndices(NamedTuple):
     i_star: int
     j_star: int
     equality1: bool  # rho_{i*}^(1) == T1 exactly
     equality2: bool  # rho_{j*}^(2) == T2 exactly
 
 
-@dataclass(frozen=True)
-class DegeneracyInstant:
+class DegeneracyInstant(NamedTuple):
     s: Scalar
     branches: Tuple[EigenBranch, ...]
     total_multiplicity: int
@@ -85,8 +88,7 @@ class FamilyCase(enum.Enum):
     DEGENERATE_PAIR = "DegeneratePair"
 
 
-@dataclass(frozen=True)
-class CertifiedInstant:
+class CertifiedInstant(NamedTuple):
     instant: DegeneracyInstant
     n_minus: int
     n_plus: int
@@ -94,8 +96,7 @@ class CertifiedInstant:
     side: str  # "tending-to-zero" | "unbounded" | "mixed"
 
 
-@dataclass(frozen=True)
-class FamilyClassification:
+class FamilyClassification(NamedTuple):
     case: FamilyCase
     instants: Tuple[CertifiedInstant, ...]
     accumulation: str

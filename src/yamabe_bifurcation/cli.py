@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification/engine failure, 2 degenerate pair
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -94,21 +93,23 @@ _CONFIG_KEYS = {
 
 
 def _read_config(path) -> dict:
-    values = {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(str(exc))
-    with fh:
-        for num, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{num}: bad config line {line!r}")
-            values[key] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})")
+    values = {}
+    for num, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{num}: bad config line {line!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -244,8 +245,11 @@ def _family(args, config) -> product.ProductFamily:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(str(exc))
     else:
         sys.stdout.write(text)
 
@@ -346,6 +350,7 @@ def cmd_scan(args, config) -> int:
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
+        import csv  # only the CSV writers need it
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["s", "branches", "multiplicity", "n_minus", "n_plus", "certified", "side"])
@@ -380,6 +385,7 @@ def cmd_branches(args, config) -> int:
 
     lo, hi = float(window[0]), float(window[1])
     step = (hi - lo) / (samples - 1)
+    import csv
     buf = io.StringIO()
     for br in branches:
         buf.write(

@@ -19,16 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .product import ProductFamily
 
 
-@dataclass(frozen=True)
-class GridSpectrum:
+class GridSpectrum(NamedTuple):
     grid_points: int
     eigenvalues: Tuple[float, ...]
     error_estimate: float  # worst-case relative discretization error, O(h^2)

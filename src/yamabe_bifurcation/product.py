@@ -7,8 +7,7 @@ drive the whole branch analysis downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import scalars
 from .errors import FamilyError
@@ -16,8 +15,7 @@ from .scalars import Scalar
 from .spectra import FactorSpectrum
 
 
-@dataclass(frozen=True)
-class ProductFamily:
+class ProductFamily(NamedTuple):
     factor1: FactorSpectrum
     factor2: FactorSpectrum
 
@@ -74,8 +72,7 @@ def scalar_curvature_at(fam: ProductFamily, s) -> Scalar:
     return fam.factor1.scalar_curvature + fam.factor2.scalar_curvature / s
 
 
-@dataclass(frozen=True)
-class ReparametrizedFamily:
+class ReparametrizedFamily(NamedTuple):
     """The family {(1/s) g1 (+) g2}: at parameter s the whole product metric
     is the homothety (1/s) * g_s, so its J-operator spectrum is s times the
     original one and the two degeneracy sets coincide."""

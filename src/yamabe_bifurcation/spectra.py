@@ -20,7 +20,6 @@ import bisect
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -31,7 +30,6 @@ from .scalars import Scalar, as_exact
 Level = Tuple[Scalar, int]
 
 
-@dataclass(frozen=True)
 class FactorSpectrum:
     """One factor manifold, reduced to its spectral data.
 
@@ -39,20 +37,42 @@ class FactorSpectrum:
     (eigenvalue, multiplicity) pairs with eigenvalue <= bound; it is the only
     enumeration primitive, everything else is served from one table of its
     largest result so far.  ``kind`` names the constructor (interval, sphere,
-    hemisphere, torus or custom).
+    hemisphere, torus or custom).  ``lambda_max`` None means complete for
+    every cutoff, ``tolerance`` None exact rational mode.  The fields are
+    read-only, equality ignores the table and ``_replace`` starts a new one.
     """
 
-    dim: int
-    scalar_curvature: Scalar
-    has_boundary: bool
-    boundary_minimal: bool
-    label: str
-    kind: str
-    enum_leq: Callable[[Scalar], List[Level]]
-    lambda_max: Optional[Scalar] = None   # None: complete for every cutoff
-    tolerance: Optional[float] = None     # None: exact rational mode
-    # [largest bound enumerated, its levels]; replace() builds a fresh one
-    _table: list = field(default_factory=lambda: [None, []], init=False, compare=False, repr=False)
+    _fields = ("dim", "scalar_curvature", "has_boundary", "boundary_minimal", "label", "kind", "enum_leq",
+               "lambda_max", "tolerance")
+    __slots__ = _fields + ("_table",)
+
+    def __init__(self, dim, scalar_curvature, has_boundary, boundary_minimal, label, kind, enum_leq,
+                 lambda_max=None, tolerance=None):
+        fields = locals()
+        for name in self._fields:
+            object.__setattr__(self, name, fields[name])
+        object.__setattr__(self, "_table", [None, []])  # [largest bound enumerated, its levels]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FactorSpectrum is read-only: cannot set {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "FactorSpectrum(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def _replace(self, **changes) -> "FactorSpectrum":
+        return FactorSpectrum(**dict(zip(self._fields, self._values()), **changes))
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through __init__
+        return FactorSpectrum, self._values()
 
     def _check_bound(self, bound) -> None:
         if bound < 0:
@@ -117,8 +137,7 @@ class FactorSpectrum:
             raise ValueError("metric scaling factor must be positive")
         inner = self.enum_leq
         scaled = lambda bound: [(e / c, m) for e, m in inner(bound * c)]
-        return replace(
-            self,
+        return self._replace(
             scalar_curvature=self.scalar_curvature / c,
             enum_leq=scaled,
             lambda_max=None if self.lambda_max is None else self.lambda_max / c,
@@ -328,24 +347,28 @@ def custom_from_file(path) -> FactorSpectrum:
     """
     header = {}
     rows = []
-    with open(path) as fh:
-        for num, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("eig"):
-                parts = line.split()
-                if len(parts) != 3:
-                    raise SpectrumFormatError("expected 'eig <value> <multiplicity>'", num)
-                try:
-                    rows.append((parts[1], int(parts[2]), num))
-                except ValueError:
-                    raise SpectrumFormatError(f"bad multiplicity {parts[2]!r}", num)
-            elif "=" in line:
-                key, _, value = line.partition("=")
-                header[key.strip()] = (value.strip(), num)
-            else:
-                raise SpectrumFormatError(f"unrecognized line {line!r}", num)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise SpectrumFormatError(f"{path}: not UTF-8 text ({exc})")
+    for num, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("eig"):
+            parts = line.split()
+            if len(parts) != 3:
+                raise SpectrumFormatError("expected 'eig <value> <multiplicity>'", num)
+            try:
+                rows.append((parts[1], int(parts[2]), num))
+            except ValueError:
+                raise SpectrumFormatError(f"bad multiplicity {parts[2]!r}", num)
+        elif "=" in line:
+            key, _, value = line.partition("=")
+            header[key.strip()] = (value.strip(), num)
+        else:
+            raise SpectrumFormatError(f"unrecognized line {line!r}", num)
 
     def need(key):
         if key not in header:

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,6 +161,20 @@ class TestScan:
         )
         assert code == EXIT_CONFIG
 
+    def test_undecodable_custom_file_exit_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, ["scan", "--custom", str(bad), "--sphere", "2", "--window", "1/2:2"])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and "not UTF-8" in err and out == ""
+
+    def test_out_into_missing_directory_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["scan", *SPHERE_HEMI, "--window", "1/2:2", "--out", str(target)])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and str(target) in err and out == ""
+        assert not target.exists()
+
     def test_insufficient_lambda_exit_1(self, capsys):
         code, _, err = run(
             capsys, ["scan", *SPHERE_HEMI, "--window", "0.01:20", "--lambda-max", "5"]
@@ -221,6 +234,20 @@ class TestScan:
         assert proc.returncode == 0, proc.stderr
         assert "s = 2" in proc.stdout
 
+    def test_scan_json_does_not_import_dataclasses_inspect_or_csv(self):
+        script = (
+            "import sys\n"
+            "import yamabe_bifurcation.cli\n"
+            "yamabe_bifurcation.cli.main(['scan', '--sphere', '2', '--hemisphere', '2', '--window', '1:3',"
+            " '--format', 'json'])\n"
+            "loaded = sorted({'dataclasses', 'inspect', 'csv'} & sys.modules.keys())\n"
+            "sys.exit(f'imported {loaded}' if loaded else 0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["instants"][0]["s"] == "2"
+
     def test_verify_does_not_import_scipy(self):
         script = (
             "import sys\n"
@@ -274,6 +301,13 @@ class TestConfigFile:
         code, _, err = run(capsys, ["scan", "--config", str(cfg), "--window", "1:2"])
         assert code == EXIT_CONFIG
         assert "family.cfg:1" in err
+
+    def test_undecodable_config_exit_3(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, ["scan", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and "bad.cfg: not UTF-8" in err and out == ""
 
     def test_missing_config_exit_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["scan", "--config", str(tmp_path / "absent.cfg")])
@@ -441,7 +475,7 @@ class TestVerify:
 
         def bumped(fam, window, lam=None):
             instants = real(fam, window, lam)
-            return [replace(inst, jump=inst.jump + bumps.get(k, 0)) for k, inst in enumerate(instants)]
+            return [inst._replace(jump=inst.jump + bumps.get(k, 0)) for k, inst in enumerate(instants)]
 
         monkeypatch.setattr(bifurcation, "degeneracy_instants", bumped)
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -284,7 +283,7 @@ class TestLevelTable:
             bounds.append(bound)
             return spec.enum_leq(bound)
 
-        counted = replace(spec, enum_leq=counting)
+        counted = spec._replace(enum_leq=counting)
         assert len(counted.eigenvalues_leq(100)) == 11
         assert bounds == [100]  # enumerated up to the argument, not beyond
         counted.eigenvalues_leq(10)

@@ -1,0 +1,138 @@
+"""Value semantics of the result records: immutable, equal by value,
+hashable, copied with ``_replace``."""
+
+import copy
+import re
+from fractions import Fraction
+
+import pytest
+
+from yamabe_bifurcation import (
+    CertifiedInstant,
+    CriticalIndices,
+    DegeneracyInstant,
+    EigenBranch,
+    FactorSpectrum,
+    FamilyCase,
+    FamilyClassification,
+    ProductFamily,
+    hemisphere_neumann,
+    round_sphere,
+)
+from yamabe_bifurcation.oracle import GridSpectrum
+from yamabe_bifurcation.product import ReparametrizedFamily
+
+SPHERE = round_sphere(2)
+HEMISPHERE = hemisphere_neumann(2)
+
+
+def _branch():
+    return EigenBranch(0, 1, Fraction(-2, 3), Fraction(4, 3), 3)
+
+
+def _instant():
+    return DegeneracyInstant(Fraction(2), (_branch(),), 3, 3)
+
+
+def _certified():
+    return CertifiedInstant(_instant(), 0, 3, True, "unbounded")
+
+
+RECORDS = {
+    "EigenBranch": _branch,
+    "CriticalIndices": lambda: CriticalIndices(1, 1, False, False),
+    "DegeneracyInstant": _instant,
+    "CertifiedInstant": _certified,
+    "FamilyClassification": lambda: FamilyClassification(
+        FamilyCase.BOTH_POSITIVE, (_certified(),), "accumulate", (Fraction(1), Fraction(3))
+    ),
+    "ProductFamily": lambda: ProductFamily(SPHERE, HEMISPHERE),
+    "ReparametrizedFamily": lambda: ReparametrizedFamily(ProductFamily(SPHERE, HEMISPHERE)),
+    "GridSpectrum": lambda: GridSpectrum(100, (0.0, 1.0, 4.0), 1e-4),
+    "FactorSpectrum": lambda: SPHERE._replace(),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+class TestValueSemantics:
+    def test_equal_by_value_and_hashable(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_fields_are_read_only(self, make):
+        record = make()
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_copies_are_equal(self, make):
+        record = make()
+        for duplicate in (copy.copy(record), copy.deepcopy(record)):
+            assert type(duplicate) is type(record) and duplicate == record
+
+    def test_replace_keeps_the_type(self, make):
+        record = make()
+        name = record._fields[0]
+        duplicate = record._replace(**{name: getattr(record, name)})
+        assert type(duplicate) is type(record) and duplicate == record and duplicate is not record
+
+
+class TestEigenBranchChecks:
+    @pytest.mark.parametrize("i, j", [(0, 0), (-1, 2), (2, -1)])
+    def test_bad_indices(self, i, j):
+        with pytest.raises(ValueError, match=re.escape("branch indices must satisfy i, j >= 0 and i + j > 0")):
+            EigenBranch(i, j, Fraction(1), Fraction(1), 1)
+
+    def test_multiplicity_zero(self):
+        with pytest.raises(ValueError, match="^branch multiplicity must be positive$"):
+            EigenBranch(1, 0, Fraction(1), Fraction(1), 0)
+
+    def test_replace_checks_too(self):
+        with pytest.raises(ValueError, match="^branch multiplicity must be positive$"):
+            _branch()._replace(multiplicity=0)
+        with pytest.raises(ValueError, match="i \\+ j > 0"):
+            _branch()._replace(j=0)
+
+    def test_keywords_and_default_tolerance(self):
+        br = EigenBranch(i=1, j=0, a=Fraction(1), b=Fraction(0), multiplicity=2)
+        assert br.tolerance is None and br == EigenBranch(1, 0, Fraction(1), Fraction(0), 2, None)
+
+
+class TestFactorSpectrum:
+    def test_equality_ignores_the_level_table(self):
+        spec = round_sphere(2)
+        duplicate = spec._replace()
+        spec.eigenvalues_leq(50)
+        assert duplicate._table == [None, []] and spec._table != duplicate._table
+        assert spec == duplicate and hash(spec) == hash(duplicate)
+
+    def test_replace_starts_a_new_table(self):
+        spec = round_sphere(2)
+        spec.eigenvalues_leq(50)
+        duplicate = spec._replace(label="renamed")
+        assert duplicate._table == [None, []] and duplicate._table is not spec._table
+        assert duplicate != spec and duplicate.label == "renamed" and duplicate.dim == spec.dim
+
+    def test_equality_compares_the_fields(self):
+        assert round_sphere(2) != round_sphere(2)  # each constructor call has its own enum_leq
+        assert SPHERE != HEMISPHERE
+        assert SPHERE != tuple(getattr(SPHERE, name) for name in SPHERE._fields)
+
+    def test_copy_starts_a_new_table(self):
+        spec = round_sphere(2)
+        spec.eigenvalues_leq(50)
+        for duplicate in (copy.copy(spec), copy.deepcopy(spec)):
+            assert duplicate == spec and duplicate._table == [None, []]
+            assert duplicate.eigenvalues_leq(10) == spec.eigenvalues_leq(10)
+
+    def test_table_cannot_be_rebound(self):
+        with pytest.raises(AttributeError):
+            SPHERE._table = [None, []]
+
+    def test_positional_and_default_fields(self):
+        spec = FactorSpectrum(1, Fraction(0), True, True, "seg", "custom", lambda bound: [(Fraction(0), 1)])
+        assert spec.lambda_max is None and spec.tolerance is None
+        assert spec.eigenvalues_leq(5) == [(0, 1)]
