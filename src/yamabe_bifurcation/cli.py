@@ -421,7 +421,8 @@ def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
 
 
 def _verify_checks(fam, window, lam, samples):
-    """Yield (name, passed, detail) for each oracle/engine comparison."""
+    """Yield (name, passed, detail) for each oracle/engine comparison;
+    ``passed`` is None for a check that no oracle covers."""
     from . import oracle  # numpy is needed by verify alone
 
     for idx, spec in ((1, fam.factor1), (2, fam.factor2)):
@@ -437,22 +438,17 @@ def _verify_checks(fam, window, lam, samples):
                 err = abs(approx - exact) / max(exact, 1e-12) if exact else abs(approx)
                 worst = max(worst, err)
             yield (f"{name}: FD Neumann spectrum", worst < 1e-3, f"max rel err {worst:.2e}")
-        elif spec.kind == "hemisphere":
-            n = spec.dim
-            if n <= 4:
-                ok = all(
-                    spec.level(k)[1] == oracle.even_harmonic_dimension(n, k)
-                    for k in range(0, 11)
-                )
-                yield (f"{name}: hemisphere multiplicities", ok, "even-harmonic kernel ranks, k <= 10")
-        elif spec.kind == "sphere":
-            n = spec.dim
-            if n <= 4:
-                ok = all(
-                    spec.level(k)[1] == oracle.harmonic_dimension(n, k)
-                    for k in range(0, 13)
-                )
-                yield (f"{name}: sphere multiplicities", ok, "harmonic kernel ranks, k <= 12")
+        elif spec.kind in ("sphere", "hemisphere"):
+            check = f"{name}: {spec.kind} multiplicities"
+            count, top, basis = (
+                (oracle.harmonic_dimension, 12, "harmonic") if spec.kind == "sphere"
+                else (oracle.even_harmonic_dimension, 10, "even-harmonic")
+            )
+            if spec.dim > 4:
+                yield (check, None, "kernel-rank oracle covers n <= 4")
+            else:
+                ok = all(spec.level(k)[1] == count(spec.dim, k) for k in range(top + 1))
+                yield (check, ok, f"{basis} kernel ranks, k <= {top}")
 
     need1, need2 = bifurcation.enumeration_bounds(fam, window)
     scan_lam = lam if lam is not None else max(need1, need2, 1)
@@ -511,6 +507,9 @@ def _probe_indices(fam, window, certified) -> List[Tuple[scalars.Scalar, Optiona
     return out
 
 
+_VERDICTS = {True: "PASS", False: "FAIL", None: "SKIP"}
+
+
 def cmd_verify(args, config) -> int:
     fam = _family(args, config)
     window = _parse_window(_setting(args, config, "window", "0.1:10"))
@@ -519,8 +518,8 @@ def cmd_verify(args, config) -> int:
     failures = 0
     lines = []
     for name, passed, detail in _verify_checks(fam, window, lam, samples):
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        failures += 0 if passed else 1
+        lines.append(f"{_VERDICTS[passed]} {name}: {detail}")
+        failures += passed is False
     lines.append(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     _emit("\n".join(lines) + "\n", _setting(args, config, "out"))
     return EXIT_OK if failures == 0 else EXIT_FAILURE

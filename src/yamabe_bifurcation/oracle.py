@@ -8,8 +8,18 @@ engine it checks:
   counts, with a Newton step on det(T - xI) taken from the same LDL^T pass
   once an eigenvalue is alone in its bracket,
 * harmonic-polynomial dimension counts by the numeric rank of the explicit
-  Laplacian matrix on monomials, summed over its parity blocks,
-* dense sign-change scan for degeneracy instants,
+  Laplacian matrix on monomials.  The Laplacian keeps the parity of every
+  exponent, so the matrix is built block by block, one block per parity
+  class, and the blocks of one weight (number of odd exponents) share a
+  shape and are ranked in one stacked call,
+* dense sign-change scan for degeneracy instants.  A branch a + b/s
+  vanishes only when a and b have strictly opposite signs, so a pair with
+  a > 0, b >= 0 or a < 0, b <= 0 is skipped.  Under IEEE rounding its
+  sampled value a + b*(1/s) adds two terms of one sign: it has the strict
+  sign of a at every grid point, and its magnitude is the sum |a| + |b|/s
+  that the 1e-12 window-end test scales, so it gives no bracket.  The scan
+  therefore returns the same brackets, bit for bit, as one that samples
+  every pair.  Pairs with a == 0 are still sampled,
 * brute-force Morse index, counted over every pair of factor levels from one
   float table per factor.
 """
@@ -19,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -130,31 +140,39 @@ def _monomials(total: int, nvars: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _laplacian_kernel_dimension(monomials: List[Tuple[int, ...]], nvars: int) -> int:
-    """Dimension of the kernel of the Laplacian on the span of ``monomials``,
-    all of one degree.  The Laplacian lowers one exponent by 2, so it keeps
-    the parity of every exponent: its matrix is block diagonal by parity
-    class, and the rank is the sum of the numeric ranks of the blocks."""
-    blocks: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-    for mono in monomials:
-        blocks.setdefault(tuple(e % 2 for e in mono), []).append(mono)
-    return sum(_laplacian_block_kernel_dimension(block, nvars) for block in blocks.values())
+def _laplacian_kernel_dimension(degree: int, nvars: int, free: int) -> int:
+    """Dimension of the kernel of the Laplacian on the degree-``degree``
+    polynomials in ``nvars`` variables whose exponents are even from variable
+    ``free`` on.
 
-
-def _laplacian_block_kernel_dimension(monomials: List[Tuple[int, ...]], nvars: int) -> int:
-    entries = []  # (row, column, value); each monomial maps to distinct images
-    rows: Dict[Tuple[int, ...], int] = {}
-    for col, mono in enumerate(monomials):
-        for var, e in enumerate(mono):
-            if e >= 2:
-                image = mono[:var] + (e - 2,) + mono[var + 1:]
-                entries.append((rows.setdefault(image, len(rows)), col, e * (e - 1)))
-    if not entries:
-        return len(monomials)
-    matrix = np.zeros((len(rows), len(monomials)))
-    row, col, value = zip(*entries)
-    matrix[row, col] = value
-    return len(monomials) - int(np.linalg.matrix_rank(matrix))
+    The Laplacian lowers one exponent by 2, so it keeps the parity class
+    p in {0,1}^nvars of every monomial: its matrix is block diagonal, with
+    one block per class on the monomials x^p (x^2)^f, |f| = (degree - |p|)/2.
+    x^p (x^2)^f maps to sum_v e_v (e_v - 1) x^p (x^2)^(f - 1_v), with
+    e_v = p_v + 2 f_v, and every f' with |f'| = |f| - 1 is such an image.
+    The blocks of the classes of one weight |p| have one shape, so each
+    weight is one stacked numeric rank, each block with its own tolerance."""
+    total = 0
+    for weight in range(degree % 2, min(degree, free) + 1, 2):
+        parities = np.array([
+            [v in odd for v in range(nvars)] for odd in itertools.combinations(range(free), weight)
+        ], dtype=np.int64)
+        classes = len(parities)
+        size = (degree - weight) // 2  # |f|
+        if size == 0:  # x^p alone, which the Laplacian kills
+            total += classes
+            continue
+        halves = _monomials(size, nvars)  # the f of one block's columns
+        rows = {f: row for row, f in enumerate(_monomials(size - 1, nvars))}
+        row, col, var, half = np.array([
+            (rows[f[:v] + (f[v] - 1,) + f[v + 1:]], c, v, f[v])
+            for c, f in enumerate(halves) for v in range(nvars) if f[v]
+        ]).T
+        exponent = 2 * half + parities[:, var]  # one row per class
+        blocks = np.zeros((classes, len(rows), len(halves)))
+        blocks[:, row, col] = exponent * (exponent - 1)
+        total += classes * len(halves) - int(np.linalg.matrix_rank(blocks).sum())
+    return total
 
 
 def harmonic_dimension(n: int, k: int) -> int:
@@ -164,19 +182,18 @@ def harmonic_dimension(n: int, k: int) -> int:
         raise ValueError("need n >= 1, k >= 0")
     if n > 4 or k > 12:
         raise ValueError("dense rank computation limited to n <= 4, k <= 12")
-    return _laplacian_kernel_dimension(_monomials(k, n + 1), n + 1)
+    return _laplacian_kernel_dimension(k, n + 1, n + 1)
 
 
 def even_harmonic_dimension(n: int, k: int) -> int:
     """Dimension of degree-k harmonic polynomials in n+1 variables that are
     even in the last variable.  The Laplacian preserves that parity, so the
-    kernel is computed on the even-monomial subspace alone."""
+    kernel is computed on the parity classes even in it alone."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
     if n > 4 or k > 12:
         raise ValueError("dense rank computation limited to n <= 4, k <= 12")
-    monos = [m for m in _monomials(k, n + 1) if m[-1] % 2 == 0]
-    return _laplacian_kernel_dimension(monos, n + 1)
+    return _laplacian_kernel_dimension(k, n + 1, n)
 
 
 def _float_table(spectrum, bound) -> Tuple[np.ndarray, np.ndarray]:
@@ -206,6 +223,8 @@ def dense_scan_degeneracy(
     brackets = []
     # the first pair, (0, 0), is the constants', not a branch
     for a, b in itertools.islice(itertools.product(a_values, b_values), 1, None):
+        if (a > 0 and b >= 0) or (a < 0 and b <= 0):
+            continue  # a + b/s keeps a strict sign on the whole grid; see the module docstring
         values = a + b * inv
         signs = np.sign(values)
         # a zero on a window end rounds to a tiny value and has no neighbor to flip with

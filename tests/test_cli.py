@@ -440,6 +440,18 @@ class TestVerify:
         assert "1 exact instants, 1 brackets" in out
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("factors, skipped", [
+        (["--sphere", "5", "--hemisphere", "2"], "factor1 S^5(r2=1): sphere multiplicities"),
+        (["--sphere", "2", "--hemisphere", "5"], "factor2 S^5+(r2=1): hemisphere multiplicities"),
+    ])
+    def test_factor_beyond_the_kernel_rank_oracle_is_skipped(self, capsys, factors, skipped):
+        code, out, _ = run(capsys, ["verify", *factors, "--window", "1/10:10"])
+        lines = out.splitlines()
+        assert f"SKIP {skipped}: kernel-rank oracle covers n <= 4" in lines
+        assert sum(line.startswith("PASS factor") for line in lines) == 1
+        assert lines[-1] == "all checks passed"
+        assert code == EXIT_OK
+
     def test_custom_file_named_like_a_sphere(self, capsys, tmp_path, monkeypatch):
         """The oracle is chosen by the factor's kind, not by its label."""
         levels = "".join(f"eig {k * k}/2 1\n" for k in range(14))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from yamabe_bifurcation import (
     custom_spectrum,
@@ -101,16 +103,12 @@ class TestHarmonicDimensions:
         assert even_harmonic_dimension(3, 2) == 6
 
     def test_even_plus_odd_is_full(self):
-        """Parity splits the harmonic space, so the even part plus the odd
-        part (degree-k evens of the reflected count) recovers the full count."""
-        for n in (2, 3):
-            for k in range(1, 8):
-                even = even_harmonic_dimension(n, k)
-                odd = harmonic_dimension(n, k) - even
-                assert odd >= 0
-                # odd harmonics in x_{n+1} are x_{n+1} times even series data;
-                # sanity floor: strictly fewer odds than the full space
-                assert 0 < even <= harmonic_dimension(n, k)
+        """An odd harmonic polynomial in x_{n+1} is fixed by its normal
+        derivative on x_{n+1} = 0, any polynomial of degree k-1 in n
+        variables, so the odd part has dimension C(n+k-2, n-1)."""
+        for n in (2, 3, 4):
+            for k in range(11):
+                assert harmonic_dimension(n, k) - even_harmonic_dimension(n, k) == math.comb(n + k - 2, n - 1)
 
     @staticmethod
     def _full_matrix_kernel_dimension(monomials, nvars):
@@ -132,8 +130,8 @@ class TestHarmonicDimensions:
         return len(monomials) - int(np.linalg.matrix_rank(matrix))
 
     def test_block_ranks_match_the_full_matrix_rank(self):
-        for n in (1, 2, 3):
-            for k in range(9):
+        for n, top in ((1, 12), (2, 12), (3, 12), (4, 8)):
+            for k in range(top + 1):
                 monos = _monomials(k, n + 1)
                 assert harmonic_dimension(n, k) == self._full_matrix_kernel_dimension(monos, n + 1)
                 if n >= 2:
@@ -169,6 +167,87 @@ class TestDenseScan:
     def test_coarse_grid_rejected(self, sphere_hemisphere):
         with pytest.raises(ValueError):
             dense_scan_degeneracy(sphere_hemisphere, (0.1, 10), 100, lam=30)
+
+    @staticmethod
+    def _every_branch_scan(fam, window, samples, lam):
+        """The reference: the same scan with every pair of levels sampled."""
+        s_lo, s_hi = float(window[0]), float(window[1])
+        grid = np.geomspace(s_lo, s_hi, samples)
+        inv = 1.0 / grid
+        bound = fam.coerce(lam)
+        a_values = (np.array([float(r) for r, _ in fam.factor1.eigenvalues_leq(bound)]) - float(fam.threshold1)).tolist()
+        b_values = (np.array([float(r) for r, _ in fam.factor2.eigenvalues_leq(bound)]) - float(fam.threshold2)).tolist()
+        brackets = []
+        for a, b in itertools.islice(itertools.product(a_values, b_values), 1, None):
+            values = a + b * inv
+            signs = np.sign(values)
+            for end in (0, -1):
+                if abs(values[end]) <= 1e-12 * (abs(a) + abs(b) * inv[end]):
+                    signs[end] = 0.0
+            for idx in np.nonzero(signs == 0.0)[0]:
+                s = grid[idx]
+                brackets.append((s * (1 - 1e-12), s * (1 + 1e-12)))
+            for idx in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+                lo, hi = grid[idx], grid[idx + 1]
+                flo = a + b / lo
+                while hi - lo > 1e-10 * lo:
+                    mid = 0.5 * (lo + hi)
+                    fmid = a + b / mid
+                    if fmid == 0.0:
+                        lo = hi = mid
+                        break
+                    if flo * fmid < 0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fmid
+                brackets.append((lo, hi))
+        brackets.sort()
+        merged = []
+        for lo, hi in brackets:
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        return merged
+
+    @given(data=st.data(), float_mode=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_same_brackets_as_sampling_every_branch(self, data, float_mode):
+        """Skipping the pairs whose coefficients share a sign changes no
+        bracket, down to the last bit: on exact and float custom families,
+        with levels on T1 or T2 (a == 0 or b == 0) and window ends on
+        instants."""
+        dims = data.draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]))
+        m = sum(dims)
+        value = float if float_mode else Fraction
+        factors, shifted = [], []
+        for idx, dim in enumerate(dims):
+            curvature = value(data.draw(st.fractions(-6, 6, max_denominator=4)))
+            threshold = curvature / (m - 1)  # as the family computes it
+            pool = st.fractions(Fraction(1, 6), 12, max_denominator=6).map(value)
+            if threshold > 0:
+                pool = st.one_of(pool, st.just(threshold))
+            levels = [value(0)]
+            for level in sorted(set(data.draw(st.lists(pool, max_size=5)))):
+                if level - levels[-1] > 1e-6:  # float mode merges closer levels
+                    levels.append(level)
+            factors.append(custom_spectrum(
+                dim, curvature, [(level, 1 + k % 3) for k, level in enumerate(levels)], 12,
+                has_boundary=idx == 1, boundary_minimal=idx == 1,
+                tolerance=1e-9 if float_mode else None,
+            ))
+            shifted.append([level - threshold for level in levels])
+        fam = make_family(*factors)
+        instants = sorted({-b / a for a in shifted[0] for b in shifted[1] if a * b < 0})
+        end = st.fractions(Fraction(1, 8), 40, max_denominator=8).map(value)
+        if instants:
+            end = st.one_of(end, st.sampled_from(instants))
+        window = sorted((data.draw(end), data.draw(end)))
+        assume(window[0] < window[1])
+        samples = data.draw(st.sampled_from([1000, 1999]))
+        assert repr(dense_scan_degeneracy(fam, window, samples, 12)) == repr(
+            self._every_branch_scan(fam, window, samples, 12)
+        )
 
 
 class TestBruteForceIndex:
