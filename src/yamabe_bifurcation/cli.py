@@ -55,13 +55,19 @@ def _add_factor_flags(p: _Parser) -> None:
     p.add_argument("--custom", action=_FactorArg, metavar="PATH", help="custom spectrum file")
 
 
+_FORMATS = {"spectrum": ("json", "text"), "scan": ("json", "csv", "text")}
+
+
 def _add_common_flags(p: _Parser) -> None:
     _add_factor_flags(p)
     p.add_argument("--config", metavar="PATH", help="config file; flags win on conflict")
+    p.add_argument("--out", metavar="PATH")
+
+
+def _add_family_flags(p: _Parser) -> None:
+    _add_common_flags(p)
     p.add_argument("--window", metavar="MIN:MAX")
     p.add_argument("--lambda-max", dest="lambda_max", metavar="Q")
-    p.add_argument("--format", dest="fmt", choices=["json", "csv", "text"])
-    p.add_argument("--out", metavar="PATH")
 
 
 def build_parser() -> _Parser:
@@ -71,17 +77,19 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("spectrum", help="print a factor's eigenvalue table")
     _add_common_flags(sp)
     sp.add_argument("--below", metavar="Q", help="eigenvalue cutoff (strict)")
+    sp.add_argument("--format", choices=_FORMATS["spectrum"])
 
     sc = sub.add_parser("scan", help="classify a family and certify its degeneracy instants")
-    _add_common_flags(sc)
+    _add_family_flags(sc)
+    sc.add_argument("--format", choices=_FORMATS["scan"])
 
     br = sub.add_parser("branches", help="emit sampled branch curves as CSV plot data")
-    _add_common_flags(br)
+    _add_family_flags(br)
     br.add_argument("--samples", type=int, help="points per curve (default 200)")
     br.add_argument("--limit", type=int, help="zeroless branches to include (default 4)")
 
     ve = sub.add_parser("verify", help="run the oracle suite against the engine")
-    _add_common_flags(ve)
+    _add_family_flags(ve)
     ve.add_argument("--samples", type=int, help="dense-scan grid size (default 20000)")
     return p
 
@@ -204,6 +212,14 @@ def _setting(args, config, key, default=None):
     return config.get(key, default)
 
 
+def _format_setting(args, config) -> str:
+    """The output format; a config value is checked against the flag's choices."""
+    fmt = _setting(args, config, "format", "text")
+    if fmt not in _FORMATS[args.command]:
+        raise ConfigError(f"bad format {fmt!r}, expected one of {', '.join(_FORMATS[args.command])}")
+    return fmt
+
+
 def _number_setting(args, config, key, parse, least, default):
     """Setting ``key`` read by ``parse`` (``default`` when unset), at least ``least``."""
     value = _setting(args, config, key, default)
@@ -268,7 +284,7 @@ def cmd_spectrum(args, config) -> int:
         raise ConfigError("missing --below Q")
     rows = spec.eigenvalues_below(bound)
     tol = spec.tolerance
-    fmt = _setting(args, config, "fmt", config.get("format", "text"))
+    fmt = _format_setting(args, config)
     if fmt == "json":
         payload = {
             "label": spec.label,
@@ -346,7 +362,7 @@ def cmd_scan(args, config) -> int:
     lam = _number_setting(args, config, "lambda_max", fam.coerce, 0, None)
     result = bifurcation.classify_family(fam, window, lam)
     payload = _scan_payload(fam, result, lam)
-    fmt = _setting(args, config, "fmt", config.get("format", "text"))
+    fmt = _format_setting(args, config)
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":

@@ -5,7 +5,11 @@ dimension, constant scalar curvature, boundary flags, and the ordered distinct
 Laplace eigenvalues with multiplicities (Neumann eigenvalues when the factor
 has a boundary).  Catalog constructors cover the interval, the round sphere,
 the closed hemisphere and the flat torus; any other factor can be supplied as
-a text file via :func:`custom_from_file`.
+a text file via :func:`custom_from_file`.  The round kinds share one closed
+form: eigenvalues k(k+n-1)/r2, k >= 0, with harmonic multiplicities on S^n and
+even-harmonic ones on its closed hemisphere.  The interval [0, pi*lambda] is
+n = 1, r2 = lambda^2: the closed half circle of radius lambda, whose even
+harmonics are simple.
 
 Every catalog spectrum satisfies a completeness contract: asked for all
 eigenvalues up to a cutoff, it returns a provably complete finite list, for
@@ -74,15 +78,6 @@ class FactorSpectrum:
     def __reduce__(self):  # copy, deepcopy and pickle rebuild through __init__
         return FactorSpectrum, self._values()
 
-    def _check_bound(self, bound) -> None:
-        if bound < 0:
-            raise ValueError(f"{self.label}: negative eigenvalue bound {bound}")
-        if self.lambda_max is not None and scalars.gt(bound, self.lambda_max, self.tolerance):
-            raise IncompleteSpectrumError(
-                f"{self.label}: spectrum is only complete up to {scalars.fmt(self.lambda_max, self.tolerance)}, "
-                f"but eigenvalues up to {scalars.fmt(bound, self.tolerance)} are required"
-            )
-
     def _levels_upto(self, bound) -> List[Level]:
         """The table, enumerated afresh when ``bound`` lies beyond it."""
         covered, levels = self._table
@@ -91,24 +86,26 @@ class FactorSpectrum:
             self._table[:] = [bound, levels]
         return levels
 
+    def _prefix(self, bound, past) -> List[Level]:
+        if bound < 0:
+            raise ValueError(f"{self.label}: negative eigenvalue bound {bound}")
+        if self.lambda_max is not None and scalars.gt(bound, self.lambda_max, self.tolerance):
+            raise IncompleteSpectrumError(
+                f"{self.label}: spectrum is only complete up to {scalars.fmt(self.lambda_max, self.tolerance)}, "
+                f"but eigenvalues up to {scalars.fmt(bound, self.tolerance)} are required"
+            )
+        levels = self._levels_upto(bound)
+        # the levels whose eigenvalue is past(eigenvalue, bound) form a suffix of the table
+        end = bisect.bisect_left(levels, True, key=lambda lv: past(lv[0], bound, self.tolerance))
+        return levels[:end]
+
     def eigenvalues_leq(self, bound) -> List[Level]:
         """All (eigenvalue, multiplicity) with eigenvalue <= bound, ascending."""
-        self._check_bound(bound)
-        levels = self._levels_upto(bound)
-        # the levels above the bound, tolerance included, form a suffix
-        end = bisect.bisect_left(levels, True, key=lambda lv: scalars.gt(lv[0], bound, self.tolerance))
-        return levels[:end]
+        return self._prefix(bound, scalars.gt)
 
     def eigenvalues_below(self, bound) -> List[Level]:
         """All (eigenvalue, multiplicity) with eigenvalue strictly < bound."""
-        if bound < 0:
-            raise ValueError(f"{self.label}: negative eigenvalue bound {bound}")
-        if bound == 0:
-            return []
-        levels = self.eigenvalues_leq(bound)
-        while levels and scalars.close(levels[-1][0], bound, self.tolerance):
-            levels = levels[:-1]
-        return levels
+        return self._prefix(bound, scalars.ge)
 
     def level(self, index: int) -> Level:
         """The ``index``-th distinct eigenvalue with its multiplicity."""
@@ -145,22 +142,6 @@ class FactorSpectrum:
         )
 
 
-def _enum_from_level_fn(level_fn: Callable[[int], Level]) -> Callable[[Scalar], List[Level]]:
-    # level_fn(k) must be strictly increasing in its eigenvalue, which is what
-    # guarantees completeness of the cutoff enumeration.
-    def enum(bound):
-        out = []
-        k = 0
-        while True:
-            eig, mult = level_fn(k)
-            if eig > bound:
-                return out
-            out.append((eig, mult))
-            k += 1
-
-    return enum
-
-
 def harmonic_multiplicity(n: int, k: int) -> int:
     """Multiplicity of the k-th distinct eigenvalue of the round n-sphere:
     C(n+k, n) - C(n+k-2, n)."""
@@ -177,15 +158,22 @@ def even_harmonic_multiplicity(n: int, k: int) -> int:
     return math.comb(n + k - 1, n - 1)
 
 
+def _round_levels(n: int, r2: Fraction, multiplicity: Callable[[int, int], int]) -> Callable[[Scalar], List[Level]]:
+    # enum_leq of the levels (k(k+n-1)/r2, multiplicity(n, k)), k = 0, 1, ...; the integer
+    # k(k+n-1) is <= bound*r2 iff it is <= cap, iff (2k+n-1)^2 <= (n-1)^2 + 4*cap
+    def enum(bound):
+        cap = math.floor(Fraction(bound) * r2)  # Fraction keeps a float bound exact
+        top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2
+        return [(Fraction(k * (k + n - 1)) / r2, multiplicity(n, k)) for k in range(top + 1)]
+
+    return enum
+
+
 def interval_neumann(length_over_pi) -> FactorSpectrum:
     """Neumann spectrum of the segment [0, pi*lambda]: k^2/lambda^2, simple."""
     lam = as_exact(length_over_pi)
     if lam <= 0:
         raise ValueError("interval length must be positive")
-    lam_sq = lam * lam
-
-    def level(k):
-        return (Fraction(k * k) / lam_sq, 1)
 
     return FactorSpectrum(
         dim=1,
@@ -194,7 +182,7 @@ def interval_neumann(length_over_pi) -> FactorSpectrum:
         boundary_minimal=True,  # the boundary points are vacuously minimal
         label=f"I(lambda={scalars.fmt(lam)})",
         kind="interval",
-        enum_leq=_enum_from_level_fn(level),
+        enum_leq=_round_levels(1, lam * lam, even_harmonic_multiplicity),
     )
 
 
@@ -207,9 +195,6 @@ def round_sphere(n: int, radius_sq=1) -> FactorSpectrum:
     if r2 <= 0:
         raise ValueError("radius squared must be positive")
 
-    def level(k):
-        return (Fraction(k * (k + n - 1)) / r2, harmonic_multiplicity(n, k))
-
     return FactorSpectrum(
         dim=n,
         scalar_curvature=Fraction(n * (n - 1)) / r2,
@@ -217,7 +202,7 @@ def round_sphere(n: int, radius_sq=1) -> FactorSpectrum:
         boundary_minimal=False,
         label=f"S^{n}(r2={scalars.fmt(r2)})",
         kind="sphere",
-        enum_leq=_enum_from_level_fn(level),
+        enum_leq=_round_levels(n, r2, harmonic_multiplicity),
     )
 
 
@@ -231,9 +216,6 @@ def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
     if r2 <= 0:
         raise ValueError("radius squared must be positive")
 
-    def level(k):
-        return (Fraction(k * (k + n - 1)) / r2, even_harmonic_multiplicity(n, k))
-
     return FactorSpectrum(
         dim=n,
         scalar_curvature=Fraction(n * (n - 1)) / r2,
@@ -241,7 +223,7 @@ def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
         boundary_minimal=True,
         label=f"S^{n}+(r2={scalars.fmt(r2)})",
         kind="hemisphere",
-        enum_leq=_enum_from_level_fn(level),
+        enum_leq=_round_levels(n, r2, even_harmonic_multiplicity),
     )
 
 
@@ -265,9 +247,7 @@ def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
         ranges = []
         for ell in ells:
             cap = bound * ell
-            kmax = math.isqrt(cap.numerator // cap.denominator)
-            while Fraction((kmax + 1) ** 2) / ell <= bound:
-                kmax += 1
+            kmax = math.isqrt(cap.numerator // cap.denominator)  # exact, as k^2 is an integer
             ranges.append(range(-kmax, kmax + 1))
         for kvec in itertools.product(*ranges):
             val = sum((Fraction(k * k) / ell for k, ell in zip(kvec, ells)), Fraction(0))

@@ -192,6 +192,18 @@ class TestScan:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("argv", [
+        ["spectrum", "--sphere", "2", "--below", "3", "--window", "1:2"],
+        ["spectrum", "--sphere", "2", "--below", "3", "--lambda-max", "5"],
+        ["spectrum", "--sphere", "2", "--below", "3", "--format", "csv"],
+        ["branches", *SPHERE_HEMI, "--window", "1.5:2.5", "--format", "json"],
+        ["verify", *SPHERE_HEMI, "--window", "1:2", "--format", "json"],
+    ])
+    def test_flag_the_subcommand_does_not_read_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and "--" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
         ["spectrum", "--sphere", "2", "--below", "abc"],
         ["spectrum", "--sphere", "2", "--below", "-1"],
         ["spectrum", "--torus", "1,1", "--below", "1/0"],
@@ -348,6 +360,24 @@ class TestConfigFile:
         code, out, err = run(capsys, [command, "--config", self.branches_config(tmp_path, settings)])
         assert code == EXIT_CONFIG
         assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("command, settings", [
+        ("scan", "factor1 = sphere 2\nfactor2 = hemisphere 2\nwindow = 1:2\nformat = xml\n"),
+        ("spectrum", "factor1 = sphere 2\nbelow = 3\nformat = csv\n"),
+    ], ids=["scan-xml", "spectrum-csv"])
+    def test_config_format_outside_the_flag_choices_exit_3(self, capsys, tmp_path, command, settings):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text(settings)
+        code, out, err = run(capsys, [command, "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: bad format") and out == ""
+
+    def test_config_format_json_for_spectrum(self, capsys, tmp_path):
+        cfg = tmp_path / "factor.cfg"
+        cfg.write_text("factor1 = sphere 2\nbelow = 3\nformat = json\n")
+        code, out, _ = run(capsys, ["spectrum", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert json.loads(out)["eigenvalues"] == [{"value": "0", "multiplicity": 1}, {"value": "2", "multiplicity": 3}]
 
 
 class TestBranches:

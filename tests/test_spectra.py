@@ -1,4 +1,7 @@
+import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,9 @@ from yamabe_bifurcation import (
     SpectrumFormatError,
     custom_from_file,
     custom_spectrum,
+    even_harmonic_multiplicity,
     flat_torus,
+    harmonic_multiplicity,
     hemisphere_neumann,
     interval_neumann,
     round_sphere,
@@ -112,22 +117,78 @@ class TestTorus:
         spec = flat_torus([1, Fraction(1, 4)])
         assert spec.eigenvalues_leq(4) == [(0, 1), (1, 2), (4, 4)]
 
-    def test_brute_force_lattice_count(self):
-        # independent recount of every |k|^2 <= 30 on the square torus
-        from collections import Counter
-
-        counts = Counter()
-        for k1 in range(-6, 7):
-            for k2 in range(-6, 7):
-                if k1 * k1 + k2 * k2 <= 30:
-                    counts[k1 * k1 + k2 * k2] += 1
-        assert flat_torus([1, 1]).eigenvalues_leq(30) == sorted(counts.items())
+    @given(
+        ells=st.lists(st.fractions(min_value=Fraction(1, 2), max_value=2, max_denominator=7), min_size=1, max_size=3),
+        point=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+        offset=st.sampled_from([0, Fraction(-1, 10**9), Fraction(1, 10**9)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_brute_force_lattice_count(self, ells, point, offset):
+        # bounds on (or just off) the eigenvalue of a lattice point, so that
+        # bound * ell is often a perfect square on some axis
+        bound = max(sum((Fraction(k * k) / ell for k, ell in zip(point, ells)), Fraction(0)) + offset, 0)
+        ranges = []
+        for ell in ells:  # every k with k^2/ell <= bound, counted up one at a time
+            kmax = 0
+            while Fraction((kmax + 1) ** 2) / ell <= bound:
+                kmax += 1
+            ranges.append(range(-kmax, kmax + 1))
+        counts = Counter(sum(Fraction(k * k) / ell for k, ell in zip(kvec, ells)) for kvec in product(*ranges))
+        expected = sorted((value, count) for value, count in counts.items() if value <= bound)
+        assert flat_torus(ells).eigenvalues_leq(bound) == expected
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
             flat_torus([])
         with pytest.raises(ValueError):
             flat_torus([1, 0])
+
+
+def _level_by_level(eig, mult, bound, strict):
+    """The levels k = 0, 1, ... up to the first eigenvalue past the bound."""
+    out, k = [], 0
+    while eig(k) < bound or (not strict and eig(k) == bound):
+        out.append((eig(k), mult(k)))
+        k += 1
+    return out
+
+
+@given(
+    kind=st.sampled_from(["sphere", "hemisphere", "interval"]),
+    n=st.integers(1, 6),
+    radius=st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=12),
+    k=st.integers(0, 25),
+    shift=st.sampled_from(["on", "just above", "just below", "float", "float ulp up", "float ulp down"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_round_kinds_match_a_level_by_level_loop(kind, n, radius, k, shift):
+    # radius is r2 for the sphere and hemisphere and lambda for the interval
+    if kind == "interval":
+        n, r2, mult = 1, radius * radius, lambda k: 1
+        make = lambda: interval_neumann(radius)
+    elif kind == "sphere":
+        r2, mult = radius, lambda k: harmonic_multiplicity(n, k)
+        make = lambda: round_sphere(n, radius)
+    else:
+        n = max(n, 2)
+        r2, mult = radius, lambda k: even_harmonic_multiplicity(n, k)
+        make = lambda: hemisphere_neumann(n, radius)
+    eig = lambda k: Fraction(k * (k + n - 1)) / r2
+    on = eig(k)
+    bound = {
+        "on": on,
+        "just above": on + Fraction(1, 10**9),
+        "just below": max(on - Fraction(1, 10**9), 0),
+        "float": float(on),
+        "float ulp up": math.nextafter(float(on), math.inf),
+        "float ulp down": max(math.nextafter(float(on), -math.inf), 0.0),
+    }[shift]
+    leq = _level_by_level(eig, mult, bound, strict=False)
+    assert make().enum_leq(bound) == leq  # the primitive itself, not only the filtered table
+    assert make().eigenvalues_leq(bound) == leq
+    assert make().eigenvalues_below(bound) == _level_by_level(eig, mult, bound, strict=True)
+    spec = make()
+    assert [spec.level(i) for i in range(k + 2)] == [(eig(i), mult(i)) for i in range(k + 2)]
 
 
 class TestEigenvaluesBelow:
