@@ -42,7 +42,7 @@ fam = make_family(round_sphere(2, 1), hemisphere_neumann(2, 1))
 
 print("\n3. exact degeneracy instants vs dense sign-change scan")
 instants = degeneracy_instants(fam, (Fraction(1, 100), 20))
-brackets = dense_scan_degeneracy(fam, (0.01, 20), 100000, lam=60)
+brackets = dense_scan_degeneracy(fam, (0.01, 20), 100000, 60, 60)
 for inst, (lo, hi) in zip(instants, brackets):
     inside = lo <= float(inst.s) <= hi
     print(f"   s = {str(inst.s):>5} in [{lo:.10f}, {hi:.10f}]: {inside}")

@@ -28,7 +28,16 @@ EXIT_FAILURE = 1
 EXIT_DEGENERATE = 2
 EXIT_CONFIG = 3
 
-_FACTOR_FLAGS = ("sphere", "hemisphere", "interval", "torus", "custom", "r2")
+# flag -> (metavar, help); every factor flag appends (flag, value) to one ordered stream
+_FACTOR_FLAGS = {
+    "sphere": ("N", "round sphere S^N"),
+    "hemisphere": ("N", "closed hemisphere of S^N (Neumann)"),
+    "r2": ("Q", "radius squared for the preceding sphere/hemisphere (default 1)"),
+    "interval": ("LAMBDA", "segment [0, pi*LAMBDA] (Neumann)"),
+    "torus": ("L2,L2,...", "flat torus; entries are L_i^2/(4 pi^2), rational"),
+    "custom": ("PATH", "custom spectrum file"),
+}
+_ROUND = {"sphere": spectra.round_sphere, "hemisphere": spectra.hemisphere_neumann}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,30 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-class _FactorArg(argparse.Action):
-    """Collects factor flags in command-line order so that two factors can be
-    described by repeating/mixing --sphere/--interval/... flags."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, "factor_args", None) or []
-        items.append((option_string.lstrip("-"), values))
-        namespace.factor_args = items
-
-
-def _add_factor_flags(p: _Parser) -> None:
-    p.add_argument("--sphere", action=_FactorArg, metavar="N", help="round sphere S^N")
-    p.add_argument("--hemisphere", action=_FactorArg, metavar="N", help="closed hemisphere of S^N (Neumann)")
-    p.add_argument("--r2", action=_FactorArg, metavar="Q", help="radius squared for the preceding sphere/hemisphere (default 1)")
-    p.add_argument("--interval", action=_FactorArg, metavar="LAMBDA", help="segment [0, pi*LAMBDA] (Neumann)")
-    p.add_argument("--torus", action=_FactorArg, metavar="L2,L2,...", help="flat torus; entries are L_i^2/(4 pi^2), rational")
-    p.add_argument("--custom", action=_FactorArg, metavar="PATH", help="custom spectrum file")
-
-
-_FORMATS = {"spectrum": ("json", "text"), "scan": ("json", "csv", "text")}
-
-
 def _add_common_flags(p: _Parser) -> None:
-    _add_factor_flags(p)
+    for flag, (metavar, text) in _FACTOR_FLAGS.items():
+        p.add_argument(f"--{flag}", dest="factor_args", action="append", metavar=metavar, help=text,
+                       type=lambda value, flag=flag: (flag, value))
     p.add_argument("--config", metavar="PATH", help="config file; flags win on conflict")
     p.add_argument("--out", metavar="PATH")
 
@@ -77,11 +66,11 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("spectrum", help="print a factor's eigenvalue table")
     _add_common_flags(sp)
     sp.add_argument("--below", metavar="Q", help="eigenvalue cutoff (strict)")
-    sp.add_argument("--format", choices=_FORMATS["spectrum"])
+    sp.add_argument("--format", choices=("json", "text"))
 
     sc = sub.add_parser("scan", help="classify a family and certify its degeneracy instants")
     _add_family_flags(sc)
-    sc.add_argument("--format", choices=_FORMATS["scan"])
+    sc.add_argument("--format", choices=("json", "csv", "text"))
 
     br = sub.add_parser("branches", help="emit sampled branch curves as CSV plot data")
     _add_family_flags(br)
@@ -100,7 +89,12 @@ _CONFIG_KEYS = {
 }
 
 
-def _read_config(path) -> dict:
+def _config_flags(args) -> List[str]:
+    """The settings of the config file ``args.config`` that the command line
+    left unset, as flags: ``key = value`` becomes ``--key=value``, and the
+    factor descriptions become factor flags, factor1's before factor2's
+    (``sphere 2 r2 1`` becomes ``--sphere=2 --r2=1``)."""
+    path = args.config
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -118,113 +112,60 @@ def _read_config(path) -> dict:
         if not sep or key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{num}: bad config line {line!r}")
         values[key] = value.strip()
-    return values
-
-
-def _parse_factor_tokens(tokens: List[Tuple[str, str]]) -> List[spectra.FactorSpectrum]:
-    """Turn the ordered flag stream into factor spectra, attaching each --r2
-    to the sphere/hemisphere that precedes it."""
-    out = []
-    pending = None  # ("sphere"|"hemisphere", n)
-
-    def flush():
-        nonlocal pending
-        if pending is not None:
-            kind, n = pending
-            out.append(_make_round(kind, n, "1"))
-            pending = None
-
-    for flag, value in tokens:
-        if flag == "r2":
-            if pending is None:
-                raise ConfigError("--r2 must follow --sphere or --hemisphere")
-            kind, n = pending
-            out.append(_make_round(kind, n, value))
-            pending = None
-        elif flag in ("sphere", "hemisphere"):
-            flush()
-            try:
-                pending = (flag, int(value))
-            except ValueError:
-                raise ConfigError(f"--{flag} expects an integer dimension, got {value!r}")
-        elif flag == "interval":
-            flush()
-            out.append(_wrap(spectra.interval_neumann, value))
-        elif flag == "torus":
-            flush()
-            out.append(_wrap(spectra.flat_torus, value.split(",")))
-        elif flag == "custom":
-            flush()
-            try:
-                out.append(spectra.custom_from_file(value))
-            except OSError as exc:
-                raise ConfigError(str(exc))
-        else:
-            raise ConfigError(f"unknown factor flag --{flag}")
-    flush()
-    return out
-
-
-def _make_round(kind, n, r2):
-    ctor = spectra.round_sphere if kind == "sphere" else spectra.hemisphere_neumann
-    return _wrap(ctor, n, r2)
-
-
-def _wrap(ctor, *args):
-    try:
-        return ctor(*args)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ConfigError(str(exc))
-
-
-def _factor_config_tokens(text: str) -> List[Tuple[str, str]]:
-    # config value like "sphere 2 r2 1" or "torus 1,1" or "custom path"
-    words = text.split()
-    tokens = []
-    it = iter(words)
-    for word in it:
-        if word not in _FACTOR_FLAGS:
+    descriptions = [values.pop(key, "") for key in ("factor1", "factor2")]
+    if args.factor_args is not None:  # factor flags on the command line replace every config factor
+        descriptions = []
+    flags = []
+    for text in descriptions:
+        words = text.split()
+        if any(word not in _FACTOR_FLAGS for word in words[::2]):
             raise ConfigError(f"bad factor description {text!r}")
-        try:
-            tokens.append((word, next(it)))
-        except StopIteration:
+        if len(words) % 2:
             raise ConfigError(f"factor description {text!r} is missing a value")
-    return tokens
+        flags += [f"--{flag}={value}" for flag, value in zip(words[::2], words[1::2])]
+    return flags + [
+        f"--{key.replace('_', '-')}={value}" for key, value in values.items()
+        if getattr(args, key, None) is None
+    ]
 
 
-def _gather_factors(args, config) -> List[spectra.FactorSpectrum]:
-    tokens = getattr(args, "factor_args", None)
-    if tokens:
-        return _parse_factor_tokens(tokens)
-    tokens = []
-    for key in ("factor1", "factor2"):
-        if key in config:
-            tokens.extend(_factor_config_tokens(config[key]))
-    if not tokens:
+def _factors(args) -> List[spectra.FactorSpectrum]:
+    """The factors of the ordered factor-flag stream; each --r2 is the radius
+    squared of the sphere or hemisphere just before it."""
+    stream = args.factor_args
+    if not stream:
         raise ConfigError("no factors specified")
-    return _parse_factor_tokens(tokens)
+    factors = []
+    for k, (flag, value) in enumerate(stream):
+        try:
+            if flag == "r2":
+                if k == 0 or stream[k - 1][0] not in _ROUND:
+                    raise ConfigError("--r2 must follow --sphere or --hemisphere")
+            elif flag in _ROUND:
+                try:
+                    n = int(value)
+                except ValueError:
+                    raise ConfigError(f"--{flag} expects an integer dimension, got {value!r}")
+                r2 = stream[k + 1][1] if k + 1 < len(stream) and stream[k + 1][0] == "r2" else "1"
+                factors.append(_ROUND[flag](n, r2))
+            elif flag == "interval":
+                factors.append(spectra.interval_neumann(value))
+            elif flag == "torus":
+                factors.append(spectra.flat_torus(value.split(",")))
+            else:
+                factors.append(spectra.custom_from_file(value))
+        except (OSError, ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ConfigError(str(exc))
+    return factors
 
 
-def _setting(args, config, key, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
-
-
-def _format_setting(args, config) -> str:
-    """The output format; a config value is checked against the flag's choices."""
-    fmt = _setting(args, config, "format", "text")
-    if fmt not in _FORMATS[args.command]:
-        raise ConfigError(f"bad format {fmt!r}, expected one of {', '.join(_FORMATS[args.command])}")
-    return fmt
-
-
-def _number_setting(args, config, key, parse, least, default):
+def _number_setting(args, key, parse, least, default):
     """Setting ``key`` read by ``parse`` (``default`` when unset), at least ``least``."""
-    value = _setting(args, config, key, default)
+    value = getattr(args, key)
     if value is None:
-        return None
+        value = default
+        if value is None:
+            return None
     try:
         number = parse(value)
     except (ValueError, ZeroDivisionError, TypeError):
@@ -249,8 +190,8 @@ def _parse_window(text) -> Tuple[Fraction, Fraction]:
     return window
 
 
-def _family(args, config) -> product.ProductFamily:
-    factors = _gather_factors(args, config)
+def _family(args) -> product.ProductFamily:
+    factors = _factors(args)
     if len(factors) != 2:
         raise ConfigError(f"a family needs exactly two factors, got {len(factors)}")
     try:
@@ -274,18 +215,17 @@ def _mode_of(fam_or_spec) -> str:
     return "exact" if fam_or_spec.tolerance is None else "float"
 
 
-def cmd_spectrum(args, config) -> int:
-    factors = _gather_factors(args, config)
+def cmd_spectrum(args) -> int:
+    factors = _factors(args)
     if len(factors) != 1:
         raise ConfigError("spectrum expects exactly one factor")
     spec = factors[0]
-    bound = _number_setting(args, config, "below", lambda text: scalars.as_scalar(text, spec.tolerance), 0, None)
+    bound = _number_setting(args, "below", lambda text: scalars.as_scalar(text, spec.tolerance), 0, None)
     if bound is None:
         raise ConfigError("missing --below Q")
     rows = spec.eigenvalues_below(bound)
     tol = spec.tolerance
-    fmt = _format_setting(args, config)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "label": spec.label,
             "dim": spec.dim,
@@ -309,7 +249,7 @@ def cmd_spectrum(args, config) -> int:
         ]
         lines += [f"  {scalars.fmt(e, tol)}  x{m}" for e, m in rows]
         text = "\n".join(lines) + "\n"
-    _emit(text, _setting(args, config, "out"))
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -356,16 +296,15 @@ def _scan_text(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_scan(args, config) -> int:
-    fam = _family(args, config)
-    window = _parse_window(_setting(args, config, "window"))
-    lam = _number_setting(args, config, "lambda_max", fam.coerce, 0, None)
+def cmd_scan(args) -> int:
+    fam = _family(args)
+    window = _parse_window(args.window)
+    lam = _number_setting(args, "lambda_max", fam.coerce, 0, None)
     result = bifurcation.classify_family(fam, window, lam)
     payload = _scan_payload(fam, result, lam)
-    fmt = _format_setting(args, config)
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
+    elif args.format == "csv":
         import csv  # only the CSV writers need it
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -380,19 +319,19 @@ def cmd_scan(args, config) -> int:
         text = buf.getvalue()
     else:
         text = _scan_text(payload)
-    _emit(text, _setting(args, config, "out"))
+    _emit(text, args.out)
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
         print("degenerate pair -- index-jump certification inapplicable", file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK
 
 
-def cmd_branches(args, config) -> int:
-    fam = _family(args, config)
-    window = _parse_window(_setting(args, config, "window"))
-    samples = _number_setting(args, config, "samples", int, 2, 200)
-    limit = _number_setting(args, config, "limit", int, 0, 4)
-    lam = _number_setting(args, config, "lambda_max", fam.coerce, 0, None)
+def cmd_branches(args) -> int:
+    fam = _family(args)
+    window = _parse_window(args.window)
+    samples = _number_setting(args, "samples", int, 2, 200)
+    limit = _number_setting(args, "limit", int, 0, 4)
+    lam = _number_setting(args, "lambda_max", fam.coerce, 0, None)
 
     # a branch has at most one zero, so it belongs to at most one instant
     branches = [br for inst in bifurcation.degeneracy_instants(fam, window, lam) for br in inst.branches]
@@ -413,7 +352,7 @@ def cmd_branches(args, config) -> int:
     for k in range(samples):
         s = lo + k * step
         writer.writerow(["%.17g" % s] + ["%.17g" % (float(br.a) + float(br.b) / s) for br in branches])
-    _emit(buf.getvalue(), _setting(args, config, "out"))
+    _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 
@@ -466,12 +405,12 @@ def _verify_checks(fam, window, lam, samples):
                 ok = all(spec.level(k)[1] == count(spec.dim, k) for k in range(top + 1))
                 yield (check, ok, f"{basis} kernel ranks, k <= {top}")
 
-    need1, need2 = bifurcation.enumeration_bounds(fam, window)
-    scan_lam = lam if lam is not None else max(need1, need2, 1)
     result = bifurcation.classify_family(fam, window, lam)
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
         raise DegeneratePairError(fam.label)
-    brackets = oracle.dense_scan_degeneracy(fam, window, samples, scan_lam)
+    # each factor up to the bound the engine read it to, and never past it
+    need1, need2 = bifurcation.enumeration_bounds(fam, window)
+    brackets = oracle.dense_scan_degeneracy(fam, window, samples, max(need1, 0), max(need2, 0))
     matched = (
         len(brackets) == len(result.instants)
         and all(lo <= float(ci.instant.s) <= hi for ci, (lo, hi) in zip(result.instants, brackets))
@@ -484,10 +423,9 @@ def _verify_checks(fam, window, lam, samples):
 
     probes = _probe_indices(fam, window, result.instants)
     checked = [(s, engine) for s, engine in probes if engine is not None]
-    # a level above R(s)/(m-1) gives no negative branch at s
+    # a level above R(s)/(m-1) gives no negative branch at s, so no factor is read past it
     brute = oracle.brute_force_indices(fam, [
-        (float(s), float(max(fam.threshold1 + fam.threshold2 / fam.coerce(s), 0)) + 1)
-        for s, _ in checked
+        (s, max(fam.threshold1 + fam.threshold2 / fam.coerce(s), 0)) for s, _ in checked
     ])
     details = [
         f"s={scalars.fmt(s, fam.tolerance)}: engine {engine} vs brute {count}"
@@ -526,18 +464,18 @@ def _probe_indices(fam, window, certified) -> List[Tuple[scalars.Scalar, Optiona
 _VERDICTS = {True: "PASS", False: "FAIL", None: "SKIP"}
 
 
-def cmd_verify(args, config) -> int:
-    fam = _family(args, config)
-    window = _parse_window(_setting(args, config, "window", "0.1:10"))
-    samples = _number_setting(args, config, "samples", int, 1000, 20000)
-    lam = _number_setting(args, config, "lambda_max", fam.coerce, 0, None)
+def cmd_verify(args) -> int:
+    fam = _family(args)
+    window = _parse_window("0.1:10" if args.window is None else args.window)
+    samples = _number_setting(args, "samples", int, 1000, 20000)
+    lam = _number_setting(args, "lambda_max", fam.coerce, 0, None)
     failures = 0
     lines = []
     for name, passed, detail in _verify_checks(fam, window, lam, samples):
         lines.append(f"{_VERDICTS[passed]} {name}: {detail}")
         failures += passed is False
     lines.append(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
-    _emit("\n".join(lines) + "\n", _setting(args, config, "out"))
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
@@ -545,14 +483,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _read_config(args.config) if getattr(args, "config", None) else {}
+        if args.config:
+            flags = _config_flags(args)
+            try:
+                settings, _ = parser.parse_known_args([args.command, *flags])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: {exc}")
+            for name, value in vars(settings).items():
+                if getattr(args, name) is None:
+                    setattr(args, name, value)
         handler = {
             "spectrum": cmd_spectrum,
             "scan": cmd_scan,
             "branches": cmd_branches,
             "verify": cmd_verify,
         }[args.command]
-        return handler(args, config)
+        return handler(args)
     except DegeneratePairError as exc:
         print(f"degenerate pair -- index-jump certification inapplicable: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -204,11 +204,13 @@ def _float_table(spectrum, bound) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def dense_scan_degeneracy(
-    fam: ProductFamily, window, samples: int, lam
+    fam: ProductFamily, window, samples: int, lam1, lam2
 ) -> List[Tuple[float, float]]:
-    """Bracket every branch zero in the window by sampling sigma on a dense
-    log-spaced grid and bisecting each sign change down to relative width
-    1e-10; overlapping brackets (coincident zeros) are merged."""
+    """Bracket every zero in the window of the branches whose levels are at
+    most ``lam1`` on the closed factor and ``lam2`` on the boundary factor,
+    by sampling sigma on a dense log-spaced grid and bisecting each sign
+    change down to relative width 1e-10; overlapping brackets (coincident
+    zeros) are merged."""
     if samples < 1000:
         raise ValueError("sample grid too coarse; use at least 1000 samples")
     s_lo, s_hi = float(window[0]), float(window[1])
@@ -216,10 +218,9 @@ def dense_scan_degeneracy(
         raise ValueError("window must satisfy 0 < s_min < s_max")
     grid = np.geomspace(s_lo, s_hi, samples)
     inv = 1.0 / grid
-    bound = fam.coerce(lam)
     # Python floats, since each flip is bisected in scalar arithmetic
-    a_values = (_float_table(fam.factor1, bound)[0] - float(fam.threshold1)).tolist()
-    b_values = (_float_table(fam.factor2, bound)[0] - float(fam.threshold2)).tolist()
+    a_values = (_float_table(fam.factor1, fam.coerce(lam1))[0] - float(fam.threshold1)).tolist()
+    b_values = (_float_table(fam.factor2, fam.coerce(lam2))[0] - float(fam.threshold2)).tolist()
     brackets = []
     # the first pair, (0, 0), is the constants', not a branch
     for a, b in itertools.islice(itertools.product(a_values, b_values), 1, None):
@@ -263,23 +264,25 @@ def dense_scan_degeneracy(
 def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float]]) -> List[int]:
     """For each (s, lam): sum the multiplicities of all (i, j) != (0, 0) with
     rho_i <= lam, rho_j <= lam*s and sigma_{i,j}(s) < 0.  Each factor's
-    levels become one float table, at the largest bound any point needs;
-    each point is one outer sum over the table's leading part.  No
+    levels become one float table, at the largest bound any point needs,
+    taken in the family's scalars, so that an exact bound reads no level
+    past it; each point is one outer sum over the table's leading part.  No
     cleverness."""
-    t1 = float(fam.threshold1)
-    t2 = float(fam.threshold2)
-    points = [(float(s), float(lam)) for s, lam in points]
+    points = [(fam.coerce(s), fam.coerce(lam)) for s, lam in points]
     for s, lam in points:
         if s <= 0:
             raise ValueError("family parameter s must be positive")
-        if lam < t1 + t2 / s:
+        if lam < fam.threshold1 + fam.threshold2 / s:
             raise ValueError("lambda bound below R(s)/(m-1); enumeration would be incomplete")
     if not points:
         return []
-    r1, m1 = _float_table(fam.factor1, fam.coerce(max(lam for _, lam in points)))
-    r2, m2 = _float_table(fam.factor2, fam.coerce(max(lam * s for s, lam in points)))
+    r1, m1 = _float_table(fam.factor1, max(lam for _, lam in points))
+    r2, m2 = _float_table(fam.factor2, max(lam * s for s, lam in points))
+    t1 = float(fam.threshold1)
+    t2 = float(fam.threshold2)
     counts = []
     for s, lam in points:
+        s, lam = float(s), float(lam)
         n1 = np.searchsorted(r1, lam, side="right")
         n2 = np.searchsorted(r2, lam * s, side="right")
         negative = (r1[:n1] - t1)[:, None] + ((r2[:n2] - t2) / s)[None, :] < 0

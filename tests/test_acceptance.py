@@ -103,7 +103,7 @@ def test_criterion_1_literal(sphere_hemisphere):
 
 def test_criterion_1_oracle_verified(sphere_hemisphere):
     """The same scan checked against the independent oracles first."""
-    brackets = dense_scan_degeneracy(sphere_hemisphere, (0.01, 20), 100000, lam=60)
+    brackets = dense_scan_degeneracy(sphere_hemisphere, (0.01, 20), 100000, 60, 60)
     ok = len(brackets) == len(FULL_INSTANTS) and all(
         lo - 1e-9 <= float(s) <= hi + 1e-9
         for s, (lo, hi) in zip(FULL_INSTANTS, brackets)
@@ -177,7 +177,7 @@ def test_criterion_4_one_sided(sphere_interval, torus_hemisphere):
                 if z is not None and window[0] <= z <= window[1]:
                     zeros.add(z)
         ok = ok and sorted(zeros) == [ci.instant.s for ci in cls.instants]
-        brackets = dense_scan_degeneracy(fam, (0.1, 20), 50000, lam=30)
+        brackets = dense_scan_degeneracy(fam, (0.1, 20), 50000, 30, 30)
         ok = ok and len(brackets) == len(cls.instants)
     report("criterion 4 (one-sided sequences)", ok)
 

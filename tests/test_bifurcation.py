@@ -464,6 +464,21 @@ class TestFloatMode:
         if abs(a) >= 1:
             assert scalars.close(a, far, tol) and scalars.close(far, a, tol)
 
+    @pytest.mark.xfail(strict=True, raises=RecountError,
+                       reason="the zero search and the recount decide 'vanishing at s' at different scales")
+    def test_levels_within_a_few_tolerances_of_a_threshold(self):
+        """Branch (1, 1) has a = 0 and b = -2.9e-9 at tol 1e-9: the recount
+        compares the product eigenvalue with theta at scale tol * theta and
+        calls the branch vanishing at s = 1, while the zero search compares
+        b with 0 at scale tol and finds no zero (ROADMAP item 6)."""
+        closed = custom_spectrum(3, 4.0, [(0.0, 1), (1.0, 1)], 60.0, tolerance=1e-9, label="closed")
+        boundary = custom_spectrum(
+            2, 10.0, [(0.0, 1), (2.4999999970659577, 3), (3.4999999970659577, 2)], 60.0,
+            has_boundary=True, boundary_minimal=True, tolerance=1e-9, label="boundary",
+        )
+        cls = classify_family(make_family(closed, boundary), (Fraction(1, 5), 2))
+        assert all(ci.certified for ci in cls.instants)
+
     def test_chained_zeros_merge_into_one_instant(self):
         """Zeros at 1, 1 + 0.6e-9 and 1 + 1.2e-9 chain within the tolerance
         1e-9 although the outer two are not close: one instant, jump +3."""

@@ -203,6 +203,14 @@ class TestScan:
         assert code == EXIT_CONFIG
         assert err.startswith("error:") and "--" in err and out == ""
 
+    @pytest.mark.parametrize("factors, message", [
+        (["--r2", "2", *SPHERE_HEMI], "--r2 must follow --sphere or --hemisphere"),
+        (["--sphere", "2", "--r2", "2", "--r2", "3", "--hemisphere", "2"], "--r2 must follow --sphere or --hemisphere"),
+        (["--sphere", "x", "--hemisphere", "2"], "--sphere expects an integer dimension, got 'x'"),
+    ], ids=["r2-first", "r2-twice", "sphere-x"])
+    def test_bad_factor_stream_exit_3(self, capsys, factors, message):
+        assert run(capsys, ["scan", *factors, "--window", "1:2"]) == (EXIT_CONFIG, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--sphere", "2", "--below", "abc"],
         ["spectrum", "--sphere", "2", "--below", "-1"],
@@ -361,16 +369,69 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert err.startswith("error:") and out == ""
 
-    @pytest.mark.parametrize("command, settings", [
-        ("scan", "factor1 = sphere 2\nfactor2 = hemisphere 2\nwindow = 1:2\nformat = xml\n"),
-        ("spectrum", "factor1 = sphere 2\nbelow = 3\nformat = csv\n"),
+    @pytest.mark.parametrize("command, settings, bad", [
+        ("scan", "factor1 = sphere 2\nfactor2 = hemisphere 2\nwindow = 1:2\nformat = xml\n", "xml"),
+        ("spectrum", "factor1 = sphere 2\nbelow = 3\nformat = csv\n", "csv"),
     ], ids=["scan-xml", "spectrum-csv"])
-    def test_config_format_outside_the_flag_choices_exit_3(self, capsys, tmp_path, command, settings):
+    def test_config_format_outside_the_flag_choices_exit_3(self, capsys, tmp_path, command, settings, bad):
         cfg = tmp_path / "family.cfg"
         cfg.write_text(settings)
         code, out, err = run(capsys, [command, "--config", str(cfg)])
         assert code == EXIT_CONFIG
-        assert err.startswith("error: bad format") and out == ""
+        assert err.startswith("error:") and f"argument --format: invalid choice: '{bad}'" in err and out == ""
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("spectrum", "factor1 = hemisphere 3 r2 2\nbelow = 20\nformat = json\n",
+         ["--hemisphere", "3", "--r2", "2", "--below", "20", "--format", "json"]),
+        # factor1 is read first wherever it stands in the file
+        ("scan", "factor2 = hemisphere 2\nfactor1 = sphere 2 r2 1/2\nwindow = 0.1:10\nlambda_max = 100\nformat = csv\n",
+         ["--sphere", "2", "--r2", "1/2", "--hemisphere", "2", "--window", "0.1:10", "--lambda-max", "100",
+          "--format", "csv"]),
+        ("branches", "factor1 = sphere 2\nfactor2 = hemisphere 2\nwindow = 1/2:3\nsamples = 7\nlimit = 2\n",
+         [*SPHERE_HEMI, "--window", "1/2:3", "--samples", "7", "--limit", "2"]),
+        ("verify", "factor1 = sphere 2\nfactor2 = interval 1\nwindow = 0.5:10\nsamples = 2000\n",
+         ["--sphere", "2", "--interval", "1", "--window", "0.5:10", "--samples", "2000"]),
+    ], ids=["spectrum", "scan", "branches", "verify"])
+    def test_config_gives_the_output_of_the_same_flags(self, capsys, tmp_path, command, config, flags):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text(config + f"out = {tmp_path / 'from_config.txt'}\n")
+        assert run(capsys, [command, "--config", str(cfg)]) == (EXIT_OK, "", "")
+        assert run(capsys, [command, *flags, "--out", str(tmp_path / "from_flags.txt")]) == (EXIT_OK, "", "")
+        from_config = (tmp_path / "from_config.txt").read_bytes()
+        assert from_config and from_config == (tmp_path / "from_flags.txt").read_bytes()
+
+    @pytest.mark.parametrize("command", ["scan", "branches", "verify"])
+    def test_keys_the_subcommand_has_no_flag_for_are_ignored(self, capsys, tmp_path, command):
+        settings = "samples = 2000\nlimit = 1\nbelow = 3\nformat = json\n"
+        code, out, err = run(capsys, [command, "--config", self.branches_config(tmp_path, settings)])
+        assert code == EXIT_OK and err == ""
+        if command == "scan":
+            assert [i["s"] for i in json.loads(out)["instants"]] == ["2"]
+        elif command == "branches":
+            curves, rows = self.branches_table(out)
+            assert curves == ["sigma_0_1", "sigma_1_1"] and len(rows) == 2000
+        else:
+            assert out.endswith("all checks passed\n")
+
+    def test_settings_given_as_flags_are_not_read_from_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text("factor1 = bogus 1\nwindow = nowhere\nformat = xml\n")
+        code, out, _ = run(capsys, ["scan", "--config", str(cfg), *SPHERE_HEMI, "--window", "1:3", "--format", "json"])
+        assert code == EXIT_OK
+        assert [i["s"] for i in json.loads(out)["instants"]] == ["2"]
+
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_empty_config_window_exit_3(self, capsys, tmp_path, command):
+        # verify's default window applies only when no window is given at all
+        code, out, err = run(capsys, [command, "--config", self.branches_config(tmp_path, "window =\n")])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: bad window '', expected MIN:MAX\n"
+
+    def test_config_error_names_the_file_and_the_value(self, capsys, tmp_path):
+        cfg = self.branches_config(tmp_path, "samples = lots\n")
+        code, out, err = run(capsys, ["verify", "--config", cfg])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"error: {cfg}: ") and "'lots'" in err
 
     def test_config_format_json_for_spectrum(self, capsys, tmp_path):
         cfg = tmp_path / "factor.cfg"
@@ -433,6 +494,29 @@ class TestBranches:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("closed_extra, closed_max, boundary_max", [
+        ("eig 50 1\n", 60, 12),  # the dense scan once read the boundary factor up to 82/3
+        ("", 28, 60),  # brute force once read the closed factor up to R(s)/(m-1) + 1 = 85/3
+    ], ids=["dense-scan", "brute-force"])
+    def test_custom_factors_complete_up_to_what_scan_reads(self, capsys, tmp_path, closed_extra, closed_max,
+                                                          boundary_max):
+        closed = write_custom(tmp_path, "closed.spec", "eig 0 1\neig 1 2\neig 3 1\neig 7 2\neig 20 1\n" + closed_extra,
+                              dim=2, curv=2, lam=closed_max)
+        boundary = tmp_path / "boundary.spec"
+        boundary.write_text(
+            "dim = 2\nscalar_curvature = 2\nhas_boundary = true\nboundary_minimal = true\n"
+            f"lambda_max = {boundary_max}\neig 0 1\neig 1 1\neig 5 2\neig 11 1\n"
+        )
+        family = ["--custom", closed, "--custom", str(boundary), "--window", "1/40:1"]
+        assert run(capsys, ["scan", *family])[0] == EXIT_OK
+        code, out, err = run(capsys, ["verify", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            "PASS degeneracy instants vs dense scan: 4 exact instants, 4 brackets",
+            "PASS Morse index vs brute force: 7 probe points agree",
+            "all checks passed",
+        ]
+
     def test_passes_on_catalog_family(self, capsys):
         code, out, _ = run(
             capsys, ["verify", *SPHERE_HEMI, "--window", "0.1:10", "--samples", "5000"]

@@ -148,7 +148,7 @@ class TestHarmonicDimensions:
 class TestDenseScan:
     def test_bijection_with_exact_zeros(self, sphere_hemisphere):
         window = (0.01, 20)
-        brackets = dense_scan_degeneracy(sphere_hemisphere, window, 100000, lam=60)
+        brackets = dense_scan_degeneracy(sphere_hemisphere, window, 100000, 60, 60)
         exact = [
             float(inst.s)
             for inst in degeneracy_instants(sphere_hemisphere, (Fraction(1, 100), 20))
@@ -158,15 +158,15 @@ class TestDenseScan:
             assert lo - 1e-9 <= s <= hi + 1e-9
 
     def test_rigid_family_finds_nothing(self, torus_interval):
-        assert dense_scan_degeneracy(torus_interval, (0.01, 100), 5000, lam=50) == []
+        assert dense_scan_degeneracy(torus_interval, (0.01, 100), 5000, 50, 50) == []
 
     def test_bracket_width(self, sphere_interval):
-        for lo, hi in dense_scan_degeneracy(sphere_interval, (0.5, 10), 5000, lam=30):
+        for lo, hi in dense_scan_degeneracy(sphere_interval, (0.5, 10), 5000, 30, 30):
             assert hi - lo <= 2e-10 * lo + 1e-12
 
     def test_coarse_grid_rejected(self, sphere_hemisphere):
         with pytest.raises(ValueError):
-            dense_scan_degeneracy(sphere_hemisphere, (0.1, 10), 100, lam=30)
+            dense_scan_degeneracy(sphere_hemisphere, (0.1, 10), 100, 30, 30)
 
     @staticmethod
     def _every_branch_scan(fam, window, samples, lam):
@@ -245,7 +245,7 @@ class TestDenseScan:
         window = sorted((data.draw(end), data.draw(end)))
         assume(window[0] < window[1])
         samples = data.draw(st.sampled_from([1000, 1999]))
-        assert repr(dense_scan_degeneracy(fam, window, samples, 12)) == repr(
+        assert repr(dense_scan_degeneracy(fam, window, samples, 12, 12)) == repr(
             self._every_branch_scan(fam, window, samples, 12)
         )
 
