@@ -124,12 +124,29 @@ def sigma_value(branch: EigenBranch, s) -> Scalar:
 
 def branch_zero(branch: EigenBranch) -> Optional[Scalar]:
     """The unique zero -b/a in (0, inf), present exactly when a and b have
-    strictly opposite signs; None otherwise (absence is a value)."""
+    strictly opposite signs; None otherwise (absence is a value).  In float
+    mode a coefficient within the tolerance of 0 counts as 0."""
     sa = scalars.sign(branch.a, branch.tolerance)
     sb = scalars.sign(branch.b, branch.tolerance)
     if sa * sb >= 0:
         return None
     return -branch.b / branch.a
+
+
+def _sign_on(branch: EigenBranch, lo, hi) -> Tuple[int, Optional[Scalar]]:
+    """The sign of sigma on [lo, hi], with the branch zero.  The sign is 0
+    when the zero lies in [lo, hi] within the tolerance; otherwise it is the
+    sign of a right of the zero and of b left of it, and a branch without a
+    zero has the sign of its nonzero coefficient."""
+    tol = branch.tolerance
+    zero = branch_zero(branch)
+    if zero is None:
+        return scalars.sign(branch.a, tol) or scalars.sign(branch.b, tol), zero
+    if scalars.lt(zero, lo, tol):
+        return scalars.sign(branch.a, tol), zero
+    if scalars.gt(zero, hi, tol):
+        return scalars.sign(branch.b, tol), zero
+    return 0, zero
 
 
 def _least_index_geq(spectrum, threshold, tol) -> Tuple[int, bool]:
@@ -176,6 +193,32 @@ def enumeration_bounds(fam: ProductFamily, window) -> Tuple[Scalar, Scalar]:
     return (fam.threshold1 + t2 / s_min, fam.threshold2 + s_max * t1)
 
 
+def _pairs(fam: ProductFamily, s_lo, s_hi):
+    """Every branch (i, j) != (0, 0) that can be <= 0 somewhere in
+    [s_lo, s_hi], and a few more that the caller's sign rule rejects.  sigma
+    <= 0 at s means b <= -a*s, and the least a*s is at s_lo when a > 0, at
+    s_hi when a < 0, and 0 when a is 0 within the tolerance.  That bound on b
+    falls as i grows, so factor 2 is read once, at the bound of i = 0; a
+    negative bound reads level 0 only."""
+    tol = fam.tolerance
+    t1, t2 = fam.threshold1, fam.threshold2
+
+    def least(a):
+        sa = scalars.sign(a, tol)
+        return a * (s_lo if sa > 0 else s_hi) if sa else 0
+
+    levels2 = fam.factor2.eigenvalues_leq(max(t2 - least(-t1), 0))
+    coefficients2 = [(r2 - t2, m2) for r2, m2 in levels2]
+    for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(max(t1 + max(t2 / s_lo, t2 / s_hi), 0))):
+        a = r1 - t1
+        bound = -least(a)
+        for j, (b, m2) in enumerate(coefficients2):
+            if scalars.gt(b, bound, tol):
+                break
+            if i or j:
+                yield EigenBranch(i, j, a, b, m1 * m2, tol)
+
+
 def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Scalar, List[EigenBranch]]]:
     """Group branch zeros, recorded as (s, branch), into instants, ascending.
 
@@ -184,7 +227,9 @@ def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Sca
     differ by at most tol * max(1, |a|, |b|), which for positive zeros is
     tol * max(1, |larger|).  close is symmetric and, on a sorted list, that
     single linkage is transitive, so the clusters do not depend on the order
-    of recording.  A cluster keeps its first recorded zero as its s."""
+    of recording.  A cluster keeps its first recorded zero as its s; the
+    zeros are recorded for the decreasing branches by (i, j), then for the
+    increasing branches by (j, i)."""
     clusters: List[List[Tuple[int, Scalar, EigenBranch]]] = []  # (rank recorded, s, branch)
     for rank, (s, branch) in sorted(enumerate(found), key=lambda item: item[1][0]):
         if clusters and scalars.close(s, clusters[-1][-1][1], tol):
@@ -214,90 +259,60 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
     _require_budget(lam, need1, "for the closed factor")
     _require_budget(lam, need2, "for the boundary factor")
 
-    t1 = fam.threshold1
-    t2 = fam.threshold2
     found: List[Tuple[Scalar, EigenBranch]] = []
-
-    # decreasing branches: a < 0 (rho_i < T1) and b > 0, zero at s = (rho_j - T2)/(T1 - rho_i)
-    if scalars.gt(t1, 0, tol):
-        for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_below(t1)):
-            bound2 = max(t2 + s_max * (t1 - r1), 0)  # negative when T2 < 0
-            for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_leq(bound2)):
-                if (i == 0 and j == 0) or not scalars.gt(r2, t2, tol):
-                    continue
-                s = (r2 - t2) / (t1 - r1)
-                if scalars.ge(s, s_min, tol) and scalars.le(s, s_max, tol):
-                    found.append((s, EigenBranch(i, j, r1 - t1, r2 - t2, m1 * m2, tol)))
-
-    # increasing branches: b < 0 (rho_j < T2) and a > 0, zero at s = (T2 - rho_j)/(rho_i - T1)
-    if scalars.gt(t2, 0, tol):
-        for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_below(t2)):
-            bound1 = max(t1 + (t2 - r2) / s_min, 0)  # negative when T1 < 0
-            for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(bound1)):
-                if (i == 0 and j == 0) or not scalars.gt(r1, t1, tol):
-                    continue
-                s = (t2 - r2) / (r1 - t1)
-                if scalars.ge(s, s_min, tol) and scalars.le(s, s_max, tol):
-                    found.append((s, EigenBranch(i, j, r1 - t1, r2 - t2, m1 * m2, tol)))
+    for branch in _pairs(fam, s_min, s_max):
+        sign, zero = _sign_on(branch, s_min, s_max)
+        if sign == 0:
+            found.append((zero, branch))
+    # record the decreasing branches by (i, j), then the increasing ones by (j, i): s is an instant's first zero
+    found.sort(key=lambda item: (True, item[1].j, item[1].i) if item[1].b < 0 else (False, item[1].i, item[1].j))
 
     instants = []
     for s, branches in _merge_zeros(found, tol):
         branches = tuple(sorted(branches, key=lambda br: (br.i, br.j)))
-        jump = sum(
-            br.multiplicity if br.monotonicity is Monotonicity.DECREASING else -br.multiplicity
-            for br in branches
-        )
-        instants.append(
-            DegeneracyInstant(
-                s=s,
-                branches=branches,
-                total_multiplicity=sum(br.multiplicity for br in branches),
-                jump=jump,
-            )
-        )
+        jump = sum(br.multiplicity if br.monotonicity is Monotonicity.DECREASING else -br.multiplicity
+                   for br in branches)
+        instants.append(DegeneracyInstant(s, branches, sum(br.multiplicity for br in branches), jump))
     return instants
 
 
-def _index_counts(fam: ProductFamily, s) -> Tuple[int, int, int]:
-    """(below, increasing, decreasing) at s: the total multiplicity of the
-    branches (i + j > 0) with sigma_{i,j}(s) < 0, and of the increasing and
-    the decreasing branches that vanish at s.  Every branch is monotone, so
-    the Morse index is below + increasing just left of s and below +
-    decreasing just right of it."""
-    tol = fam.tolerance
-    s = fam.coerce(s)
-    if s <= 0:
-        raise ValueError("family parameter s must be positive")
-    theta = fam.threshold1 + fam.threshold2 / s
-    if scalars.le(theta, 0, tol):
-        return 0, 0, 0
+def _index_counts(fam: ProductFamily, lo, hi) -> Tuple[int, int, int]:
+    """(below, increasing, decreasing) on [lo, hi], a point or the zeros of
+    one instant: the total multiplicity of the branches (i + j > 0) with
+    sigma_{i,j} < 0 there, and of the increasing and the decreasing branches
+    that vanish there, each judged by _sign_on as the zero search judges it.
+    Every branch is monotone, so the Morse index is below + increasing just
+    left of [lo, hi] and below + decreasing just right of it."""
     below = increasing = decreasing = 0
-    for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(theta)):
-        # in float mode r1 may exceed theta by a rounding error
-        for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_leq(max(s * (theta - r1), 0))):
-            if i == 0 and j == 0:
-                continue
-            value = r1 + r2 / s
-            if scalars.close(value, theta, tol):
-                if scalars.sign(r2 - fam.threshold2, tol) < 0:
-                    increasing += m1 * m2
-                else:
-                    decreasing += m1 * m2
-            elif value < theta:
-                below += m1 * m2
+    for br in _pairs(fam, lo, hi):
+        sign, _ = _sign_on(br, lo, hi)
+        if sign < 0:
+            below += br.multiplicity
+        elif sign == 0 and br.monotonicity is Monotonicity.INCREASING:
+            increasing += br.multiplicity
+        elif sign == 0:
+            decreasing += br.multiplicity
     return below, increasing, decreasing
+
+
+def _span(instant: DegeneracyInstant) -> Tuple[Scalar, Scalar]:
+    """The least and the largest zero of the instant's branches, one chain
+    within the tolerance (a single point in exact mode)."""
+    zeros = [branch_zero(br) for br in instant.branches]
+    return min(zeros), max(zeros)
 
 
 def morse_index(fam: ProductFamily, s) -> int:
     """n_s: total multiplicity of branches (i + j > 0) with sigma_{i,j}(s) < 0,
     i.e. product eigenvalues other than the constants' zero strictly below
     R(s)/(m-1).  Exact check that s is not a degeneracy instant."""
-    below, increasing, decreasing = _index_counts(fam, s)
+    s = fam.coerce(s)
+    if s <= 0:
+        raise ValueError("family parameter s must be positive")
+    below, increasing, decreasing = _index_counts(fam, s, s)
     if increasing or decreasing:
-        raise DegeneracyInstantError(
-            f"s = {scalars.fmt(fam.coerce(s), fam.tolerance)} is a degeneracy instant; "
-            "use index_jump instead"
-        )
+        raise DegeneracyInstantError(f"s = {scalars.fmt(s, fam.tolerance)} is a degeneracy instant; "
+                                     "use index_jump instead")
     return below
 
 
@@ -305,7 +320,7 @@ def index_jump(fam: ProductFamily, instant: DegeneracyInstant) -> Tuple[int, int
     """Morse indices just below and just above the instant, counted at the
     instant itself.  certified means n_minus != n_plus, in which case the
     instant is a bifurcation instant."""
-    below, increasing, decreasing = _index_counts(fam, instant.s)
+    below, increasing, decreasing = _index_counts(fam, *_span(instant))
     return below + increasing, below + decreasing, increasing != decreasing
 
 
@@ -333,12 +348,8 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
     tol = fam.tolerance
     window = (fam.coerce(window[0]), fam.coerce(window[1]))
     if is_degenerate_pair(fam):
-        return FamilyClassification(
-            case=FamilyCase.DEGENERATE_PAIR,
-            instants=(),
-            accumulation=_ACCUMULATION[FamilyCase.DEGENERATE_PAIR],
-            window=window,
-        )
+        return FamilyClassification(case=FamilyCase.DEGENERATE_PAIR, instants=(),
+                                    accumulation=_ACCUMULATION[FamilyCase.DEGENERATE_PAIR], window=window)
     r1 = fam.factor1.scalar_curvature
     r2 = fam.factor2.scalar_curvature
     pos1 = scalars.gt(r1, 0, tol)
@@ -356,28 +367,17 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
     certified = []
     if instants:
         # the index changes only at instants, and there by the exact jump
-        below, increasing, _ = _index_counts(fam, instants[0].s)
+        below, increasing, _ = _index_counts(fam, *_span(instants[0]))
         n_plus = below + increasing
         for inst in instants:
             n_minus, n_plus = n_plus, n_plus + inst.jump
-            certified.append(
-                CertifiedInstant(
-                    instant=inst,
-                    n_minus=n_minus,
-                    n_plus=n_plus,
-                    certified=n_minus != n_plus,
-                    side=_side(inst.branches),
-                )
-            )
-        below, _, decreasing = _index_counts(fam, instants[-1].s)
+            certified.append(CertifiedInstant(instant=inst, n_minus=n_minus, n_plus=n_plus,
+                                              certified=n_minus != n_plus, side=_side(inst.branches)))
+        below, _, decreasing = _index_counts(fam, *_span(instants[-1]))
         if below + decreasing != n_plus:
             raise RecountError(
                 f"{fam.label}: the Morse index after s = {scalars.fmt(instants[-1].s, tol)} "
                 f"recounts to {below + decreasing}, but the exact jumps sum to {n_plus}"
             )
-    return FamilyClassification(
-        case=case,
-        instants=tuple(certified),
-        accumulation=_ACCUMULATION[case],
-        window=window,
-    )
+    return FamilyClassification(case=case, instants=tuple(certified), accumulation=_ACCUMULATION[case],
+                                window=window)

@@ -354,6 +354,29 @@ def _families_and_windows(draw):
     return (t1, t2, levels1, levels2), (s_min, s_max), zeros
 
 
+_NUDGE = st.floats(-4, 4)  # in tolerances
+
+
+@st.composite
+def _near_threshold_float_families(draw):
+    """A random float family at tol 1e-9 in one of the four curvature-sign
+    cases whose level nearest each positive threshold is moved to within 4
+    tolerances of it, so that some branch coefficients lie within a few
+    tolerances of 0, with a window."""
+    pos1, pos2 = draw(_SIGNS)
+    thresholds = draw(_THRESHOLD[pos1]), draw(_THRESHOLD[pos2])
+    levels = []
+    for t in thresholds:
+        values = [(float(e), m) for e, m in _levels(draw)]
+        if t > 0:
+            k = min(range(1, len(values)), key=lambda k: abs(values[k][0] - t))
+            values[k] = (float(t) * (1 + draw(_NUDGE) * 1e-9), values[k][1])
+        levels.append(sorted(values))
+    s_min, s_max = sorted((draw(_WINDOW_END), draw(_WINDOW_END)))
+    assume(s_min < s_max)
+    return _custom_pair(*thresholds, *levels, tolerance=1e-9), (s_min, s_max)
+
+
 class TestSweep:
     @given(_families_and_windows())
     @settings(max_examples=200, deadline=None)
@@ -464,8 +487,6 @@ class TestFloatMode:
         if abs(a) >= 1:
             assert scalars.close(a, far, tol) and scalars.close(far, a, tol)
 
-    @pytest.mark.xfail(strict=True, raises=RecountError,
-                       reason="the zero search and the recount decide 'vanishing at s' at different scales")
     def test_levels_within_a_few_tolerances_of_a_threshold(self):
         """Branch (1, 1) has a = 0 and b = -2.9e-9 at tol 1e-9: the recount
         compares the product eigenvalue with theta at scale tol * theta and
@@ -478,6 +499,26 @@ class TestFloatMode:
         )
         cls = classify_family(make_family(closed, boundary), (Fraction(1, 5), 2))
         assert all(ci.certified for ci in cls.instants)
+
+    @given(_near_threshold_float_families())
+    @settings(max_examples=60, deadline=None)
+    def test_one_sign_rule_near_the_thresholds(self, case):
+        """With levels within a few tolerances of the thresholds, the zero
+        search and the Morse-index count judge every branch by the same rule:
+        classification never raises, consecutive instants agree on the index
+        between them, and every probe index of verify equals morse_index, or
+        is None where morse_index refuses."""
+        fam, window = case
+        assume(not is_degenerate_pair(fam))
+        got = classify_family(fam, window).instants
+        for left, right in zip(got, got[1:]):
+            assert left.n_plus == right.n_minus
+        for s, index in cli._probe_indices(fam, window, got):
+            try:
+                expected = morse_index(fam, s)
+            except DegeneracyInstantError:
+                expected = None
+            assert index == expected
 
     def test_chained_zeros_merge_into_one_instant(self):
         """Zeros at 1, 1 + 0.6e-9 and 1 + 1.2e-9 chain within the tolerance
@@ -493,3 +534,19 @@ class TestFloatMode:
         assert [(br.i, br.j) for br in chain.instant.branches] == [(0, 3), (1, 2), (2, 1)]
         assert chain.instant.jump == 3
         assert chain.n_plus - chain.n_minus == 3
+
+    @pytest.mark.parametrize("window", [(0.5, 1.0000000005), (1.0000000001, 3.0)], ids=["last", "first"])
+    def test_chain_counted_over_its_zeros(self, window):
+        """The same chain as the first or the last instant of the window: the
+        index is counted over all its zeros, 1 to 1 + 1.2e-9, so the branch
+        (1, 2), whose zero is not close to s = 1, still counts as vanishing
+        and the closing recount agrees with the jumps."""
+        f1 = custom_spectrum(2, 3.0, [(0.0, 1), (0.25, 1), (0.5, 1)], 10.0, tolerance=1e-9, label="closed")
+        f2 = custom_spectrum(
+            2, 3.0, [(0.0, 1), (1.5000000003, 1), (1.7500000009, 1), (2.0, 1)], 10.0,
+            has_boundary=True, boundary_minimal=True, tolerance=1e-9, label="boundary",
+        )
+        fam = make_family(f1, f2)
+        (chain,) = [ci for ci in classify_family(fam, window).instants if abs(ci.instant.s - 1) < 1e-6]
+        assert (chain.n_minus, chain.n_plus) == (5, 8)
+        assert index_jump(fam, chain.instant) == (5, 8, True)

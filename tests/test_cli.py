@@ -517,6 +517,27 @@ class TestVerify:
             "all checks passed",
         ]
 
+    def test_agrees_with_scan_near_a_threshold(self, capsys, tmp_path):
+        """Branch (1, 2) has a = 4.9e-9 and b = 1.02e-9, both above the
+        tolerance 1e-9, so it is positive at every s and scan finds no
+        instant; verify must not call the window end a degeneracy instant."""
+        closed = tmp_path / "closed.spec"
+        closed.write_text(
+            "dim = 3\nscalar_curvature = 6\nhas_boundary = false\nboundary_minimal = false\n"
+            "tolerance = 1e-9\nlambda_max = 200\neig 0 1\neig 1.5000000049164488 3\n"
+        )
+        boundary = tmp_path / "boundary.spec"
+        boundary.write_text(
+            "dim = 2\nscalar_curvature = 10\nhas_boundary = true\nboundary_minimal = true\n"
+            "tolerance = 1e-9\nlambda_max = 200\neig 0 1\neig 1.3333333333333333 2\neig 2.500000001020945 1\n"
+        )
+        family = ["--custom", str(closed), "--custom", str(boundary), "--window", "0.05:1"]
+        code, out, _ = run(capsys, ["scan", *family])
+        assert code == EXIT_OK and "instants (0):" in out
+        code, out, err = run(capsys, ["verify", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "all checks passed"
+
     def test_passes_on_catalog_family(self, capsys):
         code, out, _ = run(
             capsys, ["verify", *SPHERE_HEMI, "--window", "0.1:10", "--samples", "5000"]
