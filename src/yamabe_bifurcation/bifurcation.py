@@ -227,16 +227,21 @@ def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Sca
     differ by at most tol * max(1, |a|, |b|), which for positive zeros is
     tol * max(1, |larger|).  close is symmetric and, on a sorted list, that
     single linkage is transitive, so the clusters do not depend on the order
-    of recording.  A cluster keeps its first recorded zero as its s; the
-    zeros are recorded for the decreasing branches by (i, j), then for the
-    increasing branches by (j, i)."""
-    clusters: List[List[Tuple[int, Scalar, EigenBranch]]] = []  # (rank recorded, s, branch)
-    for rank, (s, branch) in sorted(enumerate(found), key=lambda item: item[1][0]):
-        if clusters and scalars.close(s, clusters[-1][-1][1], tol):
-            clusters[-1].append((rank, s, branch))
+    of recording.  A cluster's s is the zero of its first branch in the
+    recording order: the decreasing branches by (i, j), then the increasing
+    branches by (j, i)."""
+    clusters: List[List[Tuple[Scalar, EigenBranch]]] = []
+    for s, branch in sorted(found, key=lambda zero: zero[0]):
+        if clusters and scalars.close(s, clusters[-1][-1][0], tol):
+            clusters[-1].append((s, branch))
         else:
-            clusters.append([(rank, s, branch)])
-    return [(min(cluster)[1], [branch for _, _, branch in cluster]) for cluster in clusters]
+            clusters.append([(s, branch)])
+
+    def recorded(zero):
+        br = zero[1]
+        return (True, br.j, br.i) if br.b < 0 else (False, br.i, br.j)
+
+    return [(min(cluster, key=recorded)[0], [branch for _, branch in cluster]) for cluster in clusters]
 
 
 def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[DegeneracyInstant]:
@@ -264,8 +269,6 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
         sign, zero = _sign_on(branch, s_min, s_max)
         if sign == 0:
             found.append((zero, branch))
-    # record the decreasing branches by (i, j), then the increasing ones by (j, i): s is an instant's first zero
-    found.sort(key=lambda item: (True, item[1].j, item[1].i) if item[1].b < 0 else (False, item[1].i, item[1].j))
 
     instants = []
     for s, branches in _merge_zeros(found, tol):
@@ -367,17 +370,16 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
     certified = []
     if instants:
         # the index changes only at instants, and there by the exact jump
-        below, increasing, _ = _index_counts(fam, *_span(instants[0]))
-        n_plus = below + increasing
+        n_plus = index_jump(fam, instants[0])[0]
         for inst in instants:
             n_minus, n_plus = n_plus, n_plus + inst.jump
             certified.append(CertifiedInstant(instant=inst, n_minus=n_minus, n_plus=n_plus,
                                               certified=n_minus != n_plus, side=_side(inst.branches)))
-        below, _, decreasing = _index_counts(fam, *_span(instants[-1]))
-        if below + decreasing != n_plus:
+        recount = index_jump(fam, instants[-1])[1]
+        if recount != n_plus:
             raise RecountError(
                 f"{fam.label}: the Morse index after s = {scalars.fmt(instants[-1].s, tol)} "
-                f"recounts to {below + decreasing}, but the exact jumps sum to {n_plus}"
+                f"recounts to {recount}, but the exact jumps sum to {n_plus}"
             )
     return FamilyClassification(case=case, instants=tuple(certified), accumulation=_ACCUMULATION[case],
                                 window=window)

@@ -23,9 +23,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import scalars
 from .errors import IncompleteSpectrumError, SpectrumFormatError
@@ -33,58 +34,40 @@ from .scalars import Scalar, as_exact
 
 Level = Tuple[Scalar, int]
 
+# enum_leq -> (largest bound enumerated, its levels); a table lives as long as its enum_leq
+_TABLES = weakref.WeakKeyDictionary()
 
-class FactorSpectrum:
+
+class FactorSpectrum(NamedTuple):
     """One factor manifold, reduced to its spectral data.
 
     ``enum_leq(bound)`` must return the complete ascending list of distinct
     (eigenvalue, multiplicity) pairs with eigenvalue <= bound; it is the only
     enumeration primitive, everything else is served from one table of its
-    largest result so far.  ``kind`` names the constructor (interval, sphere,
-    hemisphere, torus or custom).  ``lambda_max`` None means complete for
-    every cutoff, ``tolerance`` None exact rational mode.  The fields are
-    read-only, equality ignores the table and ``_replace`` starts a new one.
+    largest result so far.  The table lives in the module's ``_TABLES``,
+    keyed by ``enum_leq``: copies and ``_replace`` of other fields share it,
+    and a new ``enum_leq`` (as in ``rescaled_metric``) starts a new one.
+    ``kind`` names the constructor (interval, sphere, hemisphere, torus or
+    custom).  ``lambda_max`` None means complete for every cutoff,
+    ``tolerance`` None exact rational mode.
     """
 
-    _fields = ("dim", "scalar_curvature", "has_boundary", "boundary_minimal", "label", "kind", "enum_leq",
-               "lambda_max", "tolerance")
-    __slots__ = _fields + ("_table",)
-
-    def __init__(self, dim, scalar_curvature, has_boundary, boundary_minimal, label, kind, enum_leq,
-                 lambda_max=None, tolerance=None):
-        fields = locals()
-        for name in self._fields:
-            object.__setattr__(self, name, fields[name])
-        object.__setattr__(self, "_table", [None, []])  # [largest bound enumerated, its levels]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FactorSpectrum is read-only: cannot set {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return "FactorSpectrum(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
-
-    def _replace(self, **changes) -> "FactorSpectrum":
-        return FactorSpectrum(**dict(zip(self._fields, self._values()), **changes))
-
-    def __reduce__(self):  # copy, deepcopy and pickle rebuild through __init__
-        return FactorSpectrum, self._values()
+    dim: int
+    scalar_curvature: Scalar
+    has_boundary: bool
+    boundary_minimal: bool
+    label: str
+    kind: str
+    enum_leq: Callable[[Scalar], List[Level]]
+    lambda_max: Optional[Scalar] = None
+    tolerance: Optional[float] = None
 
     def _levels_upto(self, bound) -> List[Level]:
         """The table, enumerated afresh when ``bound`` lies beyond it."""
-        covered, levels = self._table
-        if covered is None or bound > covered:
-            levels = self.enum_leq(bound)
-            self._table[:] = [bound, levels]
-        return levels
+        table = _TABLES.get(self.enum_leq)
+        if table is None or bound > table[0]:
+            table = _TABLES[self.enum_leq] = (bound, self.enum_leq(bound))
+        return table[1]
 
     def _prefix(self, bound, past) -> List[Level]:
         if bound < 0:
@@ -316,6 +299,7 @@ def custom_spectrum(
 
 
 _BOOL = {"true": True, "false": False}
+_HEADER_KEYS = ("dim", "scalar_curvature", "has_boundary", "boundary_minimal", "lambda_max", "tolerance")
 
 
 def custom_from_file(path) -> FactorSpectrum:
@@ -323,7 +307,8 @@ def custom_from_file(path) -> FactorSpectrum:
 
     Header keys: dim, scalar_curvature, has_boundary, boundary_minimal,
     lambda_max, and optionally tolerance (presence selects floating mode);
-    then one ``eig <value> <multiplicity>`` line per distinct eigenvalue.
+    any other key is an error.  Then one ``eig <value> <multiplicity>`` line
+    per distinct eigenvalue.
     """
     header = {}
     rows = []
@@ -336,8 +321,8 @@ def custom_from_file(path) -> FactorSpectrum:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("eig"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "eig":
             if len(parts) != 3:
                 raise SpectrumFormatError("expected 'eig <value> <multiplicity>'", num)
             try:
@@ -346,7 +331,10 @@ def custom_from_file(path) -> FactorSpectrum:
                 raise SpectrumFormatError(f"bad multiplicity {parts[2]!r}", num)
         elif "=" in line:
             key, _, value = line.partition("=")
-            header[key.strip()] = (value.strip(), num)
+            key = key.strip()
+            if key not in _HEADER_KEYS:
+                raise SpectrumFormatError(f"unknown header key {key!r}", num)
+            header[key] = (value.strip(), num)
         else:
             raise SpectrumFormatError(f"unrecognized line {line!r}", num)
 

@@ -68,6 +68,12 @@ class TestSpectrum:
             ("0", 1), ("2", 2), ("6", 3), ("12", 4),
         ]
 
+    def test_unknown_custom_key_exit_3(self, capsys, tmp_path):
+        path = write_custom(tmp_path, levels="tolerence = 1e-9\neig 0 1\neig 5/2 2\n")
+        code, out, err = run(capsys, ["spectrum", "--custom", path, "--below", "5"])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and "line 6: unknown header key 'tolerence'" in err and out == ""
+
     def test_torus_and_interval(self, capsys):
         code, out, _ = run(capsys, ["spectrum", "--torus", "1,1", "--below", "3", "--format", "json"])
         assert code == EXIT_OK
@@ -532,6 +538,30 @@ class TestVerify:
             "tolerance = 1e-9\nlambda_max = 200\neig 0 1\neig 1.3333333333333333 2\neig 2.500000001020945 1\n"
         )
         family = ["--custom", str(closed), "--custom", str(boundary), "--window", "0.05:1"]
+        code, out, _ = run(capsys, ["scan", *family])
+        assert code == EXIT_OK and "instants (0):" in out
+        code, out, err = run(capsys, ["verify", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "all checks passed"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 6: the oracles compare raw float signs, "
+                              "the engine counts a coefficient within the tolerance of 0 as 0")
+    def test_oracles_apply_the_sign_rule_of_scan(self, capsys, tmp_path):
+        """Branch (1, 1) has a within the tolerance of 0, so scan keeps it at
+        the sign of b at every s, while brute force reads the raw float sign
+        of a: s=5: engine 11 vs brute 5."""
+        closed = tmp_path / "closed.spec"
+        closed.write_text(
+            "dim = 2\nscalar_curvature = 6\nhas_boundary = false\nboundary_minimal = false\n"
+            "tolerance = 1e-9\nlambda_max = 100\neig 0 1\neig 2.0000000006652865 2\n"
+        )
+        boundary = tmp_path / "boundary.spec"
+        boundary.write_text(
+            "dim = 2\nscalar_curvature = 6\nhas_boundary = true\nboundary_minimal = true\n"
+            "tolerance = 1e-9\nlambda_max = 100\neig 0 1\neig 1.999999997990738 3\n"
+        )
+        family = ["--custom", str(closed), "--custom", str(boundary), "--window", "5:10"]
         code, out, _ = run(capsys, ["scan", *family])
         assert code == EXIT_OK and "instants (0):" in out
         code, out, err = run(capsys, ["verify", *family])

@@ -101,36 +101,46 @@ class TestEigenBranchChecks:
         assert br.tolerance is None and br == EigenBranch(1, 0, Fraction(1), Fraction(0), 2, None)
 
 
+def _counting(enum):
+    """``enum`` and the list of bounds it has been asked for."""
+    bounds = []
+
+    def counting(bound):
+        bounds.append(bound)
+        return enum(bound)
+
+    return counting, bounds
+
+
 class TestFactorSpectrum:
-    def test_equality_ignores_the_level_table(self):
-        spec = round_sphere(2)
-        duplicate = spec._replace()
-        spec.eigenvalues_leq(50)
-        assert duplicate._table == [None, []] and spec._table != duplicate._table
-        assert spec == duplicate and hash(spec) == hash(duplicate)
-
-    def test_replace_starts_a_new_table(self):
-        spec = round_sphere(2)
-        spec.eigenvalues_leq(50)
-        duplicate = spec._replace(label="renamed")
-        assert duplicate._table == [None, []] and duplicate._table is not spec._table
-        assert duplicate != spec and duplicate.label == "renamed" and duplicate.dim == spec.dim
-
     def test_equality_compares_the_fields(self):
         assert round_sphere(2) != round_sphere(2)  # each constructor call has its own enum_leq
         assert SPHERE != HEMISPHERE
-        assert SPHERE != tuple(getattr(SPHERE, name) for name in SPHERE._fields)
+        assert SPHERE != SPHERE._replace(label="renamed")
 
-    def test_copy_starts_a_new_table(self):
-        spec = round_sphere(2)
+    def test_copies_share_the_table(self):
+        counting, bounds = _counting(SPHERE.enum_leq)
+        spec = SPHERE._replace(enum_leq=counting)
         spec.eigenvalues_leq(50)
         for duplicate in (copy.copy(spec), copy.deepcopy(spec)):
-            assert duplicate == spec and duplicate._table == [None, []]
-            assert duplicate.eigenvalues_leq(10) == spec.eigenvalues_leq(10)
+            assert duplicate == spec
+            assert duplicate.eigenvalues_leq(10) == [(0, 1), (2, 3), (6, 5)]
+        assert bounds == [50]
 
-    def test_table_cannot_be_rebound(self):
+    def test_replace_shares_the_table_unless_enum_leq_changes(self):
+        counting, bounds = _counting(SPHERE.enum_leq)
+        spec = SPHERE._replace(enum_leq=counting)
+        spec.eigenvalues_leq(50)
+        renamed = spec._replace(label="renamed")
+        assert renamed != spec and renamed.label == "renamed" and renamed.dim == spec.dim
+        assert renamed.eigenvalues_leq(50) == spec.eigenvalues_leq(50) and bounds == [50]
+        recounting, new_bounds = _counting(SPHERE.enum_leq)
+        assert spec._replace(enum_leq=recounting).eigenvalues_leq(10) == spec.eigenvalues_leq(10)
+        assert new_bounds == [10] and bounds == [50]
+
+    def test_no_attribute_can_be_added(self):
         with pytest.raises(AttributeError):
-            SPHERE._table = [None, []]
+            SPHERE.table = (50, [])
 
     def test_positional_and_default_fields(self):
         spec = FactorSpectrum(1, Fraction(0), True, True, "seg", "custom", lambda bound: [(Fraction(0), 1)])

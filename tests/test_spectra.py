@@ -278,6 +278,15 @@ class TestCustomFile:
         with pytest.raises(SpectrumFormatError, match="line 6"):
             custom_from_file(path)
 
+    def test_eig_must_be_the_whole_first_word(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "dim = 2\nscalar_curvature = 0\nhas_boundary = false\n"
+            "boundary_minimal = false\nlambda_max = 9\neig 0 1\neigen 2 3\n",
+        )
+        with pytest.raises(SpectrumFormatError, match="^line 7: unrecognized line 'eigen 2 3'$"):
+            custom_from_file(path)
+
     def test_tolerance_selects_float_mode(self, tmp_path):
         path = self.write(
             tmp_path,
