@@ -378,7 +378,7 @@ def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
 def _verify_checks(fam, window, lam, samples):
     """Yield (name, passed, detail) for each oracle/engine comparison;
     ``passed`` is None for a check that no oracle covers."""
-    from . import oracle  # numpy is needed by verify alone
+    from . import oracle  # the oracles are needed by verify alone
 
     for idx, spec in ((1, fam.factor1), (2, fam.factor2)):
         name = f"factor{idx} {spec.label}"

@@ -1,37 +1,39 @@
 """Independent ground-truth computations used to validate the engine.
 
-Everything here is intentionally naive -- bisection, dense linear algebra,
-exhaustive counts, dense scans -- and shares no computation with the exact
-engine it checks:
+Everything here is intentionally naive -- bisection, exact elimination,
+exhaustive counts, dense grids -- and pure Python, and shares no
+computation with the exact engine it checks:
 
 * finite-difference Neumann spectrum of the interval, by bisection on Sturm
   counts, with a Newton step on det(T - xI) taken from the same LDL^T pass
   once an eigenvalue is alone in its bracket,
-* harmonic-polynomial dimension counts by the numeric rank of the explicit
-  Laplacian matrix on monomials.  The Laplacian keeps the parity of every
-  exponent, so the matrix is built block by block, one block per parity
-  class, and the blocks of one weight (number of odd exponents) share a
-  shape and are ranked in one stacked call,
-* dense sign-change scan for degeneracy instants.  A branch a + b/s
-  vanishes only when a and b have strictly opposite signs, so a pair with
-  a > 0, b >= 0 or a < 0, b <= 0 is skipped.  Under IEEE rounding its
-  sampled value a + b*(1/s) adds two terms of one sign: it has the strict
-  sign of a at every grid point, and its magnitude is the sum |a| + |b|/s
-  that the 1e-12 window-end test scales, so it gives no bracket.  The scan
-  therefore returns the same brackets, bit for bit, as one that samples
-  every pair.  Pairs with a == 0 are still sampled,
-* brute-force Morse index, counted over every pair of factor levels from one
-  float table per factor.
+* harmonic-polynomial dimension counts by the exact rank of the Laplacian
+  matrix on monomials, one block per parity class of the exponents (the
+  Laplacian keeps them), by fraction-free integer elimination,
+* sign-change scan for degeneracy instants on a dense log-spaced grid.  A
+  branch a + b/s with a > 0, b >= 0 or a < 0, b <= 0 is skipped: its
+  sampled value a + b*(1/s) adds two terms of one sign, so it has the
+  strict sign of a at every grid point and never passes the 1e-12
+  window-end test.  For the other pairs, the grid never decreases and
+  fl(1/g), fl(b*x) and fl(a + y) are each monotone, so the sampled signs
+  are a run of the sign at s_min, a run of zeros and a run of the sign at
+  s_max, whose meeting points bisection over grid indices finds.  The
+  brackets are thus bit for bit those of sampling every pair at every point,
+* brute-force Morse index over every pair of factor levels, from one float
+  list per factor.  For a closed level r1_i, the boundary levels with
+  (r1_i - t1) + (r2_j - t2)/s < 0 are a prefix in j, since that float
+  expression is monotone in r2_j; bisection finds it, and prefix sums of
+  the multiplicities count it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
-from typing import List, NamedTuple, Sequence, Tuple
-
-import numpy as np
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .product import ProductFamily
 
@@ -140,38 +142,49 @@ def _monomials(total: int, nvars: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _laplacian_kernel_dimension(degree: int, nvars: int, free: int) -> int:
-    """Dimension of the kernel of the Laplacian on the degree-``degree``
-    polynomials in ``nvars`` variables whose exponents are even from variable
-    ``free`` on.
+def _exact_rank(columns: Iterable[Dict[int, int]], rows: int) -> int:
+    """Rank of an integer matrix with ``rows`` rows and sparse columns
+    ({row: nonzero entry}), by fraction-free elimination: a column is
+    cross-multiplied with the pivot of its lowest row, cancelling it, and
+    divided by its gcd, until it is zero or the pivot of a new row."""
+    pivots: Dict[int, Dict[int, int]] = {}
+    for col in columns:
+        if len(pivots) == rows:
+            break
+        while col:
+            lead = min(col)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = col
+                break
+            x, p = col[lead], pivot[lead]
+            col = {r: v for r in col.keys() | pivot.keys() if (v := p * col.get(r, 0) - x * pivot.get(r, 0))}
+            g = math.gcd(*col.values())
+            col = {r: v // g for r, v in col.items()}
+    return len(pivots)
 
-    The Laplacian lowers one exponent by 2, so it keeps the parity class
-    p in {0,1}^nvars of every monomial: its matrix is block diagonal, with
-    one block per class on the monomials x^p (x^2)^f, |f| = (degree - |p|)/2.
-    x^p (x^2)^f maps to sum_v e_v (e_v - 1) x^p (x^2)^(f - 1_v), with
-    e_v = p_v + 2 f_v, and every f' with |f'| = |f| - 1 is such an image.
-    The blocks of the classes of one weight |p| have one shape, so each
-    weight is one stacked numeric rank, each block with its own tolerance."""
+
+def _laplacian_kernel_dimension(n: int, k: int, free: int) -> int:
+    """Dimension of the kernel of the Laplacian on the degree-k polynomials
+    in n+1 variables whose exponents are even from variable ``free`` on.
+    The Laplacian keeps the parity class p in {0,1}^(n+1) of every
+    monomial, so its matrix has one block per class, on the monomials
+    x^p (x^2)^f with |f| = (k - |p|)/2; x^p (x^2)^f maps to
+    sum_v e_v (e_v - 1) x^p (x^2)^(f - 1_v), e_v = p_v + 2 f_v.  Each block
+    gets its exact rank; for |f| = 0 it is one zero column and no row."""
+    if n > 4 or k > 12:
+        raise ValueError("dense rank computation limited to n <= 4, k <= 12")
     total = 0
-    for weight in range(degree % 2, min(degree, free) + 1, 2):
-        parities = np.array([
-            [v in odd for v in range(nvars)] for odd in itertools.combinations(range(free), weight)
-        ], dtype=np.int64)
-        classes = len(parities)
-        size = (degree - weight) // 2  # |f|
-        if size == 0:  # x^p alone, which the Laplacian kills
-            total += classes
-            continue
-        halves = _monomials(size, nvars)  # the f of one block's columns
-        rows = {f: row for row, f in enumerate(_monomials(size - 1, nvars))}
-        row, col, var, half = np.array([
-            (rows[f[:v] + (f[v] - 1,) + f[v + 1:]], c, v, f[v])
-            for c, f in enumerate(halves) for v in range(nvars) if f[v]
-        ]).T
-        exponent = 2 * half + parities[:, var]  # one row per class
-        blocks = np.zeros((classes, len(rows), len(halves)))
-        blocks[:, row, col] = exponent * (exponent - 1)
-        total += classes * len(halves) - int(np.linalg.matrix_rank(blocks).sum())
+    for weight in range(k % 2, min(k, free) + 1, 2):
+        size = (k - weight) // 2  # |f|
+        halves = _monomials(size, n + 1)  # the f of one block's columns
+        rows = {f: row for row, f in enumerate(_monomials(size - 1, n + 1))}
+        for odd in itertools.combinations(range(free), weight):
+            # the columns go from the largest first exponent down
+            columns = ({rows[f[:v] + (f[v] - 1,) + f[v + 1:]]: e * (e - 1)
+                        for v in range(n + 1) if f[v] for e in ((v in odd) + 2 * f[v],)}
+                       for f in reversed(halves))
+            total += len(halves) - _exact_rank(columns, len(rows))
     return total
 
 
@@ -180,9 +193,7 @@ def harmonic_dimension(n: int, k: int) -> int:
     of the Laplacian acting on the monomial basis."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1, k >= 0")
-    if n > 4 or k > 12:
-        raise ValueError("dense rank computation limited to n <= 4, k <= 12")
-    return _laplacian_kernel_dimension(k, n + 1, n + 1)
+    return _laplacian_kernel_dimension(n, k, n + 1)
 
 
 def even_harmonic_dimension(n: int, k: int) -> int:
@@ -191,16 +202,52 @@ def even_harmonic_dimension(n: int, k: int) -> int:
     kernel is computed on the parity classes even in it alone."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2, k >= 0")
-    if n > 4 or k > 12:
-        raise ValueError("dense rank computation limited to n <= 4, k <= 12")
-    return _laplacian_kernel_dimension(k, n + 1, n)
+    return _laplacian_kernel_dimension(n, k, n)
 
 
-def _float_table(spectrum, bound) -> Tuple[np.ndarray, np.ndarray]:
-    """The levels up to ``bound`` as arrays of float values and integer
-    multiplicities."""
-    levels = spectrum.eigenvalues_leq(bound)
-    return np.array([float(r) for r, _ in levels]), np.array([m for _, m in levels], dtype=np.int64)
+def _grid_point(s_lo: float, s_hi: float, samples: int, i: int) -> float:
+    """Point i of the scan's grid: s_lo * (s_hi/s_lo)**(i/(samples - 1)),
+    at most s_hi, and s_hi at i = samples - 1.  The points never decrease
+    as long as the float pow does not in its exponent, as the tests check."""
+    return s_hi if i == samples - 1 else min(s_lo * (s_hi / s_lo) ** (i / (samples - 1)), s_hi)
+
+
+def _pair_brackets(a: float, b: float, point, samples: int) -> List[Tuple[float, float]]:
+    """The brackets of the sampled a + b*(1/s), whose raw signs are monotone
+    along the grid: one around each point where it is zero, or within 1e-12
+    of its terms on a window end (no neighbor to flip with), and its sign
+    flip, found by bisection and narrowed to relative width 1e-10."""
+    last = samples - 1
+    grid = range(samples)
+
+    def sign(i):
+        value = a + b * (1.0 / point(i))
+        return (value > 0) - (value < 0)
+
+    first, final = sign(0), sign(last)
+    up = (final > first) - (final < first)  # orients the signs to never decrease
+    run = range(0) if first else grid  # when the sign stays put
+    if up:
+        start = bisect_left(grid, 0, key=lambda i: up * sign(i))
+        run = range(start, bisect_right(grid, 0, start, key=lambda i: up * sign(i)))
+    ends = [end for end in (0, last) for inv in (1.0 / point(end),)
+            if abs(a + b * inv) <= 1e-12 * (abs(a) + abs(b) * inv)]
+    brackets = [(s * (1 - 1e-12), s * (1 + 1e-12)) for s in map(point, set(run).union(ends))]
+    if up and not run and {run.start - 1, run.start}.isdisjoint(ends):
+        lo, hi = point(run.start - 1), point(run.start)
+        flo = a + b / lo
+        while hi - lo > 1e-10 * lo:
+            mid = 0.5 * (lo + hi)
+            fmid = a + b / mid
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        brackets.append((lo, hi))
+    return brackets
 
 
 def dense_scan_degeneracy(
@@ -208,49 +255,22 @@ def dense_scan_degeneracy(
 ) -> List[Tuple[float, float]]:
     """Bracket every zero in the window of the branches whose levels are at
     most ``lam1`` on the closed factor and ``lam2`` on the boundary factor,
-    by sampling sigma on a dense log-spaced grid and bisecting each sign
-    change down to relative width 1e-10; overlapping brackets (coincident
-    zeros) are merged."""
+    by the sign changes of sigma on a dense log-spaced grid, whose points are
+    computed where read; overlapping brackets (coincident zeros) merge."""
     if samples < 1000:
         raise ValueError("sample grid too coarse; use at least 1000 samples")
     s_lo, s_hi = float(window[0]), float(window[1])
     if not (0 < s_lo < s_hi):
         raise ValueError("window must satisfy 0 < s_min < s_max")
-    grid = np.geomspace(s_lo, s_hi, samples)
-    inv = 1.0 / grid
-    # Python floats, since each flip is bisected in scalar arithmetic
-    a_values = (_float_table(fam.factor1, fam.coerce(lam1))[0] - float(fam.threshold1)).tolist()
-    b_values = (_float_table(fam.factor2, fam.coerce(lam2))[0] - float(fam.threshold2)).tolist()
+    point = functools.partial(_grid_point, s_lo, s_hi, samples)
+    t1, t2 = float(fam.threshold1), float(fam.threshold2)
+    a_values = [float(r) - t1 for r, _ in fam.factor1.eigenvalues_leq(fam.coerce(lam1))]
+    b_values = [float(r) - t2 for r, _ in fam.factor2.eigenvalues_leq(fam.coerce(lam2))]
     brackets = []
     # the first pair, (0, 0), is the constants', not a branch
     for a, b in itertools.islice(itertools.product(a_values, b_values), 1, None):
-        if (a > 0 and b >= 0) or (a < 0 and b <= 0):
-            continue  # a + b/s keeps a strict sign on the whole grid; see the module docstring
-        values = a + b * inv
-        signs = np.sign(values)
-        # a zero on a window end rounds to a tiny value and has no neighbor to flip with
-        for end in (0, -1):
-            if abs(values[end]) <= 1e-12 * (abs(a) + abs(b) * inv[end]):
-                signs[end] = 0.0
-        exact_hits = np.nonzero(signs == 0.0)[0]
-        for idx in exact_hits:
-            s = grid[idx]
-            brackets.append((s * (1 - 1e-12), s * (1 + 1e-12)))
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        for idx in flips:
-            lo, hi = grid[idx], grid[idx + 1]
-            flo = a + b / lo
-            while hi - lo > 1e-10 * lo:
-                mid = 0.5 * (lo + hi)
-                fmid = a + b / mid
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            brackets.append((lo, hi))
+        if not ((a > 0 and b >= 0) or (a < 0 and b <= 0)):  # else it keeps a strict sign
+            brackets += _pair_brackets(a, b, point, samples)
     brackets.sort()
     merged: List[Tuple[float, float]] = []
     for lo, hi in brackets:
@@ -264,10 +284,9 @@ def dense_scan_degeneracy(
 def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float]]) -> List[int]:
     """For each (s, lam): sum the multiplicities of all (i, j) != (0, 0) with
     rho_i <= lam, rho_j <= lam*s and sigma_{i,j}(s) < 0.  Each factor's
-    levels become one float table, at the largest bound any point needs,
+    levels become one float list, at the largest bound any point needs,
     taken in the family's scalars, so that an exact bound reads no level
-    past it; each point is one outer sum over the table's leading part.  No
-    cleverness."""
+    past it.  The j with sigma_{i,j}(s) < 0 are a prefix for each i."""
     points = [(fam.coerce(s), fam.coerce(lam)) for s, lam in points]
     for s, lam in points:
         if s <= 0:
@@ -276,19 +295,23 @@ def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float]
             raise ValueError("lambda bound below R(s)/(m-1); enumeration would be incomplete")
     if not points:
         return []
-    r1, m1 = _float_table(fam.factor1, max(lam for _, lam in points))
-    r2, m2 = _float_table(fam.factor2, max(lam * s for s, lam in points))
-    t1 = float(fam.threshold1)
+    levels1 = fam.factor1.eigenvalues_leq(max(lam for _, lam in points))
+    levels2 = fam.factor2.eigenvalues_leq(max(lam * s for s, lam in points))
+    r1, m1 = [float(r) for r, _ in levels1], [m for _, m in levels1]
+    r2, m2 = [float(r) for r, _ in levels2], [m for _, m in levels2]
+    a_values = [r - float(fam.threshold1) for r in r1]
     t2 = float(fam.threshold2)
+    below = list(itertools.accumulate(m2, initial=0))  # below[k]: multiplicity of the first k levels
     counts = []
     for s, lam in points:
         s, lam = float(s), float(lam)
-        n1 = np.searchsorted(r1, lam, side="right")
-        n2 = np.searchsorted(r2, lam * s, side="right")
-        negative = (r1[:n1] - t1)[:, None] + ((r2[:n2] - t2) / s)[None, :] < 0
-        if negative.size:  # the constants' (0, 0) is not a branch
-            negative[0, 0] = False
-        counts.append(int(np.outer(m1[:n1], m2[:n2])[negative].sum()))
+        n1 = bisect_right(r1, lam)
+        c_values = [(r - t2) / s for r in r2[:bisect_right(r2, lam * s)]]
+        count = sum(m * below[bisect_left(c_values, True, key=lambda c: a + c >= 0)]
+                    for a, m in zip(a_values[:n1], m1))
+        if n1 and c_values and a_values[0] + c_values[0] < 0:  # the constants' (0, 0) is not a branch
+            count -= m1[0] * m2[0]
+        counts.append(count)
     return counts
 
 

@@ -260,6 +260,29 @@ class TestScan:
         assert proc.returncode == 0, proc.stderr
         assert "s = 2" in proc.stdout
 
+    @pytest.mark.parametrize("family", [
+        ["--sphere", "2", "--hemisphere", "2", "--window", "0.1:10"],
+        ["--sphere", "2", "--interval", "3", "--window", "0.01:150"],
+    ])
+    def test_verify_does_not_need_numpy(self, family):
+        script = (
+            "import sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['numpy'] = None  # any import of numpy now fails\n"
+            "from yamabe_bifurcation import cli\n"
+            "code = cli.main(['verify', *sys.argv[2:]])\n"
+            "sys.exit(code or (sys.modules.get('numpy') is not None))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        blocked, normal = (
+            subprocess.run([sys.executable, "-c", script, mode, *family], capture_output=True, env=env)
+            for mode in ("blocked", "normal")
+        )
+        assert blocked.returncode == 0, blocked.stderr
+        assert normal.returncode == 0, normal.stderr  # and numpy was never imported
+        assert blocked.stdout == normal.stdout
+        assert normal.stdout.endswith(b"all checks passed\n")
+
     def test_scan_json_does_not_import_dataclasses_inspect_or_csv(self):
         script = (
             "import sys\n"

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from yamabe_bifurcation import (
     custom_spectrum,
     degeneracy_instants,
+    even_harmonic_multiplicity,
     flat_torus,
+    harmonic_multiplicity,
     hemisphere_neumann,
     interval_neumann,
     make_family,
@@ -19,6 +21,7 @@ from yamabe_bifurcation import (
     round_sphere,
 )
 from yamabe_bifurcation.oracle import (
+    _grid_point,
     _monomials,
     _smallest_tridiagonal_eigenvalues,
     brute_force_index,
@@ -138,11 +141,48 @@ class TestHarmonicDimensions:
                     even = [m for m in monos if m[-1] % 2 == 0]
                     assert even_harmonic_dimension(n, k) == self._full_matrix_kernel_dimension(even, n + 1)
 
+    def test_exact_ranks_equal_the_closed_forms(self):
+        for n in range(1, 5):
+            for k in range(13):
+                assert harmonic_dimension(n, k) == harmonic_multiplicity(n, k)
+                if n >= 2:
+                    assert even_harmonic_dimension(n, k) == even_harmonic_multiplicity(n, k)
+
     def test_limits_enforced(self):
         with pytest.raises(ValueError):
             harmonic_dimension(5, 2)
         with pytest.raises(ValueError):
             even_harmonic_dimension(2, 13)
+
+
+def _draw_custom_family(data, float_mode, lambda_max, near=False):
+    """A random exact or float custom family whose factors are complete up to
+    ``lambda_max``, with levels on a positive threshold T1 or T2 (a == 0 or
+    b == 0) and, if ``near``, within 3e-10 relative of one; and its instants,
+    -b/a over the pairs with a * b < 0."""
+    dims = data.draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]))
+    m = sum(dims)
+    value = float if float_mode else Fraction
+    factors, shifted = [], []
+    for idx, dim in enumerate(dims):
+        curvature = value(data.draw(st.fractions(-6, 6, max_denominator=4)))
+        threshold = curvature / (m - 1)  # as the family computes it
+        pool = st.fractions(Fraction(1, 6), 12, max_denominator=6).map(value)
+        if threshold > 0:
+            pool = st.one_of(pool, st.just(threshold))
+            if near:
+                pool = st.one_of(pool, st.integers(-3, 3).map(lambda k, t=threshold: t * (1 + value(k) / 10**10)))
+        levels = [value(0)]
+        for level in sorted(set(data.draw(st.lists(pool, max_size=5)))):
+            if level - levels[-1] > 1e-6:  # float mode merges closer levels
+                levels.append(level)
+        factors.append(custom_spectrum(
+            dim, curvature, [(level, 1 + k % 3) for k, level in enumerate(levels)], lambda_max,
+            has_boundary=idx == 1, boundary_minimal=idx == 1,
+            tolerance=1e-9 if float_mode else None,
+        ))
+        shifted.append([level - threshold for level in levels])
+    return make_family(*factors), sorted({-b / a for a in shifted[0] for b in shifted[1] if a * b < 0})
 
 
 class TestDenseScan:
@@ -168,11 +208,19 @@ class TestDenseScan:
         with pytest.raises(ValueError):
             dense_scan_degeneracy(sphere_hemisphere, (0.1, 10), 100, 30, 30)
 
+    @pytest.mark.parametrize("window", [(0.01, 20.0), (0.1, 10.0), (1e-3, 150.0), (3.0, 3.0 * (1 + 1e-12))])
+    @pytest.mark.parametrize("samples", [1000, 1999, 20000])
+    def test_grid_has_exact_ends_and_never_decreases(self, window, samples):
+        points = [_grid_point(*window, samples, i) for i in range(samples)]
+        assert points[0] == window[0] and points[-1] == window[1]
+        assert all(x <= y for x, y in zip(points, points[1:]))
+
     @staticmethod
     def _every_branch_scan(fam, window, samples, lam):
-        """The reference: the same scan with every pair of levels sampled."""
+        """The reference: the same scan with every pair of levels sampled at
+        every point of the oracle's grid."""
         s_lo, s_hi = float(window[0]), float(window[1])
-        grid = np.geomspace(s_lo, s_hi, samples)
+        grid = np.array([_grid_point(s_lo, s_hi, samples, i) for i in range(samples)])
         inv = 1.0 / grid
         bound = fam.coerce(lam)
         a_values = (np.array([float(r) for r, _ in fam.factor1.eigenvalues_leq(bound)]) - float(fam.threshold1)).tolist()
@@ -208,7 +256,7 @@ class TestDenseScan:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
-        return merged
+        return [(float(lo), float(hi)) for lo, hi in merged]
 
     @given(data=st.data(), float_mode=st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -217,28 +265,8 @@ class TestDenseScan:
         bracket, down to the last bit: on exact and float custom families,
         with levels on T1 or T2 (a == 0 or b == 0) and window ends on
         instants."""
-        dims = data.draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]))
-        m = sum(dims)
         value = float if float_mode else Fraction
-        factors, shifted = [], []
-        for idx, dim in enumerate(dims):
-            curvature = value(data.draw(st.fractions(-6, 6, max_denominator=4)))
-            threshold = curvature / (m - 1)  # as the family computes it
-            pool = st.fractions(Fraction(1, 6), 12, max_denominator=6).map(value)
-            if threshold > 0:
-                pool = st.one_of(pool, st.just(threshold))
-            levels = [value(0)]
-            for level in sorted(set(data.draw(st.lists(pool, max_size=5)))):
-                if level - levels[-1] > 1e-6:  # float mode merges closer levels
-                    levels.append(level)
-            factors.append(custom_spectrum(
-                dim, curvature, [(level, 1 + k % 3) for k, level in enumerate(levels)], 12,
-                has_boundary=idx == 1, boundary_minimal=idx == 1,
-                tolerance=1e-9 if float_mode else None,
-            ))
-            shifted.append([level - threshold for level in levels])
-        fam = make_family(*factors)
-        instants = sorted({-b / a for a in shifted[0] for b in shifted[1] if a * b < 0})
+        fam, instants = _draw_custom_family(data, float_mode, 12)
         end = st.fractions(Fraction(1, 8), 40, max_denominator=8).map(value)
         if instants:
             end = st.one_of(end, st.sampled_from(instants))
@@ -248,6 +276,15 @@ class TestDenseScan:
         assert repr(dense_scan_degeneracy(fam, window, samples, 12, 12)) == repr(
             self._every_branch_scan(fam, window, samples, 12)
         )
+
+    def test_same_brackets_as_sampling_on_a_narrow_window(self, sphere_hemisphere):
+        """A window 1e-12 wide around an instant, where many grid points
+        coincide, so the zero run and the flip fall among equal points."""
+        s = float(degeneracy_instants(sphere_hemisphere, (1, 2))[0].s)
+        for window in ((s * (1 - 5e-13), s * (1 + 5e-13)), (s, s * (1 + 1e-12)), (s * (1 - 1e-12), s)):
+            brackets = dense_scan_degeneracy(sphere_hemisphere, window, 1000, 60, 60)
+            assert brackets
+            assert repr(brackets) == repr(self._every_branch_scan(sphere_hemisphere, window, 1000, 60))
 
 
 class TestBruteForceIndex:
@@ -287,6 +324,54 @@ class TestBruteForceIndex:
                 if (i, j) != (0, 0) and float(r1) - t1 + (float(r2) - t2) / s < 0:
                     count += m1 * m2
         return count
+
+    @staticmethod
+    def _outer_sum(fam, points):
+        """The reference: for each point, the outer sum of the two float
+        tables, its negative entries masked, (0, 0) dropped, and the outer
+        product of the multiplicities summed under the mask."""
+        points = [(fam.coerce(s), fam.coerce(lam)) for s, lam in points]
+        (r1, m1), (r2, m2) = (
+            (np.array([float(r) for r, _ in levels]), np.array([m for _, m in levels], dtype=np.int64))
+            for levels in (fam.factor1.eigenvalues_leq(max(lam for _, lam in points)),
+                           fam.factor2.eigenvalues_leq(max(lam * s for s, lam in points)))
+        )
+        t1, t2 = float(fam.threshold1), float(fam.threshold2)
+        counts = []
+        for s, lam in points:
+            s, lam = float(s), float(lam)
+            n1 = np.searchsorted(r1, lam, side="right")
+            n2 = np.searchsorted(r2, lam * s, side="right")
+            negative = (r1[:n1] - t1)[:, None] + ((r2[:n2] - t2) / s)[None, :] < 0
+            if negative.size:
+                negative[0, 0] = False
+            counts.append(int(np.outer(m1[:n1], m2[:n2])[negative].sum()))
+        return counts
+
+    @given(data=st.data(), float_mode=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_same_counts_as_the_outer_sum(self, data, float_mode):
+        """On exact and float custom families with levels on a threshold or
+        within 3e-10 relative of one, at points on and off the instants."""
+        value = float if float_mode else Fraction
+        fam, instants = _draw_custom_family(data, float_mode, 1000, near=True)
+        instants = [s for s in instants if 1 / 8 <= s <= 40]  # lam * s stays below 1000
+        where = st.fractions(Fraction(1, 8), 40, max_denominator=8).map(value)
+        if instants:
+            where = st.one_of(where, st.sampled_from(instants))
+        points = []
+        for s in data.draw(st.lists(where, min_size=1, max_size=4)):
+            theta = max(fam.threshold1 + fam.threshold2 / s, 0)
+            points.append((s, theta + value(data.draw(st.sampled_from([0, 1, 12])))))
+        assert brute_force_indices(fam, points) == self._outer_sum(fam, points)
+
+    def test_same_counts_as_the_outer_sum_on_a_torus(self):
+        fam = make_family(flat_torus([2, 1]), hemisphere_neumann(2, 2))
+        points = []
+        for k in range(40):
+            s = Fraction(k + 1, 8)
+            points.append((s, max(fam.threshold1 + fam.threshold2 / s, 0) + 5 * (k % 4)))
+        assert brute_force_indices(fam, points) == self._outer_sum(fam, points)
 
     @pytest.mark.parametrize("name", ["sphere_hemisphere", "sphere_interval", "torus_hemisphere", "exact custom"])
     def test_indices_match_single_points(self, name, request):
