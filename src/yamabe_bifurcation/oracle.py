@@ -6,7 +6,15 @@ computation with the exact engine it checks:
 
 * finite-difference Neumann spectrum of the interval, by bisection on Sturm
   counts, with a Newton step on det(T - xI) taken from the same LDL^T pass
-  once an eigenvalue is alone in its bracket,
+  once an eigenvalue is alone in its bracket.  The stencil is its own
+  mirror image, so it splits into an even and an odd block of half the
+  rows each (Cantoni & Butler 1976).  The k-th eigenvector of a Jacobi
+  matrix changes sign k times, so the eigenvalues alternate between the
+  blocks, starting with the even one; the even block gives ceil(count/2)
+  of them and the odd block floor(count/2).  One Sturm count on the whole
+  stencil just above the largest must find exactly ``count``, or the
+  oracle raises.  The first count of each block is taken half a width
+  above its Gershgorin lower end, which closes the constant mode at once,
 * harmonic-polynomial dimension counts by the exact rank of the Laplacian
   matrix on monomials, one block per parity class of the exponents (the
   Laplacian keeps them), by fraction-free integer elimination,
@@ -66,6 +74,22 @@ def _sturm_pass(diag: Sequence[float], off_sq: Sequence[float], x: float, pivmin
     return count, (1.0 / total if total else math.nan)
 
 
+def _gershgorin(diag: Sequence[float], off: Sequence[float]) -> Tuple[float, float, float]:
+    """The Gershgorin interval of the symmetric tridiagonal matrix and the
+    bisection width 2 eps ||T|| that it bounds."""
+    radius = [abs(b) for b in off]
+    discs = list(zip(diag, [0.0] + radius, radius + [0.0]))
+    lowest = min(d - left - right for d, left, right in discs)
+    highest = max(d + left + right for d, left, right in discs)
+    return lowest, highest, 2 * sys.float_info.epsilon * max(abs(lowest), abs(highest))
+
+
+def _pass_inputs(off: Sequence[float]) -> Tuple[List[float], float]:
+    """The ``off_sq`` and ``pivmin`` arguments of ``_sturm_pass``."""
+    off_sq = [0.0] + [b * b for b in off]
+    return off_sq, sys.float_info.min * max([1.0] + off_sq)
+
+
 def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float], count: int) -> List[float]:
     """The ``count`` smallest eigenvalues of the symmetric tridiagonal matrix
     with diagonal ``diag`` and off-diagonal ``off``, ascending, by bisection
@@ -77,20 +101,18 @@ def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float
     iterate of det(T - xI) from the last one, as long as it falls inside the
     bracket.  When the Newton step is below a quarter of the width, one count
     half a width inside the bracket closes it; a count that does not confirm
-    the Newton estimate only moves the bracket end, and the search goes on."""
-    radius = [abs(b) for b in off]
-    discs = list(zip(diag, [0.0] + radius, radius + [0.0]))
-    lowest = min(d - left - right for d, left, right in discs)
-    highest = max(d + left + right for d, left, right in discs)
-    width = 2 * sys.float_info.epsilon * max(abs(lowest), abs(highest))
-    off_sq = [0.0] + [b * b for b in off]
-    pivmin = sys.float_info.min * max([1.0] + off_sq)
+    the Newton estimate only moves the bracket end, and the search goes on.
+    The first count is taken half a width above the Gershgorin lower end, so
+    that an eigenvalue on it (the constant mode of a Neumann stencil) is
+    closed by that count alone."""
+    lowest, highest, width = _gershgorin(diag, off)
+    off_sq, pivmin = _pass_inputs(off)
     lo = [lowest] * count
     hi = [highest] * count
     below_lo = [0] * count  # eigenvalues counted below each bracket end
     below_hi = [len(diag)] * count
     for k in range(count):
-        x = 0.5 * (lo[k] + hi[k])
+        x = lowest + 0.5 * width if k == 0 else 0.5 * (lo[k] + hi[k])
         while hi[k] - lo[k] > width:
             below, step = _sturm_pass(diag, off_sq, x, pivmin)
             for other in range(k, count):
@@ -115,6 +137,16 @@ def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSp
     Cell-centered second-order stencil: nodes x_i = (i - 1/2) h, ghost values
     reflected across the boundary (u_0 = u_1, u_{N+1} = u_N), which encodes
     the zero-derivative condition and keeps the tridiagonal matrix symmetric.
+
+    The stencil is its own mirror image, so its eigenvectors are even
+    (u_{N+1-i} = u_i) or odd (u_{N+1-i} = -u_i), and each kind solves a
+    block of half the rows, closed at the middle by the mirror condition.
+    Its eigenvalues are simple and the k-th eigenvector changes sign k
+    times, so the blocks take turns from the constant mode (even) on: the
+    ceil(count/2) smallest of the even block and the floor(count/2)
+    smallest of the odd block are the count smallest.  One Sturm count on
+    the whole stencil just above the largest of them must find exactly
+    ``count``.
     """
     if grid_points < 16:
         raise ValueError("need at least 16 grid points")
@@ -124,22 +156,39 @@ def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSp
     if length <= 0:
         raise ValueError("interval length must be positive")
     h = length / grid_points
-    diag = [2.0 / h**2] * grid_points
-    diag[0] = diag[-1] = 1.0 / h**2
-    off = [-1.0 / h**2] * (grid_points - 1)
-    values = _smallest_tridiagonal_eigenvalues(diag, off, count)
+    c = 1.0 / h**2
+    diag = [2.0 * c] * grid_points
+    diag[0] = diag[-1] = c
+    off = [-c] * (grid_points - 1)
+    half = grid_points // 2
+    even_diag, even_off = diag[:grid_points - half], off[:grid_points - half - 1]
+    odd_diag, odd_off = diag[:half], off[:half - 1]
+    if grid_points % 2:
+        # the middle node couples to both of its equal neighbors: scaled by
+        # sqrt(2), that row keeps the block symmetric; odd vectors vanish there
+        even_off[-1] = -math.sqrt(2.0) * c
+    else:
+        # u_{N/2+1} = +-u_{N/2} adds -+c to the last diagonal entry
+        even_diag[-1], odd_diag[-1] = c, 3.0 * c
+    values = sorted(_smallest_tridiagonal_eigenvalues(even_diag, even_off, (count + 1) // 2)
+                    + _smallest_tridiagonal_eigenvalues(odd_diag, odd_off, count // 2))
+    # 16 eps ||T|| above: past the rounding of the bracket and of both passes
+    _, _, width = _gershgorin(diag, off)
+    off_sq, pivmin = _pass_inputs(off)
+    if values and _sturm_pass(diag, off_sq, values[-1] + 8 * width, pivmin)[0] != count:
+        raise ArithmeticError("the mirror blocks missed an eigenvalue of the stencil")
     # lambda_k^FD = (4/h^2) sin^2(k pi h / (2 L)); relative error ~ (k pi h / L)^2 / 12
     worst = (count * math.pi * h / length) ** 2 / 12.0
     return GridSpectrum(grid_points, tuple(values), worst)
 
 
-def _monomials(total: int, nvars: int) -> List[Tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _monomials(total: int, nvars: int) -> Tuple[Tuple[int, ...], ...]:
+    """The exponent tuples of the degree-``total`` monomials in ``nvars``
+    variables; cached, so the result is shared and immutable."""
     if nvars == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        out.extend((head,) + rest for rest in _monomials(total - head, nvars - 1))
-    return out
+        return ((total,),)
+    return tuple((head,) + rest for head in range(total + 1) for rest in _monomials(total - head, nvars - 1))
 
 
 def _exact_rank(columns: Iterable[Dict[int, int]], rows: int) -> int:

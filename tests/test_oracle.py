@@ -18,6 +18,7 @@ from yamabe_bifurcation import (
     interval_neumann,
     make_family,
     morse_index,
+    oracle,
     round_sphere,
 )
 from yamabe_bifurcation.oracle import (
@@ -64,6 +65,52 @@ class TestFiniteDifference:
         for k, got in enumerate(grid.eigenvalues):
             want = norm * math.sin(k * math.pi * h / (2 * length)) ** 2
             assert abs(got - want) <= 16 * sys.float_info.epsilon * norm
+
+    @staticmethod
+    def _stencil(length_over_pi, grid_points):
+        """The whole N-row Neumann stencil on [0, pi*lambda] and its norm."""
+        h = math.pi * float(length_over_pi) / grid_points
+        diag = [2.0 / h**2] * grid_points
+        diag[0] = diag[-1] = 1.0 / h**2
+        return diag, [-1.0 / h**2] * (grid_points - 1), 4.0 / h**2
+
+    @pytest.mark.parametrize("grid_points", [16, 17, 101, 2000, 2001])
+    def test_mirror_blocks_equal_the_full_stencil(self, grid_points):
+        """The two mirror blocks give the eigenvalues of the whole stencil,
+        for odd counts (where the even block gives one more) and even ones."""
+        diag, off, norm = self._stencil(Fraction(3, 2), grid_points)
+        for count in (1, 3, min(grid_points // 4, 10)):
+            want = _smallest_tridiagonal_eigenvalues(diag, off, count)
+            got = fd_interval_spectrum(Fraction(3, 2), grid_points, count).eigenvalues
+            assert len(got) == count
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 16 * sys.float_info.epsilon * norm
+
+    @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2), 2, Fraction(5, 2), 3])
+    def test_work_is_bounded(self, monkeypatch, length_over_pi):
+        """The mirror blocks take about half the Sturm rows of the whole
+        stencil (182,000-190,000), and the constant mode closes at once."""
+        work = {"calls": 0, "rows": 0}
+        sturm_pass = oracle._sturm_pass
+
+        def counted(diag, *args):
+            work["calls"] += 1
+            work["rows"] += len(diag)
+            return sturm_pass(diag, *args)
+
+        monkeypatch.setattr(oracle, "_sturm_pass", counted)
+        fd_interval_spectrum(length_over_pi, 2000, 10)
+        assert work["rows"] <= 100_000
+        work["calls"] = 0
+        diag, off, norm = self._stencil(length_over_pi, 2000)
+        assert abs(_smallest_tridiagonal_eigenvalues(diag, off, 1)[0]) <= 16 * sys.float_info.epsilon * norm
+        assert work["calls"] <= 2
+
+    def test_guard_count_catches_a_missed_eigenvalue(self, monkeypatch):
+        smallest = oracle._smallest_tridiagonal_eigenvalues
+        monkeypatch.setattr(oracle, "_smallest_tridiagonal_eigenvalues",
+                            lambda diag, off, count: smallest(diag, off, count + 1)[1:])
+        with pytest.raises(ArithmeticError):
+            fd_interval_spectrum(1, 2000, 10)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
