@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -28,6 +29,12 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(script, *args):
+    """``python -c script *args`` in a fresh interpreter that imports this package's source."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
 
 
 def write_custom(tmp_path, name="deg.spec", levels="eig 0 1\neig 5/2 2\n",
@@ -255,8 +262,7 @@ class TestScan:
             "cli.main(['scan', '--sphere', '2', '--hemisphere', '2', '--window', '1:3'])\n"
             "sys.exit('numpy' in sys.modules)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert "s = 2" in proc.stdout
 
@@ -273,15 +279,11 @@ class TestScan:
             "code = cli.main(['verify', *sys.argv[2:]])\n"
             "sys.exit(code or (sys.modules.get('numpy') is not None))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        blocked, normal = (
-            subprocess.run([sys.executable, "-c", script, mode, *family], capture_output=True, env=env)
-            for mode in ("blocked", "normal")
-        )
+        blocked, normal = (run_python(script, mode, *family) for mode in ("blocked", "normal"))
         assert blocked.returncode == 0, blocked.stderr
         assert normal.returncode == 0, normal.stderr  # and numpy was never imported
         assert blocked.stdout == normal.stdout
-        assert normal.stdout.endswith(b"all checks passed\n")
+        assert normal.stdout.endswith("all checks passed\n")
 
     def test_scan_json_does_not_import_dataclasses_inspect_or_csv(self):
         script = (
@@ -292,8 +294,7 @@ class TestScan:
             "loaded = sorted({'dataclasses', 'inspect', 'csv'} & sys.modules.keys())\n"
             "sys.exit(f'imported {loaded}' if loaded else 0)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["instants"][0]["s"] == "2"
 
@@ -305,11 +306,45 @@ class TestScan:
             "sys.exit(cli.main(['verify', '--sphere', '2', '--interval', '1',"
             " '--window', '0.5:10', '--samples', '2000']))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert "FD Neumann spectrum" in proc.stdout
         assert "all checks passed" in proc.stdout
+
+
+class TestHeapFreeze:
+    """The entry point freezes the import-time heap only when it reads
+    sys.argv, that is, in a process of its own.  The counts are compared
+    with the interpreter's own, which is not 0 on Python 3.12."""
+
+    SCAN = ["scan", "--sphere", "2", "--hemisphere", "2", "--window", "1:3"]
+
+    def test_command_line_run_freezes(self):
+        script = (
+            "import gc, sys\n"
+            "from yamabe_bifurcation import cli\n"
+            "sys.argv = ['yamabe', *sys.argv[1:]]\n"
+            "before = gc.get_freeze_count()\n"
+            "code = cli.main()\n"
+            "print(gc.get_freeze_count() - before, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_python(script, *self.SCAN)
+        assert proc.returncode == 0, proc.stderr
+        assert "s = 2" in proc.stdout
+        assert int(proc.stderr.split()[-1]) > 0
+
+    def test_call_with_arguments_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        code, out, _ = run(capsys, self.SCAN)
+        assert code == EXIT_OK and "s = 2" in out
+        assert gc.get_freeze_count() == before
+
+    def test_import_freezes_nothing(self):
+        proc = run_python("import gc\nbefore = gc.get_freeze_count()\n"
+                          "import yamabe_bifurcation.cli\nprint(gc.get_freeze_count() - before)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestConfigFile:
@@ -628,15 +663,28 @@ class TestVerify:
         assert "1 exact instants, 1 brackets" in out
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("factors, skipped", [
-        (["--sphere", "5", "--hemisphere", "2"], "factor1 S^5(r2=1): sphere multiplicities"),
-        (["--sphere", "2", "--hemisphere", "5"], "factor2 S^5+(r2=1): hemisphere multiplicities"),
-    ])
-    def test_factor_beyond_the_kernel_rank_oracle_is_skipped(self, capsys, factors, skipped):
+    @pytest.mark.parametrize("factors, checked", [
+        (["--sphere", "6", "--hemisphere", "5"],
+         ["PASS factor1 S^6(r2=1): sphere multiplicities: harmonic kernel ranks, k <= 6",
+          "PASS factor2 S^5+(r2=1): hemisphere multiplicities: even-harmonic kernel ranks, k <= 8"]),
+        (["--sphere", "2", "--hemisphere", "94"],
+         ["PASS factor1 S^2(r2=1): sphere multiplicities: harmonic kernel ranks, k <= 12",
+          "PASS factor2 S^94+(r2=1): hemisphere multiplicities: even-harmonic kernel ranks, k <= 1"]),
+    ], ids=["sphere6-hemisphere5", "hemisphere94"])
+    def test_round_factor_of_any_dimension_is_checked(self, capsys, factors, checked):
         code, out, _ = run(capsys, ["verify", *factors, "--window", "1/10:10"])
         lines = out.splitlines()
-        assert f"SKIP {skipped}: kernel-rank oracle covers n <= 4" in lines
-        assert sum(line.startswith("PASS factor") for line in lines) == 1
+        assert lines[:2] == checked
+        assert not any(line.startswith("SKIP") for line in lines)
+        assert lines[-1] == "all checks passed"
+        assert code == EXIT_OK
+
+    def test_factor_beyond_the_kernel_rank_budget_is_skipped(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--sphere", "95", "--hemisphere", "2", "--window", "1/10:10"])
+        lines = out.splitlines()
+        assert lines[0] == ("SKIP factor1 S^95(r2=1): sphere multiplicities: "
+                            "kernel-rank budget covers no degree k >= 1 for n = 95")
+        assert lines[1].startswith("PASS factor2 S^2+(r2=1)")
         assert lines[-1] == "all checks passed"
         assert code == EXIT_OK
 

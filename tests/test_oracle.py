@@ -31,6 +31,7 @@ from yamabe_bifurcation.oracle import (
     even_harmonic_dimension,
     fd_interval_spectrum,
     harmonic_dimension,
+    kernel_rank_degree_limit,
 )
 
 
@@ -189,17 +190,29 @@ class TestHarmonicDimensions:
                     assert even_harmonic_dimension(n, k) == self._full_matrix_kernel_dimension(even, n + 1)
 
     def test_exact_ranks_equal_the_closed_forms(self):
-        for n in range(1, 5):
-            for k in range(13):
+        for n in (1, 2, 3, 4, 5, 6, 8, 11, 20, 94):
+            for k in range(kernel_rank_degree_limit(n, 12) + 1):
                 assert harmonic_dimension(n, k) == harmonic_multiplicity(n, k)
                 if n >= 2:
                     assert even_harmonic_dimension(n, k) == even_harmonic_multiplicity(n, k)
 
+    def test_degree_budget_shrinks_with_the_dimension(self):
+        """n <= 4 keeps k <= 12; past it, the budget's largest basis is that
+        of n = 4, k = 12, with 1820 monomials of 5 exponents."""
+        limits = [kernel_rank_degree_limit(n, 12) for n in range(1, 97)]
+        assert limits[:4] == [12, 12, 12, 12]
+        assert limits[4:8] == [8, 6, 5, 4]
+        assert limits == sorted(limits, reverse=True)
+        assert limits[93:] == [1, 0, 0]  # n = 94, 95, 96
+        assert kernel_rank_degree_limit(9100, 12) == -1
+
     def test_limits_enforced(self):
-        with pytest.raises(ValueError):
-            harmonic_dimension(5, 2)
-        with pytest.raises(ValueError):
-            even_harmonic_dimension(2, 13)
+        for n, k in ((4, 13), (5, 9), (8, 5), (95, 1)):
+            assert kernel_rank_degree_limit(n, k) == k - 1
+            with pytest.raises(ValueError):
+                harmonic_dimension(n, k)
+            with pytest.raises(ValueError):
+                even_harmonic_dimension(n, k)
 
 
 def _draw_custom_family(data, float_mode, lambda_max, near=False):
@@ -255,7 +268,9 @@ class TestDenseScan:
         with pytest.raises(ValueError):
             dense_scan_degeneracy(sphere_hemisphere, (0.1, 10), 100, 30, 30)
 
-    @pytest.mark.parametrize("window", [(0.01, 20.0), (0.1, 10.0), (1e-3, 150.0), (3.0, 3.0 * (1 + 1e-12))])
+    # at (0.1, 3.3) the float pow alone ends one ulp short of s_hi
+    @pytest.mark.parametrize("window", [(0.01, 20.0), (0.1, 10.0), (1e-3, 150.0), (3.0, 3.0 * (1 + 1e-12)),
+                                        (0.1, 3.3)])
     @pytest.mark.parametrize("samples", [1000, 1999, 20000])
     def test_grid_has_exact_ends_and_never_decreases(self, window, samples):
         points = [_grid_point(*window, samples, i) for i in range(samples)]
