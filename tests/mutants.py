@@ -1,15 +1,15 @@
 """Mutation check: every committed mutant of ``src/`` must fail a test.
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
-Run from anywhere, with pytest installed.  For each mutant of ``MUTANTS``
-(default: all), in order, the script copies ``src/`` to a temporary
+Run from anywhere, with pytest installed.  For each mutant of ``MUTANTS``,
+in order, the script copies ``src/`` to a temporary
 directory, replaces the mutant's text in its file there (the text must
 occur exactly once), and runs the mutant's test files from this checkout
 against the copy with ``pytest -x``.  A mutant is killed when pytest reports
 a failed test (exit code 1).  The script exits 1 if any mutant survives,
-breaks the run in another way (a collection error, say), or names text that
-is missing or not unique.  Run it after the Tier-1 tests pass: a test that
+breaks the run in another way (a collection error, or a run past
+``TIMEOUT_S``, say), or names text that is missing or not unique.  Run it after the Tier-1 tests pass: a test that
 fails on the unmutated source would kill every mutant that runs it.  pytest
 does not collect this file, since its name does not start with ``test_``.
 """
@@ -26,6 +26,7 @@ from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "yamabe_bifurcation"
+TIMEOUT_S = 120  # a mutant's tests take about 10 s; an endless loop is not a kill
 
 
 class Mutant(NamedTuple):
@@ -114,7 +115,7 @@ def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
             *(str(ROOT / "tests" / name) for name in tests)]
-    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
 
 
 def run_mutant(mutant: Mutant) -> str:
@@ -133,7 +134,10 @@ def run_mutant(mutant: Mutant) -> str:
                                capture_output=True, text=True)
         if not where.stdout.startswith(str(copy)):
             return f"BROKEN: the package is not imported from the copy: {where.stdout or where.stderr}"
-        proc = _pytest(copy, mutant.tests)
+        try:
+            proc = _pytest(copy, mutant.tests)
+        except subprocess.TimeoutExpired:
+            return f"BROKEN: pytest ran past {TIMEOUT_S} s"
     if proc.returncode == 1:
         return "killed"
     if proc.returncode == 0:
@@ -141,15 +145,9 @@ def run_mutant(mutant: Mutant) -> str:
     return f"BROKEN: pytest exit code {proc.returncode}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"no mutant named {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     bad = 0
     for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
         verdict = run_mutant(mutant)
         bad += verdict != "killed"
         print(f"{verdict.split(':')[0]:9s} {mutant.name} ({mutant.file}; {', '.join(mutant.tests)})")
@@ -160,4 +158,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

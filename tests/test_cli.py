@@ -31,10 +31,11 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_python(script, *args):
-    """``python -c script *args`` in a fresh interpreter that imports this package's source."""
+def run_python(script, *args, text=True):
+    """``python -c script *args`` in a fresh interpreter that imports this package's source;
+    ``text=False`` keeps stdout and stderr as bytes."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=text, env=env)
 
 
 def write_custom(tmp_path, name="deg.spec", levels="eig 0 1\neig 5/2 2\n",
@@ -279,11 +280,11 @@ class TestScan:
             "code = cli.main(['verify', *sys.argv[2:]])\n"
             "sys.exit(code or (sys.modules.get('numpy') is not None))\n"
         )
-        blocked, normal = (run_python(script, mode, *family) for mode in ("blocked", "normal"))
+        blocked, normal = (run_python(script, mode, *family, text=False) for mode in ("blocked", "normal"))
         assert blocked.returncode == 0, blocked.stderr
         assert normal.returncode == 0, normal.stderr  # and numpy was never imported
         assert blocked.stdout == normal.stdout
-        assert normal.stdout.endswith("all checks passed\n")
+        assert normal.stdout.endswith(b"all checks passed\n")
 
     def test_scan_json_does_not_import_dataclasses_inspect_or_csv(self):
         script = (
