@@ -6,10 +6,8 @@ Exit codes: 0 success, 1 verification/engine failure, 2 degenerate pair
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
-import json
 import math
 import sys
 from fractions import Fraction
@@ -39,62 +37,75 @@ _FACTOR_FLAGS = {
     "custom": ("PATH", "custom spectrum file"),
 }
 _ROUND = {"sphere": spectra.round_sphere, "hemisphere": spectra.hemisphere_neumann}
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        raise ConfigError(message)
-
-
-def _add_common_flags(p: _Parser) -> None:
-    for flag, (metavar, text) in _FACTOR_FLAGS.items():
-        p.add_argument(f"--{flag}", dest="factor_args", action="append", metavar=metavar, help=text,
-                       type=lambda value, flag=flag: (flag, value))
-    p.add_argument("--config", metavar="PATH", help="config file; flags win on conflict")
-    p.add_argument("--out", metavar="PATH")
-
-
-def _add_family_flags(p: _Parser) -> None:
-    _add_common_flags(p)
-    p.add_argument("--window", metavar="MIN:MAX")
-    p.add_argument("--lambda-max", dest="lambda_max", metavar="Q")
-
-
-def build_parser() -> _Parser:
-    p = _Parser(prog="yamabe", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="print a factor's eigenvalue table")
-    _add_common_flags(sp)
-    sp.add_argument("--below", metavar="Q", help="eigenvalue cutoff (strict)")
-    sp.add_argument("--format", choices=("json", "text"))
-
-    sc = sub.add_parser("scan", help="classify a family and certify its degeneracy instants")
-    _add_family_flags(sc)
-    sc.add_argument("--format", choices=("json", "csv", "text"))
-
-    br = sub.add_parser("branches", help="emit sampled branch curves as CSV plot data")
-    _add_family_flags(br)
-    br.add_argument("--samples", type=int, help="points per curve (default 200)")
-    br.add_argument("--limit", type=int, help="zeroless branches to include (default 4)")
-
-    ve = sub.add_parser("verify", help="run the oracle suite against the engine")
-    _add_family_flags(ve)
-    ve.add_argument("--samples", type=int, help="dense-scan grid size (default 20000)")
-    return p
-
-
-_CONFIG_KEYS = {
-    "factor1", "factor2", "window", "lambda_max",
-    "format", "out", "below", "samples", "limit",
+_COMMON = {**_FACTOR_FLAGS, "config": ("PATH", "config file; flags win on conflict"),
+           "out": ("PATH", "output file (default stdout)")}
+_FAMILY = {**_COMMON, "window": ("MIN:MAX", "window of the parameter s"), "lambda-max": ("Q", "eigenvalue cap")}
+# command -> (help, flag -> (metavar, help)); the metavar of --format lists its choices
+_COMMANDS = {
+    "spectrum": ("print a factor's eigenvalue table", {
+        **_COMMON, "below": ("Q", "eigenvalue cutoff (strict)"), "format": ("{json,text}", "")}),
+    "scan": ("classify a family and certify its degeneracy instants", {
+        **_FAMILY, "format": ("{json,csv,text}", "")}),
+    "branches": ("emit sampled branch curves as CSV plot data", {
+        **_FAMILY, "samples": ("N", "points per curve (default 200)"),
+        "limit": ("N", "zeroless branches to include (default 4)")}),
+    "verify": ("run the oracle suite against the engine", {
+        **_FAMILY, "samples": ("N", "dense-scan grid size (default 20000)")}),
 }
+_CONFIG_KEYS = {"factor1", "factor2", "window", "lambda_max", "format", "out", "below", "samples", "limit"}
+
+
+class _Args(dict):
+    """Settings by name (``lambda_max`` for ``--lambda-max``); an unset one reads None."""
+    __getattr__ = dict.get
+
+
+def _read_flags(command, argv) -> Optional[_Args]:
+    """``command``'s settings in ``argv``, given as ``--flag value`` or ``--flag=value``, or None once
+    ``-h`` has printed the help.  Factor flags append to ``factor_args``; others keep their last value."""
+    flags = _COMMANDS[command][1]
+    args, extras, tokens = _Args(command=command), [], iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return None
+        name, eq, value = token[2:].partition("=")
+        if not token.startswith("--") or name not in flags:
+            extras.append(token)
+            continue
+        if not eq:  # the value is the next token, unless that looks like a flag: -x or --x
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and (value[1:2].isalpha() or value[1:2] == "-"):
+                raise ConfigError(f"argument --{name}: expected one argument")
+        if name == "format" and value not in (choices := flags[name][0][1:-1].split(",")):
+            raise ConfigError(f"argument --format: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
+        if name in _FACTOR_FLAGS:
+            args.setdefault("factor_args", []).append((name, value))
+        else:
+            args[name.replace("-", "_")] = value
+    if extras:
+        raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _help(command=None) -> str:
+    """The ``-h`` text of ``command``, or of the program when None."""
+    if command is None:
+        head = f"usage: yamabe {{{','.join(_COMMANDS)}}} ...\n\n{__doc__}\ncommands:"
+        rows = [(name, text) for name, (text, _) in _COMMANDS.items()]
+    else:
+        head = f"usage: yamabe {command} [--FLAG VALUE ...]\n\n{_COMMANDS[command][0]}\n\nflags:"
+        rows = [(f"--{flag} {metavar}", text) for flag, (metavar, text) in _COMMANDS[command][1].items()]
+    rows.append(("-h, --help", "show this help and exit"))
+    return head + "".join(f"\n  {left:22} {text}".rstrip() for left, text in rows) + "\n"
 
 
 def _config_flags(args) -> List[str]:
-    """The settings of the config file ``args.config`` that the command line
-    left unset, as flags: ``key = value`` becomes ``--key=value``, and the
-    factor descriptions become factor flags, factor1's before factor2's
-    (``sphere 2 r2 1`` becomes ``--sphere=2 --r2=1``)."""
+    """The settings of the config file ``args.config`` that the command has a
+    flag for and the command line left unset, as flags: ``key = value``
+    becomes ``--key=value``, and the factor descriptions become factor flags,
+    factor1's before factor2's (``sphere 2 r2 1`` becomes ``--sphere=2 --r2=1``)."""
     path = args.config
     try:
         with open(path, encoding="utf-8") as fh:
@@ -113,9 +124,8 @@ def _config_flags(args) -> List[str]:
         if not sep or key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{num}: bad config line {line!r}")
         values[key] = value.strip()
-    descriptions = [values.pop(key, "") for key in ("factor1", "factor2")]
-    if args.factor_args is not None:  # factor flags on the command line replace every config factor
-        descriptions = []
+    # factor flags on the command line replace every config factor
+    descriptions = [] if args.factor_args else [values.get(key, "") for key in ("factor1", "factor2")]
     flags = []
     for text in descriptions:
         words = text.split()
@@ -124,9 +134,10 @@ def _config_flags(args) -> List[str]:
         if len(words) % 2:
             raise ConfigError(f"factor description {text!r} is missing a value")
         flags += [f"--{flag}={value}" for flag, value in zip(words[::2], words[1::2])]
+    known = _COMMANDS[args.command][1]
     return flags + [
         f"--{key.replace('_', '-')}={value}" for key, value in values.items()
-        if getattr(args, key, None) is None
+        if key.replace("_", "-") in known and args.get(key) is None
     ]
 
 
@@ -161,18 +172,18 @@ def _factors(args) -> List[spectra.FactorSpectrum]:
 
 
 def _number_setting(args, key, parse, least, default):
-    """Setting ``key`` read by ``parse`` (``default`` when unset), at least ``least``."""
-    value = getattr(args, key)
+    """Setting ``key`` read by ``parse`` (``default`` when unset), at least
+    ``least``; an error names the config file that gave the value."""
+    value = args.get(key, default)
     if value is None:
-        value = default
-        if value is None:
-            return None
+        return None
+    where = f"{args.config}: " if key in (args.configured or ()) else ""
     try:
         number = parse(value)
     except (ValueError, ZeroDivisionError, TypeError):
-        raise ConfigError(f"bad {key} {value!r}")
+        raise ConfigError(f"{where}bad {key} {value!r}")
     if number < least:
-        raise ConfigError(f"{key} must be at least {least}, got {value!r}")
+        raise ConfigError(f"{where}{key} must be at least {least}, got {value!r}")
     return number
 
 
@@ -227,6 +238,7 @@ def cmd_spectrum(args) -> int:
     rows = spec.eigenvalues_below(bound)
     tol = spec.tolerance
     if args.format == "json":
+        import json  # only the JSON writers need it
         payload = {
             "label": spec.label,
             "dim": spec.dim,
@@ -304,6 +316,7 @@ def cmd_scan(args) -> int:
     result = bifurcation.classify_family(fam, window, lam)
     payload = _scan_payload(fam, result, lam)
     if args.format == "json":
+        import json
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         import csv  # only the CSV writers need it
@@ -485,25 +498,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         # one command is one short process: its collections, at exit too, skip the import-time heap
         gc.freeze()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if not argv:
+            raise ConfigError("the following arguments are required: command")
+        if argv[0] in ("-h", "--help"):
+            sys.stdout.write(_help())
+            return EXIT_OK
+        if argv[0] not in _COMMANDS:
+            raise ConfigError(f"argument command: invalid choice: {argv[0]!r} "
+                              f"(choose from {', '.join(map(repr, _COMMANDS))})")
+        args = _read_flags(argv[0], argv[1:])
+        if args is None:
+            return EXIT_OK
         if args.config:
-            flags = _config_flags(args)
-            try:
-                settings, _ = parser.parse_known_args([args.command, *flags])
+            try:  # the config file's settings, each one the command line left unset
+                args["configured"] = _read_flags(args.command, _config_flags(args))
             except ConfigError as exc:
                 raise ConfigError(f"{args.config}: {exc}")
-            for name, value in vars(settings).items():
-                if getattr(args, name) is None:
-                    setattr(args, name, value)
-        handler = {
-            "spectrum": cmd_spectrum,
-            "scan": cmd_scan,
-            "branches": cmd_branches,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(args)
+            args.update(args.configured)
+        handler = {"spectrum": cmd_spectrum, "scan": cmd_scan, "branches": cmd_branches, "verify": cmd_verify}
+        return handler[args.command](args)
     except DegeneratePairError as exc:
         print(f"degenerate pair -- index-jump certification inapplicable: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

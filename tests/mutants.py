@@ -105,6 +105,14 @@ MUTANTS = (
            "        gc.freeze()\n",
            "        pass\n",
            ("test_cli.py",)),
+    Mutant("no --format choice check", "cli.py",
+           'if name == "format" and value not in (choices := flags[name][0][1:-1].split(",")):',
+           "if False:",
+           ("test_cli.py",)),
+    Mutant("a flag of another command is accepted", "cli.py",
+           'if not token.startswith("--") or name not in flags:',
+           'if not token.startswith("--") or all(name not in table for _, table in _COMMANDS.values()):',
+           ("test_cli.py",)),
 )
 
 

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -311,6 +312,69 @@ class TestScan:
         assert proc.returncode == 0, proc.stderr
         assert "FD Neumann spectrum" in proc.stdout
         assert "all checks passed" in proc.stdout
+
+    def test_import_and_verify_load_neither_argparse_nor_json(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)  # what site imported does not count\n"
+            "from yamabe_bifurcation import cli\n"
+            "code = cli.main(['verify', '--sphere', '2', '--interval', '1',"
+            " '--window', '0.5:10', '--samples', '2000'])\n"
+            "loaded = sorted({'argparse', 'json'} & (sys.modules.keys() - before))\n"
+            "sys.exit(f'imported {loaded}' if loaded else code)\n"
+        )
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("all checks passed\n")
+
+
+class TestArguments:
+    COMMON = ["sphere", "hemisphere", "r2", "interval", "torus", "custom", "config", "out"]
+    FLAGS = {
+        "spectrum": [*COMMON, "below", "format"],
+        "scan": [*COMMON, "window", "lambda-max", "format"],
+        "branches": [*COMMON, "window", "lambda-max", "samples", "limit"],
+        "verify": [*COMMON, "window", "lambda-max", "samples"],
+    }
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["plot"], "argument command: invalid choice: 'plot' (choose from 'spectrum', 'scan', 'branches', 'verify')"),
+        (["scan", *SPHERE_HEMI, "--window"], "argument --window: expected one argument"),
+        (["scan", *SPHERE_HEMI, "--window", "--format", "json"], "argument --window: expected one argument"),
+        (["scan", *SPHERE_HEMI, "--win", "1:3"], "unrecognized arguments: --win 1:3"),
+        (["spectrum", "--sphere", "2", "--below", "3", "--form=json"], "unrecognized arguments: --form=json"),
+        (["scan", *SPHERE_HEMI, "--window", "1:3", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')"),
+    ], ids=["no-command", "unknown-command", "no-value-at-end", "flag-as-value", "abbreviated",
+            "abbreviated-with-value", "format-choice"])
+    def test_bad_argv_exit_3(self, capsys, argv, message):
+        assert run(capsys, argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+    def test_equals_form_is_the_spaced_form(self, capsys):
+        spaced = run(capsys, ["scan", "--sphere", "2", "--hemisphere", "2", "--window", "0.4:3", "--format", "json"])
+        joined = run(capsys, ["scan", "--sphere=2", "--hemisphere=2", "--window=0.4:3", "--format=json"])
+        assert spaced == joined and spaced[0] == EXIT_OK
+        assert [i["s"] for i in json.loads(joined[1])["instants"]] == ["1/2", "2"]
+
+    def test_repeated_setting_keeps_its_last_value(self, capsys):
+        last = run(capsys, ["scan", *SPHERE_HEMI, "--window", "0.4:3"])
+        assert run(capsys, ["scan", *SPHERE_HEMI, "--window", "0.01:20", "--window=0.4:3"]) == last
+        assert last[0] == EXIT_OK and "instants (2):" in last[1]
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_command_help_lists_every_flag(self, capsys, command, flag):
+        code, out, err = run(capsys, [command, *SPHERE_HEMI, flag, "--bogus"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"usage: yamabe {command} ")
+        assert re.findall(r"^  --([a-z0-9-]+)", out, re.M) == self.FLAGS[command]
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_program_help_lists_every_command(self, capsys, flag):
+        code, out, err = run(capsys, [flag])
+        assert (code, err) == (EXIT_OK, "")
+        assert re.findall(r"^  ([a-z]+) ", out, re.M) == ["spectrum", "scan", "branches", "verify"]
 
 
 class TestHeapFreeze:
