@@ -244,19 +244,33 @@ def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Sca
     return [(min(cluster, key=recorded)[0], [branch for _, branch in cluster]) for cluster in clusters]
 
 
-def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[DegeneracyInstant]:
-    """All degeneracy instants with s_min <= s <= s_max, ascending, coincident
-    branch zeros merged into one instant with summed multiplicity and the
-    signed index jump attached.  The enumeration bounds are computed from the
-    window, so the list is provably complete; ``lam``, when given, caps the
-    budget and raises if it is insufficient."""
+def _walk(fam: ProductFamily, lo, hi) -> Tuple[int, int, int, List[Tuple[Scalar, EigenBranch]]]:
+    """(below, increasing, decreasing, zeros) on [lo, hi], a window, a point
+    or the zeros of one instant: the total multiplicity of the branches
+    (i + j > 0) with sigma_{i,j} < 0 there, and of the increasing and the
+    decreasing branches that vanish there, each judged by _sign_on, and the
+    vanishing branches as (zero, branch).  Every branch is monotone, so the
+    Morse index is below + increasing just left of the first zero in
+    [lo, hi] and below + decreasing just right of the last."""
+    below, zeros = 0, []
+    for br in _pairs(fam, lo, hi):
+        sign, zero = _sign_on(br, lo, hi)
+        if sign < 0:
+            below += br.multiplicity
+        elif sign == 0:
+            zeros.append((zero, br))
+    increasing = sum(br.multiplicity for _, br in zeros if br.monotonicity is Monotonicity.INCREASING)
+    return below, increasing, sum(br.multiplicity for _, br in zeros) - increasing, zeros
+
+
+def _search(fam: ProductFamily, window, lam) -> Tuple[List[DegeneracyInstant], int]:
+    """degeneracy_instants, plus the Morse index just left of the first
+    instant, read off the same window walk."""
     if is_degenerate_pair(fam):
         raise DegeneratePairError(
             f"{fam.label}: degenerate pair -- 0 is an eigenvalue of J_s for every s"
         )
-    tol = fam.tolerance
-    s_min = fam.coerce(window[0])
-    s_max = fam.coerce(window[1])
+    s_min, s_max = fam.coerce(window[0]), fam.coerce(window[1])
     if not (0 < s_min < s_max):
         raise ValueError("window must satisfy 0 < s_min < s_max")
 
@@ -264,38 +278,23 @@ def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[Degeneracy
     _require_budget(lam, need1, "for the closed factor")
     _require_budget(lam, need2, "for the boundary factor")
 
-    found: List[Tuple[Scalar, EigenBranch]] = []
-    for branch in _pairs(fam, s_min, s_max):
-        sign, zero = _sign_on(branch, s_min, s_max)
-        if sign == 0:
-            found.append((zero, branch))
-
+    below, increasing, _, found = _walk(fam, s_min, s_max)
     instants = []
-    for s, branches in _merge_zeros(found, tol):
+    for s, branches in _merge_zeros(found, fam.tolerance):
         branches = tuple(sorted(branches, key=lambda br: (br.i, br.j)))
         jump = sum(br.multiplicity if br.monotonicity is Monotonicity.DECREASING else -br.multiplicity
                    for br in branches)
         instants.append(DegeneracyInstant(s, branches, sum(br.multiplicity for br in branches), jump))
-    return instants
+    return instants, below + increasing
 
 
-def _index_counts(fam: ProductFamily, lo, hi) -> Tuple[int, int, int]:
-    """(below, increasing, decreasing) on [lo, hi], a point or the zeros of
-    one instant: the total multiplicity of the branches (i + j > 0) with
-    sigma_{i,j} < 0 there, and of the increasing and the decreasing branches
-    that vanish there, each judged by _sign_on as the zero search judges it.
-    Every branch is monotone, so the Morse index is below + increasing just
-    left of [lo, hi] and below + decreasing just right of it."""
-    below = increasing = decreasing = 0
-    for br in _pairs(fam, lo, hi):
-        sign, _ = _sign_on(br, lo, hi)
-        if sign < 0:
-            below += br.multiplicity
-        elif sign == 0 and br.monotonicity is Monotonicity.INCREASING:
-            increasing += br.multiplicity
-        elif sign == 0:
-            decreasing += br.multiplicity
-    return below, increasing, decreasing
+def degeneracy_instants(fam: ProductFamily, window, lam=None) -> List[DegeneracyInstant]:
+    """All degeneracy instants with s_min <= s <= s_max, ascending, coincident
+    branch zeros merged into one instant with summed multiplicity and the
+    signed index jump attached.  The enumeration bounds are computed from the
+    window, so the list is provably complete; ``lam``, when given, caps the
+    budget and raises if it is insufficient."""
+    return _search(fam, window, lam)[0]
 
 
 def _span(instant: DegeneracyInstant) -> Tuple[Scalar, Scalar]:
@@ -312,8 +311,8 @@ def morse_index(fam: ProductFamily, s) -> int:
     s = fam.coerce(s)
     if s <= 0:
         raise ValueError("family parameter s must be positive")
-    below, increasing, decreasing = _index_counts(fam, s, s)
-    if increasing or decreasing:
+    below, _, _, zeros = _walk(fam, s, s)
+    if zeros:
         raise DegeneracyInstantError(f"s = {scalars.fmt(s, fam.tolerance)} is a degeneracy instant; "
                                      "use index_jump instead")
     return below
@@ -323,7 +322,7 @@ def index_jump(fam: ProductFamily, instant: DegeneracyInstant) -> Tuple[int, int
     """Morse indices just below and just above the instant, counted at the
     instant itself.  certified means n_minus != n_plus, in which case the
     instant is a bifurcation instant."""
-    below, increasing, decreasing = _index_counts(fam, *_span(instant))
+    below, increasing, decreasing, _ = _walk(fam, *_span(instant))
     return below + increasing, below + decreasing, increasing != decreasing
 
 
@@ -350,13 +349,13 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
     the certified degeneracy instants found in the window."""
     tol = fam.tolerance
     window = (fam.coerce(window[0]), fam.coerce(window[1]))
-    if is_degenerate_pair(fam):
+    try:
+        instants, n_plus = _search(fam, window, lam)
+    except DegeneratePairError:
         return FamilyClassification(case=FamilyCase.DEGENERATE_PAIR, instants=(),
                                     accumulation=_ACCUMULATION[FamilyCase.DEGENERATE_PAIR], window=window)
-    r1 = fam.factor1.scalar_curvature
-    r2 = fam.factor2.scalar_curvature
-    pos1 = scalars.gt(r1, 0, tol)
-    pos2 = scalars.gt(r2, 0, tol)
+    pos1 = scalars.gt(fam.factor1.scalar_curvature, 0, tol)
+    pos2 = scalars.gt(fam.factor2.scalar_curvature, 0, tol)
     if pos1 and pos2:
         case = FamilyCase.BOTH_POSITIVE
     elif not pos1 and not pos2:
@@ -366,15 +365,13 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
     else:
         case = FamilyCase.INCREASING_UNBOUNDED
 
-    instants = degeneracy_instants(fam, window, lam)
+    # the index changes only at instants, and there by the exact jump
     certified = []
+    for inst in instants:
+        n_minus, n_plus = n_plus, n_plus + inst.jump
+        certified.append(CertifiedInstant(instant=inst, n_minus=n_minus, n_plus=n_plus,
+                                          certified=n_minus != n_plus, side=_side(inst.branches)))
     if instants:
-        # the index changes only at instants, and there by the exact jump
-        n_plus = index_jump(fam, instants[0])[0]
-        for inst in instants:
-            n_minus, n_plus = n_plus, n_plus + inst.jump
-            certified.append(CertifiedInstant(instant=inst, n_minus=n_minus, n_plus=n_plus,
-                                              certified=n_minus != n_plus, side=_side(inst.branches)))
         recount = index_jump(fam, instants[-1])[1]
         if recount != n_plus:
             raise RecountError(

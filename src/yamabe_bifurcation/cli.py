@@ -419,6 +419,8 @@ def _verify_checks(fam, window, lam, samples):
             else:
                 ok = all(spec.level(k)[1] == count(spec.dim, k) for k in range(top + 1))
                 yield (check, ok, f"{basis} kernel ranks, k <= {top}")
+        elif spec.kind == "custom":
+            yield (f"{name}: listed levels", None, "no oracle checks a custom spectrum")
 
     result = bifurcation.classify_family(fam, window, lam)
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:

@@ -54,6 +54,14 @@ MUTANTS = (
            "return below + increasing, below + decreasing, increasing != decreasing",
            "return below + increasing + 1, below + decreasing, increasing != decreasing",
            ("test_bifurcation.py",)),
+    Mutant("the search starts the index one too high", "bifurcation.py",
+           "return instants, below + increasing",
+           "return instants, below + increasing + 1",
+           ("test_bifurcation.py",)),
+    Mutant("the walk counts a vanishing branch as below", "bifurcation.py",
+           "        if sign < 0:\n            below += br.multiplicity\n",
+           "        if sign <= 0:\n            below += br.multiplicity\n",
+           ("test_bifurcation.py",)),
     Mutant("brute-force key > instead of >=", "oracle.py",
            "key=lambda c: a + c >= 0)",
            "key=lambda c: a + c > 0)",

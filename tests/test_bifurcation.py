@@ -420,15 +420,42 @@ class TestSweep:
         assert tight == classify_family(family(100), window).instants
 
     def test_missed_instant_fails_the_recount(self, sphere_hemisphere, monkeypatch):
-        real = bifurcation.degeneracy_instants
+        real = bifurcation._search
 
-        def dropping_one(fam, window, lam=None):
-            instants = real(fam, window, lam)
-            return instants[:5] + instants[6:]
+        def dropping_one(fam, window, lam):
+            instants, start = real(fam, window, lam)
+            return instants[:5] + instants[6:], start
 
-        monkeypatch.setattr(bifurcation, "degeneracy_instants", dropping_one)
+        monkeypatch.setattr(bifurcation, "_search", dropping_one)
         with pytest.raises(RecountError):
             classify_family(sphere_hemisphere, WINDOW)
+
+
+    @given(st.one_of(
+        _families_and_windows().map(lambda case: (_custom_pair(*case[0]), case[1])),
+        _near_threshold_float_families(),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_search_gives_the_index_before_the_first_instant(self, case):
+        """The starting index that the window walk gives equals a separate
+        count at the first instant, also where a window end is a branch zero
+        and where coefficients lie within a few tolerances of 0."""
+        fam, window = case
+        assume(not is_degenerate_pair(fam))
+        cls = classify_family(fam, window)
+        assume(cls.instants)
+        first = cls.instants[0]
+        assert first.n_minus == index_jump(fam, first.instant)[0]
+
+    def test_many_instants_on_torus_times_hemisphere(self, torus_hemisphere):
+        """T^2 x S^2_+ over (1/5000, 1): 992 instants, all certified, with the
+        same first and last indices as the three-walk classification gave."""
+        cls = classify_family(torus_hemisphere, (Fraction(1, 5000), 1))
+        assert len(cls.instants) == 992
+        assert all(ci.certified for ci in cls.instants)
+        first, last = cls.instants[0], cls.instants[-1]
+        assert (first.instant.s, first.n_minus, first.n_plus) == (Fraction(1, 4998), 10476, 10468)
+        assert (last.instant.s, last.n_minus, last.n_plus) == (Fraction(2, 3), 4, 0)
 
 
 class TestFloatMode:

@@ -641,6 +641,8 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", *family])
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines() == [
+            f"SKIP factor1 {closed}: listed levels: no oracle checks a custom spectrum",
+            f"SKIP factor2 {boundary}: listed levels: no oracle checks a custom spectrum",
             "PASS degeneracy instants vs dense scan: 4 exact instants, 4 brackets",
             "PASS Morse index vs brute force: 7 probe points agree",
             "all checks passed",
@@ -784,13 +786,13 @@ class TestVerify:
     @staticmethod
     def _bump_jumps(monkeypatch, bumps):
         """Add bumps[k] to the jump of the k-th instant the engine finds."""
-        real = bifurcation.degeneracy_instants
+        real = bifurcation._search
 
-        def bumped(fam, window, lam=None):
-            instants = real(fam, window, lam)
-            return [inst._replace(jump=inst.jump + bumps.get(k, 0)) for k, inst in enumerate(instants)]
+        def bumped(fam, window, lam):
+            instants, start = real(fam, window, lam)
+            return [inst._replace(jump=inst.jump + bumps.get(k, 0)) for k, inst in enumerate(instants)], start
 
-        monkeypatch.setattr(bifurcation, "degeneracy_instants", bumped)
+        monkeypatch.setattr(bifurcation, "_search", bumped)
 
     def test_one_wrong_jump_fails_the_closing_recount(self, capsys, monkeypatch):
         """verify certifies through the classify_family call that scan makes,
