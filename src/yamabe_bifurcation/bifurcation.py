@@ -122,42 +122,32 @@ def sigma_value(branch: EigenBranch, s) -> Scalar:
     return branch.a + branch.b / s
 
 
+def _zero(a, b, sa, sb) -> Optional[Scalar]:
+    """The zero -b/a of a + b/s, present exactly when the judged signs sa of a
+    and sb of b are strictly opposite; None otherwise."""
+    return -b / a if sa * sb < 0 else None
+
+
 def branch_zero(branch: EigenBranch) -> Optional[Scalar]:
     """The unique zero -b/a in (0, inf), present exactly when a and b have
     strictly opposite signs; None otherwise (absence is a value).  In float
     mode a coefficient within the tolerance of 0 counts as 0."""
-    sa = scalars.sign(branch.a, branch.tolerance)
-    sb = scalars.sign(branch.b, branch.tolerance)
-    if sa * sb >= 0:
-        return None
-    return -branch.b / branch.a
-
-
-def _sign_on(branch: EigenBranch, lo, hi) -> Tuple[int, Optional[Scalar]]:
-    """The sign of sigma on [lo, hi], with the branch zero.  The sign is 0
-    when the zero lies in [lo, hi] within the tolerance; otherwise it is the
-    sign of a right of the zero and of b left of it, and a branch without a
-    zero has the sign of its nonzero coefficient."""
     tol = branch.tolerance
-    zero = branch_zero(branch)
-    if zero is None:
-        return scalars.sign(branch.a, tol) or scalars.sign(branch.b, tol), zero
-    if scalars.lt(zero, lo, tol):
-        return scalars.sign(branch.a, tol), zero
-    if scalars.gt(zero, hi, tol):
-        return scalars.sign(branch.b, tol), zero
-    return 0, zero
+    return _zero(branch.a, branch.b, scalars.sign(branch.a, tol), scalars.sign(branch.b, tol))
+
+
+def _column(spectrum, threshold, bound, tol) -> List[Tuple[Scalar, int, int]]:
+    """(r - threshold, its scalars.sign, multiplicity) for each level r <= bound;
+    in float mode a coefficient within the tolerance of 0 has sign 0."""
+    return [(c, scalars.sign(c, tol), m) for r, m in spectrum.eigenvalues_leq(bound) for c in (r - threshold,)]
 
 
 def _least_index_geq(spectrum, threshold, tol) -> Tuple[int, bool]:
-    """Least level index with eigenvalue >= threshold, plus the exact-equality
-    flag.  For threshold <= 0 this is level 0 (eigenvalue 0)."""
-    if scalars.le(threshold, 0, tol):
-        return 0, scalars.close(threshold, 0, tol)
-    levels = spectrum.eigenvalues_leq(threshold)
-    equality = bool(levels) and scalars.close(levels[-1][0], threshold, tol)
-    below = len(levels) - 1 if equality else len(levels)
-    return below, equality
+    """Least level index whose coefficient r - threshold has sign >= 0, plus
+    whether a coefficient has sign 0 (exact equality in exact mode).  For
+    threshold <= 0 this is level 0 (eigenvalue 0)."""
+    signs = [sign for _, sign, _ in _column(spectrum, threshold, max(threshold, 0), tol)]
+    return signs.count(-1), 0 in signs
 
 
 def critical_indices(fam: ProductFamily) -> CriticalIndices:
@@ -193,32 +183,6 @@ def enumeration_bounds(fam: ProductFamily, window) -> Tuple[Scalar, Scalar]:
     return (fam.threshold1 + t2 / s_min, fam.threshold2 + s_max * t1)
 
 
-def _pairs(fam: ProductFamily, s_lo, s_hi):
-    """Every branch (i, j) != (0, 0) that can be <= 0 somewhere in
-    [s_lo, s_hi], and a few more that the caller's sign rule rejects.  sigma
-    <= 0 at s means b <= -a*s, and the least a*s is at s_lo when a > 0, at
-    s_hi when a < 0, and 0 when a is 0 within the tolerance.  That bound on b
-    falls as i grows, so factor 2 is read once, at the bound of i = 0; a
-    negative bound reads level 0 only."""
-    tol = fam.tolerance
-    t1, t2 = fam.threshold1, fam.threshold2
-
-    def least(a):
-        sa = scalars.sign(a, tol)
-        return a * (s_lo if sa > 0 else s_hi) if sa else 0
-
-    levels2 = fam.factor2.eigenvalues_leq(max(t2 - least(-t1), 0))
-    coefficients2 = [(r2 - t2, m2) for r2, m2 in levels2]
-    for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(max(t1 + max(t2 / s_lo, t2 / s_hi), 0))):
-        a = r1 - t1
-        bound = -least(a)
-        for j, (b, m2) in enumerate(coefficients2):
-            if scalars.gt(b, bound, tol):
-                break
-            if i or j:
-                yield EigenBranch(i, j, a, b, m1 * m2, tol)
-
-
 def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Scalar, List[EigenBranch]]]:
     """Group branch zeros, recorded as (s, branch), into instants, ascending.
 
@@ -248,18 +212,47 @@ def _walk(fam: ProductFamily, lo, hi) -> Tuple[int, int, int, List[Tuple[Scalar,
     """(below, increasing, decreasing, zeros) on [lo, hi], a window, a point
     or the zeros of one instant: the total multiplicity of the branches
     (i + j > 0) with sigma_{i,j} < 0 there, and of the increasing and the
-    decreasing branches that vanish there, each judged by _sign_on, and the
-    vanishing branches as (zero, branch).  Every branch is monotone, so the
-    Morse index is below + increasing just left of the first zero in
-    [lo, hi] and below + decreasing just right of the last."""
-    below, zeros = 0, []
-    for br in _pairs(fam, lo, hi):
-        sign, zero = _sign_on(br, lo, hi)
-        if sign < 0:
-            below += br.multiplicity
-        elif sign == 0:
-            zeros.append((zero, br))
-    increasing = sum(br.multiplicity for _, br in zeros if br.monotonicity is Monotonicity.INCREASING)
+    decreasing branches that vanish there, and the vanishing branches as
+    (zero, branch).  Every branch is monotone, so the Morse index is
+    below + increasing just left of the first zero in [lo, hi] and
+    below + decreasing just right of the last.
+
+    A branch's sign on [lo, hi] is 0 when its zero lies there within the
+    tolerance, else that of a right of the zero and of b left of it, or that
+    of its nonzero coefficient when it has no zero.  sigma <= 0 at s means
+    b <= -a*s, where the least a*s is a*lo for a > 0, a*hi for a < 0 and 0 for
+    sign 0; that bound falls as i grows, so factor 2 is read once, as a column
+    of (coefficient, sign, multiplicity) up to the bound of i = 0."""
+    tol = fam.tolerance
+    t1, t2 = fam.threshold1, fam.threshold2
+
+    def least(a, sa):
+        return a * (lo if sa > 0 else hi) if sa else 0
+
+    column2 = _column(fam.factor2, t2, max(t2 - least(-t1, scalars.sign(-t1, tol)), 0), tol)
+    below = increasing = 0
+    zeros = []
+    for i, (a, sa, m1) in enumerate(_column(fam.factor1, t1, max(t1 + max(t2 / lo, t2 / hi), 0), tol)):
+        bound = -least(a, sa)
+        for j, (b, sb, m2) in enumerate(column2):
+            if scalars.gt(b, bound, tol):
+                break
+            if not (i or j):
+                continue
+            zero = _zero(a, b, sa, sb)
+            if zero is None:
+                sign = sa or sb
+            elif scalars.lt(zero, lo, tol):
+                sign = sa
+            elif scalars.gt(zero, hi, tol):
+                sign = sb
+            else:
+                sign = 0
+            if sign < 0:
+                below += m1 * m2
+            elif sign == 0:
+                zeros.append((zero, EigenBranch(i, j, a, b, m1 * m2, tol)))
+                increasing += m1 * m2 if sb < 0 else 0
     return below, increasing, sum(br.multiplicity for _, br in zeros) - increasing, zeros
 
 

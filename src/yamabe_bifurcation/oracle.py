@@ -29,10 +29,11 @@ computation with the exact engine it checks:
   s_max, whose meeting points bisection over grid indices finds.  The
   brackets are thus bit for bit those of sampling every pair at every point,
 * brute-force Morse index over every pair of factor levels, from one float
-  list per factor.  For a closed level r1_i, the boundary levels with
-  (r1_i - t1) + (r2_j - t2)/s < 0 are a prefix in j, since that float
-  expression is monotone in r2_j; bisection finds it, and prefix sums of
-  the multiplicities count it.
+  coefficient list per factor; here and in the scan, a float-mode
+  coefficient within the tolerance of 0 reads 0.0, as in the engine.  For a
+  closed level, the boundary levels with a_i + b_j/s < 0 are a prefix in j,
+  since that float expression is monotone in b_j; bisection finds it, and
+  prefix sums of the multiplicities count it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import itertools
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .product import ProductFamily
 
@@ -313,6 +314,13 @@ def _pair_brackets(a: float, b: float, point, samples: int) -> List[Tuple[float,
     return brackets
 
 
+def _coefficients(levels, threshold, tol: Optional[float]) -> List[float]:
+    """The float coefficients r - threshold of the levels; in float mode a
+    coefficient x with |x| <= tol * max(1, |x|) is 0.0, as the engine reads it."""
+    values = [float(r) - float(threshold) for r, _ in levels]
+    return values if tol is None else [0.0 if abs(x) <= tol * max(1.0, abs(x)) else x for x in values]
+
+
 def dense_scan_degeneracy(
     fam: ProductFamily, window, samples: int, lam1, lam2
 ) -> List[Tuple[float, float]]:
@@ -326,9 +334,8 @@ def dense_scan_degeneracy(
     if not (0 < s_lo < s_hi):
         raise ValueError("window must satisfy 0 < s_min < s_max")
     point = functools.partial(_grid_point, s_lo, s_hi, samples)
-    t1, t2 = float(fam.threshold1), float(fam.threshold2)
-    a_values = [float(r) - t1 for r, _ in fam.factor1.eigenvalues_leq(fam.coerce(lam1))]
-    b_values = [float(r) - t2 for r, _ in fam.factor2.eigenvalues_leq(fam.coerce(lam2))]
+    a_values = _coefficients(fam.factor1.eigenvalues_leq(fam.coerce(lam1)), fam.threshold1, fam.tolerance)
+    b_values = _coefficients(fam.factor2.eigenvalues_leq(fam.coerce(lam2)), fam.threshold2, fam.tolerance)
     brackets = []
     # the first pair, (0, 0), is the constants', not a branch
     for a, b in itertools.islice(itertools.product(a_values, b_values), 1, None):
@@ -362,14 +369,14 @@ def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float]
     levels2 = fam.factor2.eigenvalues_leq(max(lam * s for s, lam in points))
     r1, m1 = [float(r) for r, _ in levels1], [m for _, m in levels1]
     r2, m2 = [float(r) for r, _ in levels2], [m for _, m in levels2]
-    a_values = [r - float(fam.threshold1) for r in r1]
-    t2 = float(fam.threshold2)
+    a_values = _coefficients(levels1, fam.threshold1, fam.tolerance)
+    b_values = _coefficients(levels2, fam.threshold2, fam.tolerance)
     below = list(itertools.accumulate(m2, initial=0))  # below[k]: multiplicity of the first k levels
     counts = []
     for s, lam in points:
         s, lam = float(s), float(lam)
         n1 = bisect_right(r1, lam)
-        c_values = [(r - t2) / s for r in r2[:bisect_right(r2, lam * s)]]
+        c_values = [b / s for b in b_values[:bisect_right(r2, lam * s)]]
         count = sum(m * below[bisect_left(c_values, True, key=lambda c: a + c >= 0)]
                     for a, m in zip(a_values[:n1], m1))
         if n1 and c_values and a_values[0] + c_values[0] < 0:  # the constants' (0, 0) is not a branch

@@ -47,8 +47,8 @@ MUTANTS = (
            "top = (math.isqrt((n - 1) ** 2 + 4 * cap - 1) - (n - 1)) // 2",
            ("test_spectra.py",)),
     Mutant("boundary factor read to half its bound", "bifurcation.py",
-           "levels2 = fam.factor2.eigenvalues_leq(max(t2 - least(-t1), 0))",
-           "levels2 = fam.factor2.eigenvalues_leq(max((t2 - least(-t1)) / 2, 0))",
+           "column2 = _column(fam.factor2, t2, max(t2 - least(-t1, scalars.sign(-t1, tol)), 0), tol)",
+           "column2 = _column(fam.factor2, t2, max((t2 - least(-t1, scalars.sign(-t1, tol))) / 2, 0), tol)",
            ("test_bifurcation.py",)),
     Mutant("index_jump one too high before the instant", "bifurcation.py",
            "return below + increasing, below + decreasing, increasing != decreasing",
@@ -59,12 +59,24 @@ MUTANTS = (
            "return instants, below + increasing + 1",
            ("test_bifurcation.py",)),
     Mutant("the walk counts a vanishing branch as below", "bifurcation.py",
-           "        if sign < 0:\n            below += br.multiplicity\n",
-           "        if sign <= 0:\n            below += br.multiplicity\n",
+           "            if sign < 0:\n                below += m1 * m2\n",
+           "            if sign <= 0:\n                below += m1 * m2\n",
            ("test_bifurcation.py",)),
+    Mutant("critical indices judge a level by the relative close rule", "bifurcation.py",
+           "signs = [sign for _, sign, _ in _column(",
+           "signs = [0 if scalars.close(c + threshold, threshold, tol) else sign for c, sign, _ in _column(",
+           ("test_cli.py",)),
     Mutant("brute-force key > instead of >=", "oracle.py",
            "key=lambda c: a + c >= 0)",
            "key=lambda c: a + c > 0)",
+           ("test_oracle.py",)),
+    Mutant("the oracles read raw float signs", "oracle.py",
+           "return values if tol is None else [",
+           "return values if True else [",
+           ("test_cli.py",)),
+    Mutant("exact rank adds instead of cancelling", "oracle.py",
+           "- x * pivot.get(r, 0)",
+           "+ x * pivot.get(r, 0)",
            ("test_oracle.py",)),
     Mutant("exact rank stops one pivot short", "oracle.py",
            "if len(pivots) == rows:",
@@ -104,6 +116,10 @@ MUTANTS = (
     Mutant("verify checks no round factor past n = 4", "cli.py",
            "top = oracle.kernel_rank_degree_limit(spec.dim, top)",
            "top = top if spec.dim <= 4 else -1",
+           ("test_cli.py",)),
+    Mutant("no factor-count check", "cli.py",
+           "if len(factors) != 2:",
+           "if False:",
            ("test_cli.py",)),
     Mutant("the heap is frozen on every call of main", "cli.py",
            "if argv is None:",

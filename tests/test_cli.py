@@ -176,6 +176,27 @@ class TestScan:
         )
         assert code == EXIT_CONFIG
 
+    GOOD_SPEC = ["dim = 2", "scalar_curvature = 6", "has_boundary = false", "boundary_minimal = false",
+                 "lambda_max = 10", "eig 0 1", "eig 5/2 2"]
+
+    @pytest.mark.parametrize("line, text, message", [
+        (7, "eig 5/2 two", "line 7: bad multiplicity 'two'"),
+        (4, "", "missing header key 'boundary_minimal'"),
+        (3, "has_boundary = yes", "line 3: has_boundary must be true or false"),
+        (7, "tolerance = 0", "line 7: tolerance must be positive"),
+        (7, "tolerance = tiny", "line 7: bad tolerance 'tiny'"),
+        (1, "dim = two", "line 1: bad dim 'two'"),
+        (2, "scalar_curvature = 1/0", "line 2: bad scalar_curvature '1/0'"),
+    ], ids=["multiplicity", "missing-key", "boolean", "tolerance-zero", "tolerance-word", "dim", "curvature"])
+    def test_bad_custom_file_message_exit_3(self, capsys, tmp_path, line, text, message):
+        """GOOD_SPEC with one line replaced gives the message of that line."""
+        spec = tmp_path / "closed.spec"
+        argv = ["scan", "--custom", str(spec), "--hemisphere", "2", "--window", "1:2"]
+        spec.write_text("\n".join(self.GOOD_SPEC) + "\n")
+        assert run(capsys, argv)[0] == EXIT_OK
+        spec.write_text("\n".join(self.GOOD_SPEC[:line - 1] + [text] + self.GOOD_SPEC[line:]) + "\n")
+        assert run(capsys, argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+
     def test_undecodable_custom_file_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"\xff\xfe")
@@ -346,9 +367,31 @@ class TestArguments:
         (["spectrum", "--sphere", "2", "--below", "3", "--form=json"], "unrecognized arguments: --form=json"),
         (["scan", *SPHERE_HEMI, "--window", "1:3", "--format", "xml"],
          "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')"),
+        (["scan", "--window", "1:2"], "no factors specified"),
+        (["scan", *SPHERE_HEMI], "missing --window MIN:MAX"),
+        (["scan", *SPHERE_HEMI, "--hemisphere", "3", "--window", "1:2"], "a family needs exactly two factors, got 3"),
+        (["spectrum", "--sphere", "2"], "missing --below Q"),
+        (["scan", "--sphere", "2", "--sphere", "2", "--window", "1:2"], "factor2 (S^2(r2=1)) must have a boundary"),
+        (["scan", "--sphere", "2", "--custom", "float.spec", "--window", "1:2"],
+         "factors use incompatible numeric representations (tolerances None and 1e-09)"),
+        (["scan", "--config", "cube.cfg"], "cube.cfg: bad factor description 'cube 3'"),
+        (["scan", "--config", "bare.cfg"], "bare.cfg: factor description 'sphere' is missing a value"),
+        (["scan", "--custom", "absent.spec", "--hemisphere", "2", "--window", "1:2"],
+         "[Errno 2] No such file or directory: 'absent.spec'"),
     ], ids=["no-command", "unknown-command", "no-value-at-end", "flag-as-value", "abbreviated",
-            "abbreviated-with-value", "format-choice"])
-    def test_bad_argv_exit_3(self, capsys, argv, message):
+            "abbreviated-with-value", "format-choice", "no-factors", "no-window", "three-factors", "no-below",
+            "closed-factor2", "mixed-modes", "config-unknown-factor", "config-factor-without-value",
+            "missing-custom-file"])
+    def test_bad_argv_exit_3(self, capsys, tmp_path, monkeypatch, argv, message):
+        """The exact message, with nothing on stdout; file names are relative
+        to a directory that holds the files some cases read."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "float.spec").write_text(
+            "dim = 2\nscalar_curvature = 6\nhas_boundary = true\nboundary_minimal = true\n"
+            "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 2.5 2\n"
+        )
+        (tmp_path / "cube.cfg").write_text("factor1 = cube 3\nfactor2 = hemisphere 2\nwindow = 1:2\n")
+        (tmp_path / "bare.cfg").write_text("factor1 = sphere\nfactor2 = hemisphere 2\nwindow = 1:2\n")
         assert run(capsys, argv) == (EXIT_CONFIG, "", f"error: {message}\n")
 
     def test_equals_form_is_the_spaced_form(self, capsys):
@@ -669,9 +712,6 @@ class TestVerify:
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == "all checks passed"
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 6: the oracles compare raw float signs, "
-                              "the engine counts a coefficient within the tolerance of 0 as 0")
     def test_oracles_apply_the_sign_rule_of_scan(self, capsys, tmp_path):
         """Branch (1, 1) has a within the tolerance of 0, so scan keeps it at
         the sign of b at every s, while brute force reads the raw float sign
@@ -689,6 +729,36 @@ class TestVerify:
         family = ["--custom", str(closed), "--custom", str(boundary), "--window", "5:10"]
         code, out, _ = run(capsys, ["scan", *family])
         assert code == EXIT_OK and "instants (0):" in out
+        code, out, err = run(capsys, ["verify", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "all checks passed"
+
+    def test_critical_indices_use_the_sign_rule_of_the_walk(self, capsys, tmp_path):
+        """T1 = T2 = 10 and branch (1, 1) has a = -b = 5e-9, both beyond the
+        tolerance 1e-9 of 0 although each level is within 1e-9 * 10 of its
+        threshold: the pair is not degenerate, and the branch vanishes at
+        s = 1 only."""
+        closed = tmp_path / "closed.spec"
+        closed.write_text(
+            "dim = 2\nscalar_curvature = 30\nhas_boundary = false\nboundary_minimal = false\n"
+            "tolerance = 1e-9\nlambda_max = 100\neig 0 1\neig 10.000000005 2\n"
+        )
+        boundary = tmp_path / "boundary.spec"
+        boundary.write_text(
+            "dim = 2\nscalar_curvature = 30\nhas_boundary = true\nboundary_minimal = true\n"
+            "tolerance = 1e-9\nlambda_max = 100\neig 0 1\neig 9.999999995 3\n"
+        )
+        family = ["--custom", str(closed), "--custom", str(boundary), "--window", "0.5:2"]
+        code, out, err = run(capsys, ["scan", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            f"family: {closed} x {boundary}",
+            "classification: BothPositive",
+            "accumulation: instants accumulate at 0 and at +inf",
+            "window: [0.5, 2]  lambda_max: None  mode: float",
+            "instants (1):",
+            "  s = 1  branches = (1,1)  mult = 6  n- = 11  n+ = 5  certified = yes  side = tending-to-zero",
+        ]
         code, out, err = run(capsys, ["verify", *family])
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == "all checks passed"

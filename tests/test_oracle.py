@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +190,44 @@ class TestHarmonicDimensions:
                 if n >= 2:
                     even = [m for m in monos if m[-1] % 2 == 0]
                     assert even_harmonic_dimension(n, k) == self._full_matrix_kernel_dimension(even, n + 1)
+
+    @staticmethod
+    def _dependent_columns(rng, rows):
+        """Sparse integer columns on ``rows`` rows: a few random ones, then
+        integer combinations of two of them, shuffled, so that leads repeat
+        and some columns eliminate to zero."""
+        columns = [{r: v for r in range(rows) if rng.random() < 0.6 and (v := rng.randint(-3, 3))}
+                   for _ in range(rng.randint(1, rows + 1))]
+        for _ in range(rng.randint(1, 4)):
+            u, w = rng.choice(columns), rng.choice(columns)
+            p, q = rng.randint(-2, 2), rng.randint(-2, 2)
+            columns.append({r: v for r in u.keys() | w.keys() if (v := p * u.get(r, 0) + q * w.get(r, 0))})
+        rng.shuffle(columns)
+        return columns
+
+    def test_exact_rank_eliminates_dependent_columns(self):
+        """_exact_rank agrees with numpy's rank on 300 small sparse integer
+        matrices with dependent columns.  The ranks are taken in a daemon
+        thread, so that an elimination that never ends fails the test
+        instead of hanging it."""
+        rng = random.Random(1)
+        cases = [(self._dependent_columns(rng, rows), rows) for rows in range(1, 7) for _ in range(50)]
+        ranks = []
+        worker = threading.Thread(
+            target=lambda: ranks.extend(oracle._exact_rank(columns, rows) for columns, rows in cases), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=20)
+        assert not worker.is_alive(), "an elimination did not end"
+        eliminated = 0
+        for (columns, rows), rank in zip(cases, ranks):
+            matrix = np.zeros((rows, len(columns)), dtype=np.int64)
+            for k, column in enumerate(columns):
+                for r, v in column.items():
+                    matrix[r, k] = v
+            assert rank == np.linalg.matrix_rank(matrix)
+            eliminated += rank < sum(map(bool, columns))
+        assert eliminated > len(cases) // 2  # most matrices cancel a nonzero column
 
     def test_exact_ranks_equal_the_closed_forms(self):
         for n in (1, 2, 3, 4, 5, 6, 8, 11, 20, 94):
@@ -390,21 +430,24 @@ class TestBruteForceIndex:
     @staticmethod
     def _outer_sum(fam, points):
         """The reference: for each point, the outer sum of the two float
-        tables, its negative entries masked, (0, 0) dropped, and the outer
-        product of the multiplicities summed under the mask."""
+        coefficient tables, its negative entries masked, (0, 0) dropped, and
+        the outer product of the multiplicities summed under the mask.  In
+        float mode a coefficient x with |x| <= tol * max(1, |x|) reads 0."""
         points = [(fam.coerce(s), fam.coerce(lam)) for s, lam in points]
         (r1, m1), (r2, m2) = (
             (np.array([float(r) for r, _ in levels]), np.array([m for _, m in levels], dtype=np.int64))
             for levels in (fam.factor1.eigenvalues_leq(max(lam for _, lam in points)),
                            fam.factor2.eigenvalues_leq(max(lam * s for s, lam in points)))
         )
-        t1, t2 = float(fam.threshold1), float(fam.threshold2)
+        a, b = r1 - float(fam.threshold1), r2 - float(fam.threshold2)
+        if fam.tolerance is not None:
+            a, b = (np.where(np.abs(x) <= fam.tolerance * np.maximum(1.0, np.abs(x)), 0.0, x) for x in (a, b))
         counts = []
         for s, lam in points:
             s, lam = float(s), float(lam)
             n1 = np.searchsorted(r1, lam, side="right")
             n2 = np.searchsorted(r2, lam * s, side="right")
-            negative = (r1[:n1] - t1)[:, None] + ((r2[:n2] - t2) / s)[None, :] < 0
+            negative = a[:n1, None] + (b[:n2] / s)[None, :] < 0
             if negative.size:
                 negative[0, 0] = False
             counts.append(int(np.outer(m1[:n1], m2[:n2])[negative].sum()))
