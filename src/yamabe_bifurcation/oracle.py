@@ -5,20 +5,28 @@ exhaustive counts, dense grids -- and pure Python, and shares no
 computation with the exact engine it checks:
 
 * finite-difference Neumann spectrum of the interval, by bisection on Sturm
-  counts, with a Newton step on det(T - xI) taken from the same LDL^T pass
-  once an eigenvalue is alone in its bracket.  The stencil is its own
-  mirror image, so it splits into an even and an odd block of half the
-  rows each (Cantoni & Butler 1976).  The k-th eigenvector of a Jacobi
-  matrix changes sign k times, so the eigenvalues alternate between the
-  blocks, starting with the even one; the even block gives ceil(count/2)
-  of them and the odd block floor(count/2).  One Sturm count on the whole
-  stencil just above the largest must find exactly ``count``, or the
-  oracle raises.  The first count of each block is taken half a width
-  above its Gershgorin lower end, which closes the constant mode at once,
+  counts.  A bracket that spans more than a factor of 4 above 0 is split at
+  its geometric midpoint.  Until an eigenvalue is alone in its bracket the
+  passes only count; after, the same LDL^T pass also gives a Newton step on
+  det(T - xI).  The stencil is its own mirror image, so it splits into an
+  even and an odd block of half the rows each (Cantoni & Butler 1976).  The
+  k-th eigenvector of a Jacobi matrix changes sign k times, so the
+  eigenvalues alternate between the blocks, starting with the even one; the
+  even block gives ceil(count/2) of them and the odd block floor(count/2).
+  For an even size the even block is the Neumann stencil of half the rows,
+  so it splits again, recursively, while its size is even and at least 4.
+  The last Neumann block is bisected whole, as are the odd blocks and the
+  even block of an odd size.  One count on the whole stencil just above
+  the largest must find exactly ``count``, or the oracle raises.  The first
+  count of each block is taken half a width above its Gershgorin lower end,
+  which closes the constant mode of the last Neumann block at once,
 * harmonic-polynomial dimension counts by the exact rank of the Laplacian
   matrix on monomials, one block per parity class of the exponents (the
   Laplacian keeps them), by fraction-free integer elimination, for the
-  degrees whose monomial basis is within a fixed budget,
+  degrees whose monomial basis is within a fixed budget.  A permutation of
+  the variables maps each class onto every other class of its weight and
+  commutes with the Laplacian, so one block per weight is ranked and
+  counted once for each class of that weight,
 * sign-change scan for degeneracy instants on a dense log-spaced grid.  A
   branch a + b/s with a > 0, b >= 0 or a < 0, b <= 0 is skipped: its
   sampled value a + b*(1/s) adds two terms of one sign, so it has the
@@ -76,6 +84,20 @@ def _sturm_pass(diag: Sequence[float], off_sq: Sequence[float], x: float, pivmin
     return count, (1.0 / total if total else math.nan)
 
 
+def _sturm_count(diag: Sequence[float], off_sq: Sequence[float], x: float, pivmin: float) -> int:
+    """The count of ``_sturm_pass``, from the same pivots, without the
+    Newton step."""
+    count = 0
+    q = 1.0
+    for a, b2 in zip(diag, off_sq):
+        q = a - x - b2 / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+    return count
+
+
 def _gershgorin(diag: Sequence[float], off: Sequence[float]) -> Tuple[float, float, float]:
     """The Gershgorin interval of the symmetric tridiagonal matrix and the
     bisection width 2 eps ||T|| that it bounds."""
@@ -92,18 +114,30 @@ def _pass_inputs(off: Sequence[float]) -> Tuple[List[float], float]:
     return off_sq, sys.float_info.min * max([1.0] + off_sq)
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """Where to count next in the bracket (lo, hi): at the geometric
+    midpoint while the bracket spans more than a factor of 4 above 0, at
+    the midpoint after."""
+    return math.sqrt(lo) * math.sqrt(hi) if 0 < 4 * lo < hi else 0.5 * (lo + hi)
+
+
 def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float], count: int) -> List[float]:
     """The ``count`` smallest eigenvalues of the symmetric tridiagonal matrix
     with diagonal ``diag`` and off-diagonal ``off``, ascending, by bisection
     on Sturm counts (Barth, Martin & Wilkinson 1967) inside the Gershgorin
     interval, down to an absolute width of 2 eps ||T||.  Every count narrows
-    the brackets of all the eigenvalues it separates.
+    the brackets of all the eigenvalues it separates.  A bracket that spans
+    more than a factor of 4 above 0 is split at its geometric midpoint, so
+    that a small eigenvalue of a stiff matrix is reached in a few counts.
 
-    Once an eigenvalue is alone in its bracket, the next point is the Newton
-    iterate of det(T - xI) from the last one, as long as it falls inside the
-    bracket.  When the Newton step is below a quarter of the width, one count
-    half a width inside the bracket closes it; a count that does not confirm
-    the Newton estimate only moves the bracket end, and the search goes on.
+    Once an eigenvalue is alone in its bracket, the next point is the
+    Newton iterate of det(T - xI) from the last one, as long as it falls
+    inside the bracket.  When the Newton step is below a quarter of the
+    width, one count half a width inside the bracket closes it; a count
+    that does not confirm the Newton estimate only moves the bracket end,
+    and the search goes on.  Only a pass whose Newton step is read computes
+    it (``_sturm_pass``); the others, before the eigenvalue is alone and
+    the closing count, only count (``_sturm_count``).
     The first count is taken half a width above the Gershgorin lower end, so
     that an eigenvalue on it (the constant mode of a Neumann stencil) is
     closed by that count alone."""
@@ -114,9 +148,13 @@ def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float
     below_lo = [0] * count  # eigenvalues counted below each bracket end
     below_hi = [len(diag)] * count
     for k in range(count):
-        x = lowest + 0.5 * width if k == 0 else 0.5 * (lo[k] + hi[k])
+        x = lowest + 0.5 * width if k == 0 else _midpoint(lo[k], hi[k])
+        newton = False  # whether the pass at x is to give the Newton step
         while hi[k] - lo[k] > width:
-            below, step = _sturm_pass(diag, off_sq, x, pivmin)
+            if newton:
+                below, step = _sturm_pass(diag, off_sq, x, pivmin)
+            else:
+                below, step = _sturm_count(diag, off_sq, x, pivmin), math.nan
             for other in range(k, count):
                 if other < below:
                     if x < hi[other]:
@@ -124,13 +162,41 @@ def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float
                 elif x > lo[other]:
                     lo[other], below_lo[other] = x, below
             isolated = below_hi[k] - below_lo[k] == 1
+            # a NaN step (from a count-only pass) fails both tests
             if isolated and abs(step) <= 0.25 * width:
-                x = x + 0.5 * width if x == lo[k] else x - 0.5 * width
+                x, newton = (x + 0.5 * width if x == lo[k] else x - 0.5 * width), False
             elif isolated and lo[k] < x - step < hi[k]:
-                x -= step
+                x, newton = x - step, True
             else:
-                x = 0.5 * (lo[k] + hi[k])
+                x, newton = _midpoint(lo[k], hi[k]), isolated
     return [0.5 * (a + b) for a, b in zip(lo, hi)]
+
+
+def _mirror_eigenvalues(diag: List[float], off: List[float], count: int) -> List[float]:
+    """The ``count`` smallest eigenvalues of the Neumann stencil (``diag``,
+    ``off``) of at least 2 rows, ascending, from its two mirror blocks.  For
+    an even size the even block is the Neumann stencil of half the rows; it
+    splits again while its own size is even and at least 4, and is bisected
+    whole after, so that its first count closes the constant mode.  The
+    other blocks are bisected."""
+    rows, c = len(diag), diag[0]
+    half = rows // 2
+    evens, odds = (count + 1) // 2, count // 2  # the blocks take turns, even first
+    odd_diag, odd_off = diag[:half], off[:half - 1]
+    if rows % 2:
+        # the middle node couples to both of its equal neighbors: scaled by
+        # sqrt(2), that row keeps the block symmetric; odd vectors vanish there
+        even_off = off[:half]
+        even_off[-1] = -math.sqrt(2.0) * c
+        even = _smallest_tridiagonal_eigenvalues(diag[:half + 1], even_off, evens)
+    else:
+        # u_{N/2+1} = +-u_{N/2} adds -+c to the last diagonal entry
+        even_diag = diag[:half]
+        even_diag[-1] -= c
+        odd_diag[-1] += c
+        split = _mirror_eigenvalues if half >= 4 and half % 2 == 0 else _smallest_tridiagonal_eigenvalues
+        even = split(even_diag, odd_off, evens)
+    return sorted(even + _smallest_tridiagonal_eigenvalues(odd_diag, odd_off, odds))
 
 
 def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSpectrum:
@@ -146,9 +212,11 @@ def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSp
     Its eigenvalues are simple and the k-th eigenvector changes sign k
     times, so the blocks take turns from the constant mode (even) on: the
     ceil(count/2) smallest of the even block and the floor(count/2)
-    smallest of the odd block are the count smallest.  One Sturm count on
-    the whole stencil just above the largest of them must find exactly
-    ``count``.
+    smallest of the odd block are the count smallest.  For an even N the
+    even block is the Neumann stencil of N/2 rows with the same h, so it
+    splits the same way, down to an odd or a 2-row stencil.  One Sturm
+    count on the whole stencil just above the largest eigenvalue found
+    must find exactly ``count``.
     """
     if grid_points < 16:
         raise ValueError("need at least 16 grid points")
@@ -162,22 +230,11 @@ def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSp
     diag = [2.0 * c] * grid_points
     diag[0] = diag[-1] = c
     off = [-c] * (grid_points - 1)
-    half = grid_points // 2
-    even_diag, even_off = diag[:grid_points - half], off[:grid_points - half - 1]
-    odd_diag, odd_off = diag[:half], off[:half - 1]
-    if grid_points % 2:
-        # the middle node couples to both of its equal neighbors: scaled by
-        # sqrt(2), that row keeps the block symmetric; odd vectors vanish there
-        even_off[-1] = -math.sqrt(2.0) * c
-    else:
-        # u_{N/2+1} = +-u_{N/2} adds -+c to the last diagonal entry
-        even_diag[-1], odd_diag[-1] = c, 3.0 * c
-    values = sorted(_smallest_tridiagonal_eigenvalues(even_diag, even_off, (count + 1) // 2)
-                    + _smallest_tridiagonal_eigenvalues(odd_diag, odd_off, count // 2))
+    values = _mirror_eigenvalues(diag, off, count)
     # 16 eps ||T|| above: past the rounding of the bracket and of both passes
     _, _, width = _gershgorin(diag, off)
     off_sq, pivmin = _pass_inputs(off)
-    if values and _sturm_pass(diag, off_sq, values[-1] + 8 * width, pivmin)[0] != count:
+    if values and _sturm_count(diag, off_sq, values[-1] + 8 * width, pivmin) != count:
         raise ArithmeticError("the mirror blocks missed an eigenvalue of the stencil")
     # lambda_k^FD = (4/h^2) sin^2(k pi h / (2 L)); relative error ~ (k pi h / L)^2 / 12
     worst = (count * math.pi * h / length) ** 2 / 12.0
@@ -228,27 +285,35 @@ def kernel_rank_degree_limit(n: int, most: int) -> int:
     return next((k for k in range(most, -1, -1) if (n + 1) * math.comb(n + k, n) <= _BASIS_BUDGET), -1)
 
 
+def _block_rank(n: int, size: int, odd) -> int:
+    """The exact rank of the Laplacian's block on the monomials
+    x^p (x^2)^f in n+1 variables with |f| = ``size``, where p is 1 on the
+    variables in ``odd`` and 0 elsewhere: x^p (x^2)^f maps to
+    sum_v e_v (e_v - 1) x^p (x^2)^(f - 1_v), e_v = p_v + 2 f_v.  For
+    |f| = 0 the block is one zero column and no row."""
+    rows = {f: row for row, f in enumerate(_monomials(size - 1, n + 1))}
+    # the columns go from the largest first exponent down
+    columns = ({rows[f[:v] + (f[v] - 1,) + f[v + 1:]]: e * (e - 1)
+                for v in range(n + 1) if f[v] for e in ((v in odd) + 2 * f[v],)}
+               for f in reversed(_monomials(size, n + 1)))
+    return _exact_rank(columns, len(rows))
+
+
 def _laplacian_kernel_dimension(n: int, k: int, free: int) -> int:
     """Dimension of the kernel of the Laplacian on the degree-k polynomials
     in n+1 variables whose exponents are even from variable ``free`` on.
     The Laplacian keeps the parity class p in {0,1}^(n+1) of every
-    monomial, so its matrix has one block per class, on the monomials
-    x^p (x^2)^f with |f| = (k - |p|)/2; x^p (x^2)^f maps to
-    sum_v e_v (e_v - 1) x^p (x^2)^(f - 1_v), e_v = p_v + 2 f_v.  Each block
-    gets its exact rank; for |f| = 0 it is one zero column and no row."""
+    monomial, so its matrix has one block per class (``_block_rank``).  A
+    permutation of the first ``free`` variables maps a class onto every
+    other class of the same weight |p| and commutes with the Laplacian, so
+    the C(free, |p|) blocks of one weight have the same rank, and the one
+    with p odd on the first |p| variables is ranked for all of them."""
     if kernel_rank_degree_limit(n, k) != k:
         raise ValueError(f"degree {k} in {n + 1} variables is past the kernel-rank budget")
     total = 0
     for weight in range(k % 2, min(k, free) + 1, 2):
         size = (k - weight) // 2  # |f|
-        halves = _monomials(size, n + 1)  # the f of one block's columns
-        rows = {f: row for row, f in enumerate(_monomials(size - 1, n + 1))}
-        for odd in itertools.combinations(range(free), weight):
-            # the columns go from the largest first exponent down
-            columns = ({rows[f[:v] + (f[v] - 1,) + f[v + 1:]]: e * (e - 1)
-                        for v in range(n + 1) if f[v] for e in ((v in odd) + 2 * f[v],)}
-                       for f in reversed(halves))
-            total += len(halves) - _exact_rank(columns, len(rows))
+        total += math.comb(free, weight) * (math.comb(n + size, n) - _block_rank(n, size, range(weight)))
     return total
 
 

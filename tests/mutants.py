@@ -83,10 +83,12 @@ MUTANTS = (
            "if len(pivots) == rows - 1:",
            ("test_oracle.py",)),
     Mutant("FD split takes floor for the even block and ceil for the odd", "oracle.py",
-           "even_off, (count + 1) // 2)\n"
-           "                    + _smallest_tridiagonal_eigenvalues(odd_diag, odd_off, count // 2))",
-           "even_off, count // 2)\n"
-           "                    + _smallest_tridiagonal_eigenvalues(odd_diag, odd_off, (count + 1) // 2))",
+           "evens, odds = (count + 1) // 2, count // 2",
+           "evens, odds = count // 2, (count + 1) // 2",
+           ("test_oracle.py",)),
+    Mutant("FD recursion gives the even half floor(count/2)", "oracle.py",
+           "even = split(even_diag, odd_off, evens)",
+           "even = split(even_diag, odd_off, count // 2)",
            ("test_oracle.py",)),
     Mutant("FD odd-N middle row without the sqrt(2) coupling", "oracle.py",
            "even_off[-1] = -math.sqrt(2.0) * c",
@@ -102,8 +104,20 @@ MUTANTS = (
            "return min(",
            ("test_oracle.py",)),
     Mutant("no first count at the Gershgorin lower end", "oracle.py",
-           "x = lowest + 0.5 * width if k == 0 else 0.5 * (lo[k] + hi[k])",
-           "x = 0.5 * (lo[k] + hi[k])",
+           "x = lowest + 0.5 * width if k == 0 else _midpoint(lo[k], hi[k])",
+           "x = _midpoint(lo[k], hi[k])",
+           ("test_oracle.py",)),
+    Mutant("bisection without geometric midpoints", "oracle.py",
+           "if 0 < 4 * lo < hi else",
+           "if False else",
+           ("test_oracle.py",)),
+    Mutant("the count-only loop counts q <= 0", "oracle.py",
+           "q = a - x - b2 / q\n        if q < pivmin:",
+           "q = a - x - b2 / q\n        if q <= 0:",
+           ("test_oracle.py",)),
+    Mutant("a hemisphere's kernel count multiplies by C(n + 1, weight)", "oracle.py",
+           "math.comb(free, weight)",
+           "math.comb(n + 1, weight)",
            ("test_oracle.py",)),
     Mutant("dense scan without the all-zero run", "oracle.py",
            "run = range(0) if first else grid",

@@ -77,10 +77,12 @@ class TestFiniteDifference:
         diag[0] = diag[-1] = 1.0 / h**2
         return diag, [-1.0 / h**2] * (grid_points - 1), 4.0 / h**2
 
-    @pytest.mark.parametrize("grid_points", [16, 17, 101, 2000, 2001])
+    @pytest.mark.parametrize("grid_points", [16, 17, 64, 96, 101, 1000, 2000, 2001, 4000])
     def test_mirror_blocks_equal_the_full_stencil(self, grid_points):
-        """The two mirror blocks give the eigenvalues of the whole stencil,
-        for odd counts (where the even block gives one more) and even ones."""
+        """The mirror blocks give the eigenvalues of the whole stencil, for
+        odd counts (where the even block gives one more) and even ones, and
+        for even sizes whose split recurses several levels: 64 down to a
+        2-row stencil, 96 to a 3-row one, 1000 and 4000 to 125 rows."""
         diag, off, norm = self._stencil(Fraction(3, 2), grid_points)
         for count in (1, 3, min(grid_points // 4, 10)):
             want = _smallest_tridiagonal_eigenvalues(diag, off, count)
@@ -90,19 +92,22 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2), 2, Fraction(5, 2), 3])
     def test_work_is_bounded(self, monkeypatch, length_over_pi):
-        """The mirror blocks take about half the Sturm rows of the whole
-        stencil (182,000-190,000), and the constant mode closes at once."""
+        """The recursive mirror split takes about 53,000 Sturm rows, counts
+        and Newton passes together; the whole stencil takes 124,000-126,000.
+        The constant mode closes at once."""
         work = {"calls": 0, "rows": 0}
-        sturm_pass = oracle._sturm_pass
 
-        def counted(diag, *args):
-            work["calls"] += 1
-            work["rows"] += len(diag)
-            return sturm_pass(diag, *args)
+        def counted(loop):
+            def run(diag, *args):
+                work["calls"] += 1
+                work["rows"] += len(diag)
+                return loop(diag, *args)
+            return run
 
-        monkeypatch.setattr(oracle, "_sturm_pass", counted)
+        monkeypatch.setattr(oracle, "_sturm_pass", counted(oracle._sturm_pass))
+        monkeypatch.setattr(oracle, "_sturm_count", counted(oracle._sturm_count))
         fd_interval_spectrum(length_over_pi, 2000, 10)
-        assert work["rows"] <= 100_000
+        assert work["rows"] <= 60_000
         work["calls"] = 0
         diag, off, norm = self._stencil(length_over_pi, 2000)
         assert abs(_smallest_tridiagonal_eigenvalues(diag, off, 1)[0]) <= 16 * sys.float_info.epsilon * norm
@@ -139,6 +144,24 @@ class TestSturmBisection:
             got = _smallest_tridiagonal_eigenvalues(diag.tolist(), off.tolist(), count)
             norm = max(abs(want[0]), abs(want[-1]))
             assert np.abs(np.array(got) - want[:count]).max() <= 1e-9 * norm
+
+    def test_count_only_loop_agrees_with_the_full_pass(self):
+        """_sturm_count gives the count of _sturm_pass, also on pivots that
+        are exactly 0 (x on a diagonal entry of a split matrix) and on a
+        positive pivot below pivmin, which counts as negative."""
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            diag = rng.normal(size=n)
+            off = rng.normal(size=n - 1)
+            off[rng.random(n - 1) < 0.4] = 0.0
+            cases += [(diag.tolist(), off.tolist(), float(x)) for x in [*diag, *rng.normal(size=5)]]
+        for diag, off, x in cases:
+            off_sq, pivmin = oracle._pass_inputs(off)
+            assert oracle._sturm_count(diag, off_sq, x, pivmin) == oracle._sturm_pass(diag, off_sq, x, pivmin)[0]
+        # the first pivot, 1e-310, is positive and below pivmin
+        assert oracle._sturm_count([1e-310, 2.0], [0.0, 0.0], 0.0, sys.float_info.min) == 1
 
     def test_zero_matrix(self):
         assert _smallest_tridiagonal_eigenvalues([0.0, 0.0, 0.0], [0.0, 0.0], 3) == [0.0, 0.0, 0.0]
@@ -190,6 +213,25 @@ class TestHarmonicDimensions:
                 if n >= 2:
                     even = [m for m in monos if m[-1] % 2 == 0]
                     assert even_harmonic_dimension(n, k) == self._full_matrix_kernel_dimension(even, n + 1)
+
+    def test_one_block_rank_per_weight(self, monkeypatch):
+        """Every parity class of one weight has the same block rank, and
+        the kernel dimension ranks one block per weight."""
+        ranked = []
+        exact_rank = oracle._exact_rank
+        monkeypatch.setattr(oracle, "_exact_rank",
+                            lambda columns, rows: ranked.append(rows) or exact_rank(columns, rows))
+        for n in range(1, 5):
+            for k in range(13):
+                for free in (n + 1, n):
+                    weights = range(k % 2, min(k, free) + 1, 2)
+                    for weight in weights:
+                        ranks = {oracle._block_rank(n, (k - weight) // 2, odd)
+                                 for odd in itertools.combinations(range(free), weight)}
+                        assert len(ranks) == 1
+                    ranked.clear()
+                    oracle._laplacian_kernel_dimension(n, k, free)
+                    assert len(ranked) <= len(weights)
 
     @staticmethod
     def _dependent_columns(rng, rows):
