@@ -16,7 +16,7 @@ from yamabe_bifurcation import (
     round_sphere,
 )
 from yamabe_bifurcation.oracle import (
-    brute_force_index,
+    brute_force_indices,
     dense_scan_degeneracy,
     even_harmonic_dimension,
     fd_interval_spectrum,
@@ -50,5 +50,5 @@ for inst, (lo, hi) in zip(instants, brackets):
 print("\n4. Morse index vs brute-force double loop")
 for s in (Fraction(1, 4), 1, 3, 12):
     engine = morse_index(fam, s)
-    brute = brute_force_index(fam, s, lam=500)
+    brute = brute_force_indices(fam, [(s, 500)])[0]
     print(f"   s = {s}: engine {engine}, brute force {brute}, agree: {engine == brute}")

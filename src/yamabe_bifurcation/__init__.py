@@ -34,12 +34,7 @@ from .errors import (
     SpectrumFormatError,
     YamabeError,
 )
-from .product import (
-    ProductFamily,
-    homothety_reparametrization,
-    make_family,
-    scalar_curvature_at,
-)
+from .product import ProductFamily, make_family
 from .spectra import (
     FactorSpectrum,
     custom_from_file,

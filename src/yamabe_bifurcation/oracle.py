@@ -1,6 +1,6 @@
 """Independent ground-truth computations used to validate the engine.
 
-Everything here is intentionally naive -- bisection, exact elimination,
+Everything here is intentionally naive -- bisection, echelon ranks,
 exhaustive counts, dense grids -- and pure Python, and shares no
 computation with the exact engine it checks:
 
@@ -22,11 +22,11 @@ computation with the exact engine it checks:
   which closes the constant mode of the last Neumann block at once,
 * harmonic-polynomial dimension counts by the exact rank of the Laplacian
   matrix on monomials, one block per parity class of the exponents (the
-  Laplacian keeps them), by fraction-free integer elimination, for the
-  degrees whose monomial basis is within a fixed budget.  A permutation of
-  the variables maps each class onto every other class of its weight and
-  commutes with the Laplacian, so one block per weight is ranked and
-  counted once for each class of that weight,
+  Laplacian keeps them), by an echelon count that raises on a repeated
+  lowest row, for the degrees whose monomial basis is within a fixed
+  budget.  A permutation of the variables maps each class onto every other
+  class of its weight and commutes with the Laplacian, so one block per
+  weight is ranked and counted once for each class of that weight,
 * sign-change scan for degeneracy instants on a dense log-spaced grid.  A
   branch a + b/s with a > 0, b >= 0 or a < 0, b <= 0 is skipped: its
   sampled value a + b*(1/s) adds two terms of one sign, so it has the
@@ -251,25 +251,19 @@ def _monomials(total: int, nvars: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _exact_rank(columns: Iterable[Dict[int, int]], rows: int) -> int:
-    """Rank of an integer matrix with ``rows`` rows and sparse columns
-    ({row: nonzero entry}), by fraction-free elimination: a column is
-    cross-multiplied with the pivot of its lowest row, cancelling it, and
-    divided by its gcd, until it is zero or the pivot of a new row."""
-    pivots: Dict[int, Dict[int, int]] = {}
+    """Rank of an integer matrix with ``rows`` rows and nonzero sparse
+    columns ({row: nonzero entry}), by an echelon count: the number of
+    distinct lowest rows, recorded until every row has one.  A lowest row
+    that repeats before then raises ArithmeticError: the count is no rank."""
+    leads = set()
     for col in columns:
-        if len(pivots) == rows:
+        if len(leads) == rows:
             break
-        while col:
-            lead = min(col)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = col
-                break
-            x, p = col[lead], pivot[lead]
-            col = {r: v for r in col.keys() | pivot.keys() if (v := p * col.get(r, 0) - x * pivot.get(r, 0))}
-            g = math.gcd(*col.values())
-            col = {r: v // g for r, v in col.items()}
-    return len(pivots)
+        lead = min(col)
+        if lead in leads:
+            raise ArithmeticError(f"two columns have their lowest entry in row {lead}")
+        leads.add(lead)
+    return len(leads)
 
 
 # the exponents in the degree-12 monomial basis in 5 variables, the largest
@@ -292,7 +286,7 @@ def _block_rank(n: int, size: int, odd) -> int:
     sum_v e_v (e_v - 1) x^p (x^2)^(f - 1_v), e_v = p_v + 2 f_v.  For
     |f| = 0 the block is one zero column and no row."""
     rows = {f: row for row, f in enumerate(_monomials(size - 1, n + 1))}
-    # the columns go from the largest first exponent down
+    # from the largest first exponent down, the columns' lowest rows are new
     columns = ({rows[f[:v] + (f[v] - 1,) + f[v + 1:]]: e * (e - 1)
                 for v in range(n + 1) if f[v] for e in ((v in odd) + 2 * f[v],)}
                for f in reversed(_monomials(size, n + 1)))
@@ -448,8 +442,3 @@ def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float]
             count -= m1[0] * m2[0]
         counts.append(count)
     return counts
-
-
-def brute_force_index(fam: ProductFamily, s, lam) -> int:
-    """The brute-force Morse index at one point; see brute_force_indices."""
-    return brute_force_indices(fam, [(s, lam)])[0]

@@ -46,7 +46,7 @@ class FactorSpectrum(NamedTuple):
     enumeration primitive, everything else is served from one table of its
     largest result so far.  The table lives in the module's ``_TABLES``,
     keyed by ``enum_leq``: copies and ``_replace`` of other fields share it,
-    and a new ``enum_leq`` (as in ``rescaled_metric``) starts a new one.
+    and a new ``enum_leq`` starts a new one.
     ``kind`` names the constructor (interval, sphere, hemisphere, torus or
     custom).  ``lambda_max`` None means complete for every cutoff,
     ``tolerance`` None exact rational mode.
@@ -108,21 +108,6 @@ class FactorSpectrum(NamedTuple):
             if index < len(levels):
                 return levels[index]
             bound *= 4
-
-    def rescaled_metric(self, factor) -> "FactorSpectrum":
-        """Spectrum of the homothetic metric factor*g: eigenvalues and scalar
-        curvature are divided by the factor."""
-        c = scalars.as_scalar(factor, self.tolerance)
-        if c <= 0:
-            raise ValueError("metric scaling factor must be positive")
-        inner = self.enum_leq
-        scaled = lambda bound: [(e / c, m) for e, m in inner(bound * c)]
-        return self._replace(
-            scalar_curvature=self.scalar_curvature / c,
-            enum_leq=scaled,
-            lambda_max=None if self.lambda_max is None else self.lambda_max / c,
-            label=f"{self.label} rescaled by {scalars.fmt(c, self.tolerance)}",
-        )
 
 
 def harmonic_multiplicity(n: int, k: int) -> int:
@@ -264,6 +249,8 @@ def custom_spectrum(
     tol = tolerance
     if tol is not None and tol <= 0:
         raise ValueError("tolerance must be positive")
+    if int(dim) < 1:
+        raise ValueError(f"{label}: dimension must be at least 1, got {dim}")
     coerced: List[Level] = []
     for eig, mult in levels:
         eig = scalars.as_scalar(eig, tol)

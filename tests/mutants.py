@@ -42,6 +42,10 @@ MUTANTS = (
            "kmax = math.isqrt(cap.numerator // cap.denominator)",
            "kmax = math.isqrt(cap.numerator // cap.denominator - 1)",
            ("test_spectra.py",)),
+    Mutant("a custom factor of dimension below 1 is accepted", "spectra.py",
+           "if int(dim) < 1:",
+           "if False:",
+           ("test_spectra.py",)),
     Mutant("round-level isqrt argument one short", "spectra.py",
            "top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2",
            "top = (math.isqrt((n - 1) ** 2 + 4 * cap - 1) - (n - 1)) // 2",
@@ -74,13 +78,13 @@ MUTANTS = (
            "return values if tol is None else [",
            "return values if True else [",
            ("test_cli.py",)),
-    Mutant("exact rank adds instead of cancelling", "oracle.py",
-           "- x * pivot.get(r, 0)",
-           "+ x * pivot.get(r, 0)",
+    Mutant("the echelon count never raises", "oracle.py",
+           'raise ArithmeticError(f"two columns have their lowest entry in row {lead}")',
+           "pass",
            ("test_oracle.py",)),
     Mutant("exact rank stops one pivot short", "oracle.py",
-           "if len(pivots) == rows:",
-           "if len(pivots) == rows - 1:",
+           "if len(leads) == rows:",
+           "if len(leads) == rows - 1:",
            ("test_oracle.py",)),
     Mutant("FD split takes floor for the even block and ceil for the odd", "oracle.py",
            "evens, odds = (count + 1) // 2, count // 2",

@@ -25,7 +25,7 @@ from yamabe_bifurcation import (
     sigma_value,
 )
 from yamabe_bifurcation import bifurcation, cli, scalars
-from yamabe_bifurcation.oracle import brute_force_index
+from yamabe_bifurcation.oracle import brute_force_indices
 
 WINDOW = (Fraction(1, 100), 20)
 
@@ -377,6 +377,33 @@ def _near_threshold_float_families(draw):
     return _custom_pair(*thresholds, *levels, tolerance=1e-9), (s_min, s_max)
 
 
+_MULTIPLES = st.sets(st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]), min_size=2, max_size=8)
+
+
+@st.composite
+def _coincident_float_families(draw):
+    """A random float family at tol 1e-9 with positive thresholds whose
+    levels other than 0 lie k steps from the threshold, k in +-{1, 2, 3, 4,
+    6}, so that many branch zeros coincide in exact arithmetic and round
+    apart in floats, with a window."""
+    thresholds = draw(_MAGNITUDE), draw(_MAGNITUDE)
+    step = draw(st.sampled_from([Fraction(1, 6), Fraction(1, 10), Fraction(2, 7)]))
+    levels = [[(0, 1)] + [(t + k * step, draw(_MULTIPLICITY)) for k in sorted(draw(_MULTIPLES)) if t + k * step > 0]
+              for t in thresholds]
+    s_min, s_max = sorted((draw(_WINDOW_END), draw(_WINDOW_END)))
+    assume(s_min < s_max)
+    return _custom_pair(*thresholds, *levels, tolerance=1e-9), (s_min, s_max)
+
+
+# random float families: float copies of the sweep data, near-threshold
+# levels, and coincident zeros
+_FLOAT_FAMILIES = st.one_of(
+    _families_and_windows().map(lambda case: (_custom_pair(*case[0], tolerance=1e-9), case[1])),
+    _near_threshold_float_families(),
+    _coincident_float_families(),
+)
+
+
 class TestSweep:
     @given(_families_and_windows())
     @settings(max_examples=200, deadline=None)
@@ -398,7 +425,7 @@ class TestSweep:
             probes.append(((left.instant.s + right.instant.s) / 2, left.n_plus))
         for s, expected in probes:
             theta = fam.threshold1 + fam.threshold2 / s
-            assert brute_force_index(fam, s, max(theta, 0) + 1) == expected
+            assert brute_force_indices(fam, [(s, max(theta, 0) + 1)]) == [expected]
 
     def test_needs_completeness_only_up_to_enumeration_bounds(self):
         levels1 = [(0, 1), (Fraction(1, 2), 2), (2, 1), (Fraction(5, 2), 3)]
@@ -546,6 +573,36 @@ class TestFloatMode:
             except DegeneracyInstantError:
                 expected = None
             assert index == expected
+
+    @given(_FLOAT_FAMILIES, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_clusters_do_not_depend_on_the_order_of_the_zeros(self, case, rng):
+        """The walk's zeros, shuffled before the merge, give the same
+        clusters with the same reported s."""
+        fam, (s_min, s_max) = case
+        assume(not is_degenerate_pair(fam))
+        zeros = bifurcation._walk(fam, fam.coerce(s_min), fam.coerce(s_max))[3]
+
+        def clusters(found):
+            return [(s, sorted(branches)) for s, branches in bifurcation._merge_zeros(found, fam.tolerance)]
+
+        assert clusters(rng.sample(zeros, len(zeros))) == clusters(zeros)
+
+    @given(_FLOAT_FAMILIES, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_window_ends_on_instants_are_included(self, case, data):
+        """As test_window_endpoints_included checks in exact mode, the window
+        is closed: from the largest branch zero of one instant of a wider
+        window to the smallest of a later one, it gives both instants, with
+        every branch, and every instant between them."""
+        fam, window = case
+        assume(not is_degenerate_pair(fam))
+        wide = degeneracy_instants(fam, window)
+        assume(len(wide) >= 2)
+        first, last = sorted(data.draw(st.lists(st.integers(0, len(wide) - 1), min_size=2, max_size=2, unique=True)))
+        lo = max(branch_zero(br) for br in wide[first].branches)
+        hi = min(branch_zero(br) for br in wide[last].branches)
+        assert degeneracy_instants(fam, (lo, hi)) == wide[first:last + 1]
 
     def test_chained_zeros_merge_into_one_instant(self):
         """Zeros at 1, 1 + 0.6e-9 and 1 + 1.2e-9 chain within the tolerance

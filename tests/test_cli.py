@@ -204,6 +204,14 @@ class TestScan:
         assert code == EXIT_CONFIG
         assert err.startswith("error:") and "not UTF-8" in err and out == ""
 
+    def test_custom_dimension_below_one_exit_3(self, capsys, tmp_path):
+        for dim in (-3, 0):
+            path = write_custom(tmp_path, "neg.spec", dim=dim)
+            message = f"error: {path}: dimension must be at least 1, got {dim}\n"
+            for argv in (["spectrum", "--custom", path, "--below", "5"],
+                         ["scan", "--custom", path, "--hemisphere", "8", "--window", "0.5:2"]):
+                assert run(capsys, argv) == (EXIT_CONFIG, "", message)
+
     def test_out_into_missing_directory_exit_3(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run(capsys, ["scan", *SPHERE_HEMI, "--window", "1/2:2", "--out", str(target)])

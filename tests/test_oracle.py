@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +26,6 @@ from yamabe_bifurcation.oracle import (
     _grid_point,
     _monomials,
     _smallest_tridiagonal_eigenvalues,
-    brute_force_index,
     brute_force_indices,
     dense_scan_degeneracy,
     even_harmonic_dimension,
@@ -233,46 +231,37 @@ class TestHarmonicDimensions:
                     oracle._laplacian_kernel_dimension(n, k, free)
                     assert len(ranked) <= len(weights)
 
-    @staticmethod
-    def _dependent_columns(rng, rows):
-        """Sparse integer columns on ``rows`` rows: a few random ones, then
-        integer combinations of two of them, shuffled, so that leads repeat
-        and some columns eliminate to zero."""
-        columns = [{r: v for r in range(rows) if rng.random() < 0.6 and (v := rng.randint(-3, 3))}
-                   for _ in range(rng.randint(1, rows + 1))]
-        for _ in range(rng.randint(1, 4)):
-            u, w = rng.choice(columns), rng.choice(columns)
-            p, q = rng.randint(-2, 2), rng.randint(-2, 2)
-            columns.append({r: v for r in u.keys() | w.keys() if (v := p * u.get(r, 0) + q * w.get(r, 0))})
-        rng.shuffle(columns)
-        return columns
+    def test_exact_rank_raises_on_a_repeated_lowest_row(self):
+        """A lowest row that repeats before every row has one raises, whether
+        the columns are dependent or not: the count never eliminates."""
+        with pytest.raises(ArithmeticError, match="row 0"):
+            oracle._exact_rank([{0: 1, 1: 3}, {0: 2, 1: 6}], 2)
+        with pytest.raises(ArithmeticError, match="row 0"):
+            oracle._exact_rank([{0: 2, 2: 1}, {1: 1}, {0: 1}], 3)
 
-    def test_exact_rank_eliminates_dependent_columns(self):
-        """_exact_rank agrees with numpy's rank on 300 small sparse integer
-        matrices with dependent columns.  The ranks are taken in a daemon
-        thread, so that an elimination that never ends fails the test
-        instead of hanging it."""
+    def test_exact_rank_equals_numpy_rank_on_distinct_lowest_rows(self):
+        """On 300 random sparse integer matrices whose columns have distinct
+        lowest rows until every row has one, and any nonzero columns after,
+        the count is numpy's rank; many have more columns than rows."""
         rng = random.Random(1)
-        cases = [(self._dependent_columns(rng, rows), rows) for rows in range(1, 7) for _ in range(50)]
-        ranks = []
-        worker = threading.Thread(
-            target=lambda: ranks.extend(oracle._exact_rank(columns, rows) for columns, rows in cases), daemon=True
-        )
-        worker.start()
-        worker.join(timeout=20)
-        assert not worker.is_alive(), "an elimination did not end"
-        eliminated = 0
-        for (columns, rows), rank in zip(cases, ranks):
-            matrix = np.zeros((rows, len(columns)), dtype=np.int64)
-            for k, column in enumerate(columns):
-                for r, v in column.items():
-                    matrix[r, k] = v
-            assert rank == np.linalg.matrix_rank(matrix)
-            eliminated += rank < sum(map(bool, columns))
-        assert eliminated > len(cases) // 2  # most matrices cancel a nonzero column
+        wide = 0
+        for rows in range(1, 7):
+            for _ in range(50):
+                cols = rng.randint(1, rows + 3)
+                leads = rng.sample(range(rows), min(cols, rows)) + [rng.randrange(rows) for _ in range(cols - rows)]
+                columns = [{lead: rng.choice([-3, -2, -1, 1, 2, 3]),
+                            **{r: v for r in range(lead + 1, rows) if rng.random() < 0.5 and (v := rng.randint(-3, 3))}}
+                           for lead in leads]
+                matrix = np.zeros((rows, cols), dtype=np.int64)
+                for k, column in enumerate(columns):
+                    for r, v in column.items():
+                        matrix[r, k] = v
+                assert oracle._exact_rank(columns, rows) == np.linalg.matrix_rank(matrix)
+                wide += cols > rows
+        assert wide > 100
 
     def test_exact_ranks_equal_the_closed_forms(self):
-        for n in (1, 2, 3, 4, 5, 6, 8, 11, 20, 94):
+        for n in range(1, 95):
             for k in range(kernel_rank_degree_limit(n, 12) + 1):
                 assert harmonic_dimension(n, k) == harmonic_multiplicity(n, k)
                 if n >= 2:
@@ -440,9 +429,7 @@ class TestBruteForceIndex:
             (a + b) / 2 for a, b in zip(instants, instants[1:])
         ] + [25]
         for s in probes:
-            assert brute_force_index(sphere_hemisphere, s, lam=300) == morse_index(
-                sphere_hemisphere, s
-            )
+            assert brute_force_indices(sphere_hemisphere, [(s, 300)])[0] == morse_index(sphere_hemisphere, s)
 
     def test_matches_engine_other_families(self, sphere_interval, torus_hemisphere):
         for fam, probes in (
@@ -450,11 +437,11 @@ class TestBruteForceIndex:
             (torus_hemisphere, [Fraction(1, 5), Fraction(1, 2), 5]),
         ):
             for s in probes:
-                assert brute_force_index(fam, s, lam=200) == morse_index(fam, s)
+                assert brute_force_indices(fam, [(s, 200)])[0] == morse_index(fam, s)
 
     def test_insufficient_lambda_rejected(self, sphere_hemisphere):
         with pytest.raises(ValueError):
-            brute_force_index(sphere_hemisphere, Fraction(1, 100), lam=10)
+            brute_force_indices(sphere_hemisphere, [(Fraction(1, 100), 10)])
         with pytest.raises(ValueError):
             brute_force_indices(sphere_hemisphere, [(1.0, 300.0), (0.01, 10.0)])
 
@@ -537,7 +524,7 @@ class TestBruteForceIndex:
             theta = max(float(fam.threshold1 + fam.threshold2 / fam.coerce(s)), 0.0)
             points += [(s, theta + 1), (s, theta + 40)]
         got = brute_force_indices(fam, points)
-        assert got == [brute_force_index(fam, s, lam) for s, lam in points]
+        assert got == [brute_force_indices(fam, [point])[0] for point in points]
         assert got == [self._double_loop(fam, s, lam) for s, lam in points]
         assert brute_force_indices(fam, []) == []
 
@@ -582,7 +569,7 @@ class TestLevelTable:
     def test_rescaled_metric_has_its_own_table(self):
         spec = round_sphere(2)
         spec.eigenvalues_leq(50)
-        scaled = spec.rescaled_metric(2)
+        scaled = spec._replace(enum_leq=lambda bound: [(e / 2, m) for e, m in spec.enum_leq(bound * 2)])
         assert scaled.eigenvalues_leq(10) == [(Fraction(e, 2), m) for e, m in spec.eigenvalues_leq(20)]
         assert spec.eigenvalues_leq(10) == [(0, 1), (2, 3), (6, 5)]
 

@@ -20,7 +20,6 @@ from yamabe_bifurcation import (
     round_sphere,
 )
 from yamabe_bifurcation.oracle import GridSpectrum
-from yamabe_bifurcation.product import ReparametrizedFamily
 
 SPHERE = round_sphere(2)
 HEMISPHERE = hemisphere_neumann(2)
@@ -47,7 +46,6 @@ RECORDS = {
         FamilyCase.BOTH_POSITIVE, (_certified(),), "accumulate", (Fraction(1), Fraction(3))
     ),
     "ProductFamily": lambda: ProductFamily(SPHERE, HEMISPHERE),
-    "ReparametrizedFamily": lambda: ReparametrizedFamily(ProductFamily(SPHERE, HEMISPHERE)),
     "GridSpectrum": lambda: GridSpectrum(100, (0.0, 1.0, 4.0), 1e-4),
     "FactorSpectrum": lambda: SPHERE._replace(),
 }

@@ -209,20 +209,6 @@ class TestEigenvaluesBelow:
             assert spec.eigenvalues_below(1000)[: len(small)] == small
 
 
-@given(
-    t=st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=50),
-    r2=st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=20),
-)
-@settings(max_examples=50, deadline=None)
-def test_metric_scaling_divides_spectrum(t, r2):
-    for spec in (interval_neumann(r2), round_sphere(2, r2)):
-        scaled = spec.rescaled_metric(t)
-        assert scaled.scalar_curvature == spec.scalar_curvature / t
-        assert scaled.eigenvalues_leq(20) == [
-            (e / t, m) for e, m in spec.eigenvalues_leq(20 * t)
-        ]
-
-
 class TestCustomFile:
     def write(self, tmp_path, body, name="factor.spec"):
         path = tmp_path / name
@@ -240,6 +226,18 @@ class TestCustomFile:
         spec = custom_from_file(path)
         assert spec.eigenvalues_leq(3) == [(0, 1), (Fraction(5, 2), 3)]
         assert spec.tolerance is None
+
+    def test_dimension_below_one_rejected(self, tmp_path):
+        for dim in (0, -3):
+            with pytest.raises(ValueError, match=f"dimension must be at least 1, got {dim}"):
+                custom_spectrum(dim, 0, [(0, 1)], 9)
+            path = self.write(
+                tmp_path,
+                f"dim = {dim}\nscalar_curvature = 0\nhas_boundary = false\n"
+                "boundary_minimal = false\nlambda_max = 9\neig 0 1\n",
+            )
+            with pytest.raises(SpectrumFormatError, match=f"dimension must be at least 1, got {dim}"):
+                custom_from_file(path)
 
     def test_unsorted_rejected(self, tmp_path):
         path = self.write(
