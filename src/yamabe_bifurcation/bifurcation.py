@@ -175,8 +175,11 @@ def _require_budget(lam, needed, what):
 
 def enumeration_bounds(fam: ProductFamily, window) -> Tuple[Scalar, Scalar]:
     """Factor eigenvalue bounds sufficient to enumerate every branch with a
-    zero inside the window, derived from -b/a in [s_min, s_max]:
-    rho_i <= T1 + T2/s_min and rho_j <= T2 + s_max*T1."""
+    zero inside the window: rho_i <= T1 + max(T2, 0)/s_min and
+    rho_j <= T2 + s_max*max(T1, 0).  As levels are >= 0, a zero s in
+    [s_min, s_max] has rho_i = T1 + (T2 - rho_j)/s <= T1 + T2/s and
+    rho_j = T2 + s*(T1 - rho_i) <= T2 + s*T1.  The clamp keeps both bounds
+    valid: for T2 < 0, T1 + T2/s peaks at T1 + T2/s_max, above T1 + T2/s_min."""
     s_min, s_max = window
     t1 = max(fam.threshold1, 0)
     t2 = max(fam.threshold2, 0)

@@ -106,24 +106,16 @@ def _config_flags(args) -> List[str]:
     flag for and the command line left unset, as flags: ``key = value``
     becomes ``--key=value``, and the factor descriptions become factor flags,
     factor1's before factor2's (``sphere 2 r2 1`` becomes ``--sphere=2 --r2=1``)."""
-    path = args.config
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(str(exc))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})")
     values = {}
-    for num, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{num}: bad config line {line!r}")
-        values[key] = value.strip()
+    try:
+        for num, line in spectra._lines(args.config, ConfigError):
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep or key not in _CONFIG_KEYS:
+                raise ConfigError(f"line {num}: bad config line {line!r}")
+            values[key] = value.strip()
+    except OSError as exc:  # main's wrapper names the file
+        raise ConfigError(exc.strerror)
     # factor flags on the command line replace every config factor
     descriptions = [] if args.factor_args else [values.get(key, "") for key in ("factor1", "factor2")]
     flags = []

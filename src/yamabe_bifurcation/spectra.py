@@ -126,15 +126,29 @@ def even_harmonic_multiplicity(n: int, k: int) -> int:
     return math.comb(n + k - 1, n - 1)
 
 
-def _round_levels(n: int, r2: Fraction, multiplicity: Callable[[int, int], int]) -> Callable[[Scalar], List[Level]]:
-    # enum_leq of the levels (k(k+n-1)/r2, multiplicity(n, k)), k = 0, 1, ...; the integer
-    # k(k+n-1) is <= bound*r2 iff it is <= cap, iff (2k+n-1)^2 <= (n-1)^2 + 4*cap
+def _round(n: int, r2: Fraction, kind: str, label: str) -> FactorSpectrum:
+    """S^n of radius^2 ``r2`` when ``kind`` is "sphere", else its closed hemisphere
+    (for n = 1, the interval): eigenvalues k(k+n-1)/r2, k >= 0, with the
+    harmonic multiplicities, or the even-harmonic ones on a hemisphere, whose
+    totally geodesic boundary is minimal; R = n(n-1)/r2."""
+    half = kind != "sphere"
+    multiplicity = even_harmonic_multiplicity if half else harmonic_multiplicity
+
+    # the integer k(k+n-1) is <= bound*r2 iff it is <= cap, iff (2k+n-1)^2 <= (n-1)^2 + 4*cap
     def enum(bound):
         cap = math.floor(Fraction(bound) * r2)  # Fraction keeps a float bound exact
         top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2
         return [(Fraction(k * (k + n - 1)) / r2, multiplicity(n, k)) for k in range(top + 1)]
 
-    return enum
+    return FactorSpectrum(
+        dim=n,
+        scalar_curvature=Fraction(n * (n - 1)) / r2,
+        has_boundary=half,
+        boundary_minimal=half,  # for the interval, vacuously
+        label=label,
+        kind=kind,
+        enum_leq=enum,
+    )
 
 
 def interval_neumann(length_over_pi) -> FactorSpectrum:
@@ -142,16 +156,7 @@ def interval_neumann(length_over_pi) -> FactorSpectrum:
     lam = as_exact(length_over_pi)
     if lam <= 0:
         raise ValueError("interval length must be positive")
-
-    return FactorSpectrum(
-        dim=1,
-        scalar_curvature=Fraction(0),
-        has_boundary=True,
-        boundary_minimal=True,  # the boundary points are vacuously minimal
-        label=f"I(lambda={scalars.fmt(lam)})",
-        kind="interval",
-        enum_leq=_round_levels(1, lam * lam, even_harmonic_multiplicity),
-    )
+    return _round(1, lam * lam, "interval", f"I(lambda={scalars.fmt(lam)})")
 
 
 def round_sphere(n: int, radius_sq=1) -> FactorSpectrum:
@@ -162,16 +167,7 @@ def round_sphere(n: int, radius_sq=1) -> FactorSpectrum:
     r2 = as_exact(radius_sq)
     if r2 <= 0:
         raise ValueError("radius squared must be positive")
-
-    return FactorSpectrum(
-        dim=n,
-        scalar_curvature=Fraction(n * (n - 1)) / r2,
-        has_boundary=False,
-        boundary_minimal=False,
-        label=f"S^{n}(r2={scalars.fmt(r2)})",
-        kind="sphere",
-        enum_leq=_round_levels(n, r2, harmonic_multiplicity),
-    )
+    return _round(n, r2, "sphere", f"S^{n}(r2={scalars.fmt(r2)})")
 
 
 def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
@@ -183,16 +179,7 @@ def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
     r2 = as_exact(radius_sq)
     if r2 <= 0:
         raise ValueError("radius squared must be positive")
-
-    return FactorSpectrum(
-        dim=n,
-        scalar_curvature=Fraction(n * (n - 1)) / r2,
-        has_boundary=True,
-        boundary_minimal=True,
-        label=f"S^{n}+(r2={scalars.fmt(r2)})",
-        kind="hemisphere",
-        enum_leq=_round_levels(n, r2, even_harmonic_multiplicity),
-    )
+    return _round(n, r2, "hemisphere", f"S^{n}+(r2={scalars.fmt(r2)})")
 
 
 def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
@@ -249,7 +236,9 @@ def custom_spectrum(
     tol = tolerance
     if tol is not None and tol <= 0:
         raise ValueError("tolerance must be positive")
-    if int(dim) < 1:
+    if dim != int(dim):
+        raise ValueError(f"{label}: dimension must be an integer, got {dim}")
+    if dim < 1:
         raise ValueError(f"{label}: dimension must be at least 1, got {dim}")
     coerced: List[Level] = []
     for eig, mult in levels:
@@ -285,8 +274,30 @@ def custom_spectrum(
     )
 
 
+def _lines(path, error):
+    """(line number, text) of each line of the UTF-8 file ``path`` that holds
+    more than blanks and a ``#`` comment, the comment stripped; ``error(message)``
+    is raised when the file is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text ({exc})")
+    for num, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield num, line
+
+
 _BOOL = {"true": True, "false": False}
 _HEADER_KEYS = ("dim", "scalar_curvature", "has_boundary", "boundary_minimal", "lambda_max", "tolerance")
+
+
+def _positive_tolerance(text) -> float:
+    tol = float(text)
+    if tol <= 0:
+        raise SpectrumFormatError("tolerance must be positive")
+    return tol
 
 
 def custom_from_file(path) -> FactorSpectrum:
@@ -299,21 +310,13 @@ def custom_from_file(path) -> FactorSpectrum:
     """
     header = {}
     rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise SpectrumFormatError(f"{path}: not UTF-8 text ({exc})")
-    for num, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for num, line in _lines(path, lambda message: SpectrumFormatError(f"{path}: {message}")):
         parts = line.split()
         if parts[0] == "eig":
             if len(parts) != 3:
                 raise SpectrumFormatError("expected 'eig <value> <multiplicity>'", num)
             try:
-                rows.append((parts[1], int(parts[2]), num))
+                rows.append(((parts[1], num), int(parts[2])))
             except ValueError:
                 raise SpectrumFormatError(f"bad multiplicity {parts[2]!r}", num)
         elif "=" in line:
@@ -325,60 +328,30 @@ def custom_from_file(path) -> FactorSpectrum:
         else:
             raise SpectrumFormatError(f"unrecognized line {line!r}", num)
 
-    def need(key):
-        if key not in header:
+    def setting(key, parse, message="bad {key} {value!r}", entry=None):
+        """``parse`` of header ``key``'s (value, line number), or of ``entry``; a missing key,
+        or a value ``parse`` rejects, raises SpectrumFormatError at that line, with ``message``
+        of the key and value unless ``parse`` raised one with its own."""
+        if entry is None and key not in header:
             raise SpectrumFormatError(f"missing header key {key!r}")
-        return header[key]
-
-    def boolean(key):
-        value, num = need(key)
-        if value not in _BOOL:
-            raise SpectrumFormatError(f"{key} must be true or false", num)
-        return _BOOL[value]
-
-    tol = None
-    if "tolerance" in header:
-        value, num = header["tolerance"]
+        value, num = entry or header[key]
         try:
-            tol = float(value)
-        except ValueError:
-            raise SpectrumFormatError(f"bad tolerance {value!r}", num)
-        if tol <= 0:
-            raise SpectrumFormatError("tolerance must be positive", num)
+            return parse(value)
+        except SpectrumFormatError as exc:
+            raise SpectrumFormatError(str(exc), num)
+        except (ValueError, ZeroDivisionError, TypeError, KeyError):
+            raise SpectrumFormatError(message.format(key=key, value=value), num)
 
-    value, num = need("dim")
+    # the settings are read, and so checked, in this order
+    tol = setting("tolerance", _positive_tolerance) if "tolerance" in header else None
+    dim = setting("dim", int)
+    scalar = lambda value: scalars.as_scalar(value, tol)
+    curvature = setting("scalar_curvature", scalar)
+    lam_max = setting("lambda_max", scalar)
+    levels = [(setting("eigenvalue", scalar, entry=entry), mult) for entry, mult in rows]
+    flags = [setting(key, _BOOL.__getitem__, "{key} must be true or false")
+             for key in ("has_boundary", "boundary_minimal")]
     try:
-        dim = int(value)
-    except ValueError:
-        raise SpectrumFormatError(f"bad dim {value!r}", num)
-
-    def scalar_of(key):
-        value, num = need(key)
-        try:
-            return scalars.as_scalar(value, tol)
-        except (ValueError, ZeroDivisionError, TypeError):
-            raise SpectrumFormatError(f"bad {key} {value!r}", num)
-
-    curvature = scalar_of("scalar_curvature")
-    lam_max = scalar_of("lambda_max")
-
-    levels = []
-    for value, mult, num in rows:
-        try:
-            levels.append((scalars.as_scalar(value, tol), mult))
-        except (ValueError, ZeroDivisionError):
-            raise SpectrumFormatError(f"bad eigenvalue {value!r}", num)
-
-    try:
-        return custom_spectrum(
-            dim,
-            curvature,
-            levels,
-            lam_max,
-            has_boundary=boolean("has_boundary"),
-            boundary_minimal=boolean("boundary_minimal"),
-            tolerance=tol,
-            label=str(path),
-        )
+        return custom_spectrum(dim, curvature, levels, lam_max, *flags, tolerance=tol, label=str(path))
     except ValueError as exc:
         raise SpectrumFormatError(str(exc))

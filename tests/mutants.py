@@ -43,9 +43,21 @@ MUTANTS = (
            "kmax = math.isqrt(cap.numerator // cap.denominator - 1)",
            ("test_spectra.py",)),
     Mutant("a custom factor of dimension below 1 is accepted", "spectra.py",
-           "if int(dim) < 1:",
+           "if dim < 1:",
            "if False:",
            ("test_spectra.py",)),
+    Mutant("a custom factor of non-integer dimension is truncated", "spectra.py",
+           "if dim != int(dim):",
+           "if False:",
+           ("test_spectra.py",)),
+    Mutant("the shared round constructor gives the interval the sphere's harmonic multiplicities", "spectra.py",
+           "multiplicity = even_harmonic_multiplicity if half else harmonic_multiplicity",
+           'multiplicity = even_harmonic_multiplicity if half and kind != "interval" else harmonic_multiplicity',
+           ("test_spectra.py",)),
+    Mutant("the line reader numbers lines from 0", "spectra.py",
+           "for num, raw in enumerate(lines, start=1):",
+           "for num, raw in enumerate(lines):",
+           ("test_cli.py",)),
     Mutant("round-level isqrt argument one short", "spectra.py",
            "top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2",
            "top = (math.isqrt((n - 1) ** 2 + 4 * cap - 1) - (n - 1)) // 2",

@@ -333,14 +333,9 @@ def _levels(draw):
     return levels
 
 
-@st.composite
-def _families_and_windows(draw):
-    """The data (t1, t2, levels1, levels2) of a random exact family in one of
-    the four curvature-sign cases, with a window whose ends are often branch
-    zeros themselves."""
-    pos1, pos2 = draw(_SIGNS)
-    t1, t2 = draw(_THRESHOLD[pos1]), draw(_THRESHOLD[pos2])
-    levels1, levels2 = _levels(draw), _levels(draw)
+def _with_window(draw, t1, t2, levels1, levels2):
+    """Exact family data, a window whose ends are often branch zeros
+    themselves, and the distinct zeros in [1/20, 20]."""
     zeros = sorted({
         (t2 - r2) / (r1 - t1)
         for i, (r1, _) in enumerate(levels1)
@@ -352,6 +347,32 @@ def _families_and_windows(draw):
     s_min, s_max = sorted((draw(end), draw(end)))
     assume(s_min < s_max)
     return (t1, t2, levels1, levels2), (s_min, s_max), zeros
+
+
+@st.composite
+def _families_and_windows(draw):
+    """The data (t1, t2, levels1, levels2) of a random exact family in one of
+    the four curvature-sign cases, with a window and the zeros, as
+    ``_with_window`` gives them."""
+    pos1, pos2 = draw(_SIGNS)
+    return _with_window(draw, draw(_THRESHOLD[pos1]), draw(_THRESHOLD[pos2]), _levels(draw), _levels(draw))
+
+
+_MULTIPLES = st.sets(st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]), min_size=2, max_size=8)
+
+
+@st.composite
+def _coincident_families(draw):
+    """The data of a random exact family with positive thresholds whose levels
+    other than 0 lie k steps from the threshold, k in +-{1, 2, 3, 4, 6}, so
+    that many branch zeros coincide, with a window and the zeros, as
+    ``_with_window`` gives them."""
+    thresholds = draw(_MAGNITUDE), draw(_MAGNITUDE)
+    step = draw(st.sampled_from([Fraction(1, 6), Fraction(1, 10), Fraction(2, 7)]))
+    levels = [[(Fraction(0), 1)] + [(t + k * step, draw(_MULTIPLICITY))
+                                    for k in sorted(draw(_MULTIPLES)) if t + k * step > 0]
+              for t in thresholds]
+    return _with_window(draw, *thresholds, *levels)
 
 
 _NUDGE = st.floats(-4, 4)  # in tolerances
@@ -377,35 +398,22 @@ def _near_threshold_float_families(draw):
     return _custom_pair(*thresholds, *levels, tolerance=1e-9), (s_min, s_max)
 
 
-_MULTIPLES = st.sets(st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]), min_size=2, max_size=8)
+def _pairs(cases, tolerance=None):
+    """(family, window) of each (data, window, zeros) case."""
+    return cases.map(lambda case: (_custom_pair(*case[0], tolerance=tolerance), case[1]))
 
 
-@st.composite
-def _coincident_float_families(draw):
-    """A random float family at tol 1e-9 with positive thresholds whose
-    levels other than 0 lie k steps from the threshold, k in +-{1, 2, 3, 4,
-    6}, so that many branch zeros coincide in exact arithmetic and round
-    apart in floats, with a window."""
-    thresholds = draw(_MAGNITUDE), draw(_MAGNITUDE)
-    step = draw(st.sampled_from([Fraction(1, 6), Fraction(1, 10), Fraction(2, 7)]))
-    levels = [[(0, 1)] + [(t + k * step, draw(_MULTIPLICITY)) for k in sorted(draw(_MULTIPLES)) if t + k * step > 0]
-              for t in thresholds]
-    s_min, s_max = sorted((draw(_WINDOW_END), draw(_WINDOW_END)))
-    assume(s_min < s_max)
-    return _custom_pair(*thresholds, *levels, tolerance=1e-9), (s_min, s_max)
-
-
-# random float families: float copies of the sweep data, near-threshold
-# levels, and coincident zeros
+# random float families: float copies of the sweep data and of coincident
+# zeros, which round apart in floats, and near-threshold levels
 _FLOAT_FAMILIES = st.one_of(
-    _families_and_windows().map(lambda case: (_custom_pair(*case[0], tolerance=1e-9), case[1])),
+    _pairs(_families_and_windows(), 1e-9),
     _near_threshold_float_families(),
-    _coincident_float_families(),
+    _pairs(_coincident_families(), 1e-9),
 )
 
 
 class TestSweep:
-    @given(_families_and_windows())
+    @given(st.one_of(_families_and_windows(), _coincident_families()))
     @settings(max_examples=200, deadline=None)
     def test_sweep_matches_brute_force(self, case):
         data, (s_min, s_max), zeros = case
@@ -458,10 +466,8 @@ class TestSweep:
             classify_family(sphere_hemisphere, WINDOW)
 
 
-    @given(st.one_of(
-        _families_and_windows().map(lambda case: (_custom_pair(*case[0]), case[1])),
-        _near_threshold_float_families(),
-    ))
+    @given(st.one_of(_pairs(_families_and_windows()), _pairs(_coincident_families()),
+                     _near_threshold_float_families()))
     @settings(max_examples=150, deadline=None)
     def test_search_gives_the_index_before_the_first_instant(self, case):
         """The starting index that the window walk gives equals a separate

@@ -496,22 +496,23 @@ class TestConfigFile:
         assert json.loads(out)["classification"] == "BothPositive"
 
     def test_bad_config_line_exit_3(self, capsys, tmp_path):
+        """The file is named once, then the line, as in a custom file's errors."""
         cfg = tmp_path / "family.cfg"
-        cfg.write_text("nonsense line\n")
-        code, _, err = run(capsys, ["scan", "--config", str(cfg), "--window", "1:2"])
-        assert code == EXIT_CONFIG
-        assert "family.cfg:1" in err
+        cfg.write_text("# a family\n\nwindw = 1:2\n")
+        assert run(capsys, ["scan", "--config", str(cfg), "--window", "1:2"]) == (
+            EXIT_CONFIG, "", f"error: {cfg}: line 3: bad config line 'windw = 1:2'\n")
 
     def test_undecodable_config_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"\xff\xfe")
-        code, out, err = run(capsys, ["scan", "--config", str(cfg)])
-        assert code == EXIT_CONFIG
-        assert err.startswith("error:") and "bad.cfg: not UTF-8" in err and out == ""
+        assert run(capsys, ["scan", "--config", str(cfg)]) == (
+            EXIT_CONFIG, "", f"error: {cfg}: not UTF-8 text "
+            "('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)\n")
 
     def test_missing_config_exit_3(self, capsys, tmp_path):
-        code, _, _ = run(capsys, ["scan", "--config", str(tmp_path / "absent.cfg")])
-        assert code == EXIT_CONFIG
+        cfg = tmp_path / "absent.cfg"
+        assert run(capsys, ["scan", "--config", str(cfg)]) == (
+            EXIT_CONFIG, "", f"error: {cfg}: No such file or directory\n")
 
     @staticmethod
     def branches_config(tmp_path, settings):

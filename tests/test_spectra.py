@@ -239,6 +239,14 @@ class TestCustomFile:
             with pytest.raises(SpectrumFormatError, match=f"dimension must be at least 1, got {dim}"):
                 custom_from_file(path)
 
+    @pytest.mark.parametrize("dim", [2.7, Fraction(5, 2), 0.5])
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"^custom: dimension must be an integer, got {dim}$"):
+            custom_spectrum(dim, 1, [(0, 1), (2, 2)], 3)
+
+    def test_integral_dimension_of_another_type_accepted(self):
+        assert custom_spectrum(3.0, 1, [(0, 1), (2, 2)], 3).dim == 3
+
     def test_unsorted_rejected(self, tmp_path):
         path = self.write(
             tmp_path,
