@@ -146,7 +146,7 @@ def _least_index_geq(spectrum, threshold, tol) -> Tuple[int, bool]:
     """Least level index whose coefficient r - threshold has sign >= 0, plus
     whether a coefficient has sign 0 (exact equality in exact mode).  For
     threshold <= 0 this is level 0 (eigenvalue 0)."""
-    signs = [sign for _, sign, _ in _column(spectrum, threshold, max(threshold, 0), tol)]
+    signs = [sign for _, sign, _ in _column(spectrum, threshold, threshold, tol)]
     return signs.count(-1), 0 in signs
 
 
@@ -174,16 +174,19 @@ def _require_budget(lam, needed, what):
 
 
 def enumeration_bounds(fam: ProductFamily, window) -> Tuple[Scalar, Scalar]:
-    """Factor eigenvalue bounds sufficient to enumerate every branch with a
-    zero inside the window: rho_i <= T1 + max(T2, 0)/s_min and
-    rho_j <= T2 + s_max*max(T1, 0).  As levels are >= 0, a zero s in
-    [s_min, s_max] has rho_i = T1 + (T2 - rho_j)/s <= T1 + T2/s and
-    rho_j = T2 + s*(T1 - rho_i) <= T2 + s*T1.  The clamp keeps both bounds
-    valid: for T2 < 0, T1 + T2/s peaks at T1 + T2/s_max, above T1 + T2/s_min."""
+    """How far each factor is read for the window [s_min, s_max], or for a
+    point (s, s): no branch past these bounds on rho_i and rho_j vanishes or
+    is negative in it.  As levels are >= 0, sigma_{i,j}(s) <= 0 means
+    rho_i <= T1 + T2/s and rho_j <= T2 + s*T1, each taken where it peaks:
+    T2/s at s_min for T2 > 0 and at s_max otherwise, so that at a point the
+    first bound is R(s)/(m-1); s*T1 at s_max for T1 > 0 and at s_min for
+    T1 < 0, with T1's sign judged by the coefficient rule.  A T1 within the
+    tolerance of 0 adds nothing: every rho_i - T1 then has sign >= 0, so
+    only the rho_j - T2 of sign <= 0 can make sigma <= 0."""
     s_min, s_max = window
-    t1 = max(fam.threshold1, 0)
-    t2 = max(fam.threshold2, 0)
-    return (fam.threshold1 + t2 / s_min, fam.threshold2 + s_max * t1)
+    t1, t2 = fam.threshold1, fam.threshold2
+    sign1 = scalars.sign(t1, fam.tolerance)
+    return t1 + t2 / (s_min if t2 > 0 else s_max), t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0)
 
 
 def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Scalar, List[EigenBranch]]]:
@@ -224,19 +227,15 @@ def _walk(fam: ProductFamily, lo, hi) -> Tuple[int, int, int, List[Tuple[Scalar,
     tolerance, else that of a right of the zero and of b left of it, or that
     of its nonzero coefficient when it has no zero.  sigma <= 0 at s means
     b <= -a*s, where the least a*s is a*lo for a > 0, a*hi for a < 0 and 0 for
-    sign 0; that bound falls as i grows, so factor 2 is read once, as a column
-    of (coefficient, sign, multiplicity) up to the bound of i = 0."""
+    sign 0, so row i stops past that; each factor is read once, as a column
+    of (coefficient, sign, multiplicity), up to its enumeration_bounds."""
     tol = fam.tolerance
-    t1, t2 = fam.threshold1, fam.threshold2
-
-    def least(a, sa):
-        return a * (lo if sa > 0 else hi) if sa else 0
-
-    column2 = _column(fam.factor2, t2, max(t2 - least(-t1, scalars.sign(-t1, tol)), 0), tol)
+    need1, need2 = enumeration_bounds(fam, (lo, hi))
+    column2 = _column(fam.factor2, fam.threshold2, need2, tol)
     below = increasing = 0
     zeros = []
-    for i, (a, sa, m1) in enumerate(_column(fam.factor1, t1, max(t1 + max(t2 / lo, t2 / hi), 0), tol)):
-        bound = -least(a, sa)
+    for i, (a, sa, m1) in enumerate(_column(fam.factor1, fam.threshold1, need1, tol)):
+        bound = -a * (lo if sa > 0 else hi) if sa else 0
         for j, (b, sb, m2) in enumerate(column2):
             if scalars.gt(b, bound, tol):
                 break

@@ -10,7 +10,6 @@ import gc
 import io
 import math
 import sys
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import bifurcation, product, scalars, spectra
@@ -113,11 +112,13 @@ def _config_flags(args) -> List[str]:
             key = key.strip()
             if not sep or key not in _CONFIG_KEYS:
                 raise ConfigError(f"line {num}: bad config line {line!r}")
-            values[key] = value.strip()
+            if key in values:
+                raise ConfigError(f"line {num}: repeated key {key!r} (first on line {values[key][1]})")
+            values[key] = value.strip(), num
     except OSError as exc:  # main's wrapper names the file
         raise ConfigError(exc.strerror)
     # factor flags on the command line replace every config factor
-    descriptions = [] if args.factor_args else [values.get(key, "") for key in ("factor1", "factor2")]
+    descriptions = [] if args.factor_args else [values.get(key, ("",))[0] for key in ("factor1", "factor2")]
     flags = []
     for text in descriptions:
         words = text.split()
@@ -128,7 +129,7 @@ def _config_flags(args) -> List[str]:
         flags += [f"--{flag}={value}" for flag, value in zip(words[::2], words[1::2])]
     known = _COMMANDS[args.command][1]
     return flags + [
-        f"--{key.replace('_', '-')}={value}" for key, value in values.items()
+        f"--{key.replace('_', '-')}={value}" for key, (value, _) in values.items()
         if key.replace("_", "-") in known and args.get(key) is None
     ]
 
@@ -179,29 +180,30 @@ def _number_setting(args, key, parse, least, default):
     return number
 
 
-def _parse_window(text) -> Tuple[Fraction, Fraction]:
-    if text is None:
-        raise ConfigError("missing --window MIN:MAX")
-    lo, sep, hi = str(text).partition(":")
-    if not sep:
-        raise ConfigError(f"bad window {text!r}, expected MIN:MAX")
-    try:
-        window = (scalars.as_exact(lo.strip()), scalars.as_exact(hi.strip()))
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise ConfigError(f"bad window {text!r}")
-    if not (0 < window[0] < window[1]):
-        raise ConfigError("window must satisfy 0 < MIN < MAX")
-    return window
-
-
-def _family(args) -> product.ProductFamily:
+def _family(args, window=None):
+    """(family, window, lambda_max): the family of the two factors, then its window ``args.window``
+    (``window`` when unset) and its eigenvalue cap, in the family's scalars and checked."""
     factors = _factors(args)
     if len(factors) != 2:
         raise ConfigError(f"a family needs exactly two factors, got {len(factors)}")
     try:
-        return product.make_family(factors[0], factors[1])
+        fam = product.make_family(factors[0], factors[1])
     except YamabeError as exc:
         raise ConfigError(str(exc))
+    text = window if args.window is None else args.window
+    if text is None:
+        raise ConfigError("missing --window MIN:MAX")
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise ConfigError(f"bad window {text!r}, expected MIN:MAX")
+    try:
+        window = (fam.coerce(lo.strip()), fam.coerce(hi.strip()))
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise ConfigError(f"bad window {text!r}")
+    # checked as converted: in floating mode 1e-400 is 0.0, and 1 and 1 + 1e-20 are one float
+    if not (0 < window[0] < window[1]):
+        raise ConfigError("window must satisfy 0 < MIN < MAX")
+    return fam, window, _number_setting(args, "lambda_max", fam.coerce, 0, None)
 
 
 def _emit(text: str, out_path) -> None:
@@ -302,9 +304,7 @@ def _scan_text(payload) -> str:
 
 
 def cmd_scan(args) -> int:
-    fam = _family(args)
-    window = _parse_window(args.window)
-    lam = _number_setting(args, "lambda_max", fam.coerce, 0, None)
+    fam, window, lam = _family(args)
     result = bifurcation.classify_family(fam, window, lam)
     payload = _scan_payload(fam, result, lam)
     if args.format == "json":
@@ -333,11 +333,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_branches(args) -> int:
-    fam = _family(args)
-    window = _parse_window(args.window)
+    fam, window, lam = _family(args)
     samples = _number_setting(args, "samples", int, 2, 200)
     limit = _number_setting(args, "limit", int, 0, 4)
-    lam = _number_setting(args, "lambda_max", fam.coerce, 0, None)
 
     # a branch has at most one zero, so it belongs to at most one instant
     branches = [br for inst in bifurcation.degeneracy_instants(fam, window, lam) for br in inst.branches]
@@ -418,8 +416,7 @@ def _verify_checks(fam, window, lam, samples):
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
         raise DegeneratePairError(fam.label)
     # each factor up to the bound the engine read it to, and never past it
-    need1, need2 = bifurcation.enumeration_bounds(fam, window)
-    brackets = oracle.dense_scan_degeneracy(fam, window, samples, max(need1, 0), max(need2, 0))
+    brackets = oracle.dense_scan_degeneracy(fam, window, samples, *bifurcation.enumeration_bounds(fam, window))
     matched = (
         len(brackets) == len(result.instants)
         and all(lo <= float(ci.instant.s) <= hi for ci, (lo, hi) in zip(result.instants, brackets))
@@ -434,7 +431,7 @@ def _verify_checks(fam, window, lam, samples):
     checked = [(s, engine) for s, engine in probes if engine is not None]
     # a level above R(s)/(m-1) gives no negative branch at s, so no factor is read past it
     brute = oracle.brute_force_indices(fam, [
-        (s, max(fam.threshold1 + fam.threshold2 / fam.coerce(s), 0)) for s, _ in checked
+        (s, bifurcation.enumeration_bounds(fam, (s, s))[0]) for s, _ in checked
     ])
     details = [
         f"s={scalars.fmt(s, fam.tolerance)}: engine {engine} vs brute {count}"
@@ -474,10 +471,8 @@ _VERDICTS = {True: "PASS", False: "FAIL", None: "SKIP"}
 
 
 def cmd_verify(args) -> int:
-    fam = _family(args)
-    window = _parse_window("0.1:10" if args.window is None else args.window)
+    fam, window, lam = _family(args, "0.1:10")
     samples = _number_setting(args, "samples", int, 1000, 20000)
-    lam = _number_setting(args, "lambda_max", fam.coerce, 0, None)
     failures = 0
     lines = []
     for name, passed, detail in _verify_checks(fam, window, lam, samples):

@@ -8,18 +8,18 @@ computation with the exact engine it checks:
   counts.  A bracket that spans more than a factor of 4 above 0 is split at
   its geometric midpoint.  Until an eigenvalue is alone in its bracket the
   passes only count; after, the same LDL^T pass also gives a Newton step on
-  det(T - xI).  The stencil is its own mirror image, so it splits into an
-  even and an odd block of half the rows each (Cantoni & Butler 1976).  The
-  k-th eigenvector of a Jacobi matrix changes sign k times, so the
-  eigenvalues alternate between the blocks, starting with the even one; the
-  even block gives ceil(count/2) of them and the odd block floor(count/2).
-  For an even size the even block is the Neumann stencil of half the rows,
-  so it splits again, recursively, while its size is even and at least 4.
-  The last Neumann block is bisected whole, as are the odd blocks and the
-  even block of an odd size.  One count on the whole stencil just above
-  the largest must find exactly ``count``, or the oracle raises.  The first
-  count of each block is taken half a width above its Gershgorin lower end,
-  which closes the constant mode of the last Neumann block at once,
+  det(T - xI).  The stencil is its own mirror image, so a stencil of an
+  even size of at least 4 splits into an even and an odd block of half the
+  rows each (Cantoni & Butler 1976).  The k-th eigenvector of a Jacobi
+  matrix changes sign k times, so the eigenvalues alternate between the
+  blocks, starting with the even one; the even block gives ceil(count/2)
+  of them and the odd block floor(count/2).  The even block is the Neumann
+  stencil of half the rows, so the same rule splits it again.  The odd
+  blocks are bisected whole, as is a Neumann stencil of any other size.
+  One count on the whole stencil just above the largest must find exactly
+  ``count``, or the oracle raises.  The first count of each block is taken
+  half a width above its Gershgorin lower end, which closes the constant
+  mode of the last Neumann block at once,
 * harmonic-polynomial dimension counts by the exact rank of the Laplacian
   matrix on monomials, one block per parity class of the exponents (the
   Laplacian keeps them), by an echelon count that raises on a repeated
@@ -174,29 +174,22 @@ def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float
 
 def _mirror_eigenvalues(diag: List[float], off: List[float], count: int) -> List[float]:
     """The ``count`` smallest eigenvalues of the Neumann stencil (``diag``,
-    ``off``) of at least 2 rows, ascending, from its two mirror blocks.  For
-    an even size the even block is the Neumann stencil of half the rows; it
-    splits again while its own size is even and at least 4, and is bisected
-    whole after, so that its first count closes the constant mode.  The
-    other blocks are bisected."""
+    ``off``), ascending.  One of an even size of at least 4 splits into its
+    two mirror blocks: the even block, the Neumann stencil of half the rows,
+    splits again by the same rule, and the odd block is bisected.  Any other
+    stencil is bisected whole, so that its first count closes the constant
+    mode."""
     rows, c = len(diag), diag[0]
+    if rows < 4 or rows % 2:
+        return _smallest_tridiagonal_eigenvalues(diag, off, count)
     half = rows // 2
     evens, odds = (count + 1) // 2, count // 2  # the blocks take turns, even first
-    odd_diag, odd_off = diag[:half], off[:half - 1]
-    if rows % 2:
-        # the middle node couples to both of its equal neighbors: scaled by
-        # sqrt(2), that row keeps the block symmetric; odd vectors vanish there
-        even_off = off[:half]
-        even_off[-1] = -math.sqrt(2.0) * c
-        even = _smallest_tridiagonal_eigenvalues(diag[:half + 1], even_off, evens)
-    else:
-        # u_{N/2+1} = +-u_{N/2} adds -+c to the last diagonal entry
-        even_diag = diag[:half]
-        even_diag[-1] -= c
-        odd_diag[-1] += c
-        split = _mirror_eigenvalues if half >= 4 and half % 2 == 0 else _smallest_tridiagonal_eigenvalues
-        even = split(even_diag, odd_off, evens)
-    return sorted(even + _smallest_tridiagonal_eigenvalues(odd_diag, odd_off, odds))
+    even_diag, odd_diag, half_off = diag[:half], diag[:half], off[:half - 1]
+    # u_{N/2+1} = +-u_{N/2} adds -+c to the last diagonal entry
+    even_diag[-1] -= c
+    odd_diag[-1] += c
+    even = _mirror_eigenvalues(even_diag, half_off, evens)
+    return sorted(even + _smallest_tridiagonal_eigenvalues(odd_diag, half_off, odds))
 
 
 def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSpectrum:
@@ -212,11 +205,11 @@ def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSp
     Its eigenvalues are simple and the k-th eigenvector changes sign k
     times, so the blocks take turns from the constant mode (even) on: the
     ceil(count/2) smallest of the even block and the floor(count/2)
-    smallest of the odd block are the count smallest.  For an even N the
-    even block is the Neumann stencil of N/2 rows with the same h, so it
-    splits the same way, down to an odd or a 2-row stencil.  One Sturm
-    count on the whole stencil just above the largest eigenvalue found
-    must find exactly ``count``.
+    smallest of the odd block are the count smallest.  The stencil splits
+    when N is even, and the even block, the Neumann stencil of N/2 rows
+    with the same h, splits the same way, down to an odd size; an odd N is
+    bisected whole.  One Sturm count on the whole stencil just above the
+    largest eigenvalue found must find exactly ``count``.
     """
     if grid_points < 16:
         raise ValueError("need at least 16 grid points")

@@ -8,6 +8,7 @@ a ~ b  iff  |a - b| <= tau * max(1, |a|, |b|), which is symmetric in a and b.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -29,10 +30,17 @@ def as_exact(value) -> Fraction:
 
 
 def as_scalar(value, tolerance: Optional[float]) -> Scalar:
-    """Coerce to the representation selected by ``tolerance`` (None = exact)."""
+    """Coerce to the representation selected by ``tolerance`` (None = exact);
+    in floating mode a value with no finite float raises ValueError."""
     if tolerance is None:
         return as_exact(value)
-    return float(Fraction(value) if isinstance(value, str) else value)
+    try:
+        number = float(Fraction(value) if isinstance(value, str) else value)
+    except OverflowError:  # a rational past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} has no finite float")
+    return number
 
 
 def is_exact(value) -> bool:

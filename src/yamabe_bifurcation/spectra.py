@@ -70,14 +70,13 @@ class FactorSpectrum(NamedTuple):
         return table[1]
 
     def _prefix(self, bound, past) -> List[Level]:
-        if bound < 0:
-            raise ValueError(f"{self.label}: negative eigenvalue bound {bound}")
         if self.lambda_max is not None and scalars.gt(bound, self.lambda_max, self.tolerance):
             raise IncompleteSpectrumError(
                 f"{self.label}: spectrum is only complete up to {scalars.fmt(self.lambda_max, self.tolerance)}, "
                 f"but eigenvalues up to {scalars.fmt(bound, self.tolerance)} are required"
             )
-        levels = self._levels_upto(bound)
+        # a bound below 0 reads no level, unless level 0 lies within the tolerance of it
+        levels = self._levels_upto(max(bound, 0))
         # the levels whose eigenvalue is past(eigenvalue, bound) form a suffix of the table
         end = bisect.bisect_left(levels, True, key=lambda lv: past(lv[0], bound, self.tolerance))
         return levels[:end]
@@ -196,8 +195,6 @@ def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
         raise ValueError("torus squared lengths must be positive")
 
     def enum(bound):
-        if bound < 0:
-            return []
         counts = Counter()
         ranges = []
         for ell in ells:
@@ -233,9 +230,7 @@ def custom_spectrum(
     label: str = "custom",
 ) -> FactorSpectrum:
     """A user-supplied finite spectrum, complete up to ``lambda_max``."""
-    tol = tolerance
-    if tol is not None and tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = tolerance if tolerance is None else _finite_tolerance(tolerance)
     if dim != int(dim):
         raise ValueError(f"{label}: dimension must be an integer, got {dim}")
     if dim < 1:
@@ -293,10 +288,12 @@ _BOOL = {"true": True, "false": False}
 _HEADER_KEYS = ("dim", "scalar_curvature", "has_boundary", "boundary_minimal", "lambda_max", "tolerance")
 
 
-def _positive_tolerance(text) -> float:
-    tol = float(text)
-    if tol <= 0:
-        raise SpectrumFormatError("tolerance must be positive")
+def _finite_tolerance(tol, error=ValueError):
+    """``tol`` when it is positive and finite, else ``error`` is raised."""
+    if not tol > 0:  # NaN too
+        raise error("tolerance must be positive")
+    if tol == math.inf:
+        raise error("tolerance must be finite")
     return tol
 
 
@@ -324,6 +321,8 @@ def custom_from_file(path) -> FactorSpectrum:
             key = key.strip()
             if key not in _HEADER_KEYS:
                 raise SpectrumFormatError(f"unknown header key {key!r}", num)
+            if key in header:
+                raise SpectrumFormatError(f"repeated header key {key!r} (first on line {header[key][1]})", num)
             header[key] = (value.strip(), num)
         else:
             raise SpectrumFormatError(f"unrecognized line {line!r}", num)
@@ -343,7 +342,8 @@ def custom_from_file(path) -> FactorSpectrum:
             raise SpectrumFormatError(message.format(key=key, value=value), num)
 
     # the settings are read, and so checked, in this order
-    tol = setting("tolerance", _positive_tolerance) if "tolerance" in header else None
+    finite = lambda text: _finite_tolerance(float(text), SpectrumFormatError)
+    tol = setting("tolerance", finite) if "tolerance" in header else None
     dim = setting("dim", int)
     scalar = lambda value: scalars.as_scalar(value, tol)
     curvature = setting("scalar_curvature", scalar)

@@ -54,6 +54,14 @@ MUTANTS = (
            "multiplicity = even_harmonic_multiplicity if half else harmonic_multiplicity",
            'multiplicity = even_harmonic_multiplicity if half and kind != "interval" else harmonic_multiplicity',
            ("test_spectra.py",)),
+    Mutant("a repeated header key keeps its last value", "spectra.py",
+           "            if key in header:\n",
+           "            if False:\n",
+           ("test_cli.py",)),
+    Mutant("an infinite tolerance is accepted", "spectra.py",
+           "if tol == math.inf:",
+           "if False:",
+           ("test_cli.py",)),
     Mutant("the line reader numbers lines from 0", "spectra.py",
            "for num, raw in enumerate(lines, start=1):",
            "for num, raw in enumerate(lines):",
@@ -63,9 +71,17 @@ MUTANTS = (
            "top = (math.isqrt((n - 1) ** 2 + 4 * cap - 1) - (n - 1)) // 2",
            ("test_spectra.py",)),
     Mutant("boundary factor read to half its bound", "bifurcation.py",
-           "column2 = _column(fam.factor2, t2, max(t2 - least(-t1, scalars.sign(-t1, tol)), 0), tol)",
-           "column2 = _column(fam.factor2, t2, max((t2 - least(-t1, scalars.sign(-t1, tol))) / 2, 0), tol)",
+           "t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0)",
+           "(t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0)) / 2",
            ("test_bifurcation.py",)),
+    Mutant("enumeration_bounds clamps a threshold with max(T, 0)", "bifurcation.py",
+           "return t1 + t2 / (s_min if t2 > 0 else s_max), t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0)",
+           "return t1 + max(t2, 0) / s_min, t2 + s_max * max(t1, 0)",
+           ("test_bifurcation.py",)),
+    Mutant("enumeration_bounds drops a T2 within the tolerance of 0", "bifurcation.py",
+           "t1 + t2 / (s_min if t2 > 0 else s_max),",
+           "t1 + (t2 / (s_min if t2 > 0 else s_max) if scalars.sign(t2, fam.tolerance) else 0),",
+           ("test_cli.py",)),
     Mutant("index_jump one too high before the instant", "bifurcation.py",
            "return below + increasing, below + decreasing, increasing != decreasing",
            "return below + increasing + 1, below + decreasing, increasing != decreasing",
@@ -81,6 +97,10 @@ MUTANTS = (
     Mutant("critical indices judge a level by the relative close rule", "bifurcation.py",
            "signs = [sign for _, sign, _ in _column(",
            "signs = [0 if scalars.close(c + threshold, threshold, tol) else sign for c, sign, _ in _column(",
+           ("test_cli.py",)),
+    Mutant("as_scalar accepts a value with no finite float", "scalars.py",
+           "if not math.isfinite(number):",
+           "if False:",
            ("test_cli.py",)),
     Mutant("brute-force key > instead of >=", "oracle.py",
            "key=lambda c: a + c >= 0)",
@@ -103,12 +123,12 @@ MUTANTS = (
            "evens, odds = count // 2, (count + 1) // 2",
            ("test_oracle.py",)),
     Mutant("FD recursion gives the even half floor(count/2)", "oracle.py",
-           "even = split(even_diag, odd_off, evens)",
-           "even = split(even_diag, odd_off, count // 2)",
+           "even = _mirror_eigenvalues(even_diag, half_off, evens)",
+           "even = _mirror_eigenvalues(even_diag, half_off, count // 2)",
            ("test_oracle.py",)),
-    Mutant("FD odd-N middle row without the sqrt(2) coupling", "oracle.py",
-           "even_off[-1] = -math.sqrt(2.0) * c",
-           "even_off[-1] = -c",
+    Mutant("FD mirror split of an odd stencil", "oracle.py",
+           "if rows < 4 or rows % 2:",
+           "if rows < 4:",
            ("test_oracle.py",)),
     Mutant("dense scan without the window-end rule", "oracle.py",
            "    ends = [end for end in (0, last) for inv in (1.0 / point(end),)\n"
@@ -146,6 +166,14 @@ MUTANTS = (
     Mutant("verify checks no round factor past n = 4", "cli.py",
            "top = oracle.kernel_rank_degree_limit(spec.dim, top)",
            "top = top if spec.dim <= 4 else -1",
+           ("test_cli.py",)),
+    Mutant("the window's order is checked before converting", "cli.py",
+           "if not (0 < window[0] < window[1]):",
+           "if not (0 < scalars.as_exact(lo) < scalars.as_exact(hi)):",
+           ("test_cli.py",)),
+    Mutant("a repeated config key keeps its last value", "cli.py",
+           "            if key in values:\n",
+           "            if False:\n",
            ("test_cli.py",)),
     Mutant("no factor-count check", "cli.py",
            "if len(factors) != 2:",

@@ -507,13 +507,15 @@ class TestFloatMode:
         (exact_inst,) = degeneracy_instants(exact, (Fraction(1, 10), 1))
         assert index_jump(fam, inst) == index_jump(exact, exact_inst) == (2, 0, True)
 
-    @given(_families_and_windows())
+    @given(st.one_of(_families_and_windows(), _coincident_families()))
     @settings(max_examples=100, deadline=None)
     def test_float_copy_reproduces_the_exact_sweep(self, case):
         """Float copies (tol 1e-9) of exact data whose distinct zeros and
         branch values lie far more than tol apart give the exact instants
-        within tol, with the same branches and indices, the closing recount
-        never raises, and verify's probe indices match morse_index."""
+        within tol, with the same branches and indices (coincident exact
+        zeros, which round apart in floats, chain into one instant), the
+        closing recount never raises, and verify's probe indices match
+        morse_index."""
         data, window, _ = case
         exact = _custom_pair(*data)
         assume(not is_degenerate_pair(exact))
@@ -559,6 +561,21 @@ class TestFloatMode:
         )
         cls = classify_family(make_family(closed, boundary), (Fraction(1, 5), 2))
         assert all(ci.certified for ci in cls.instants)
+
+    def test_threshold_within_the_tolerance_of_0_adds_nothing(self):
+        """T1 = 1e-12/3 has sign 0, so the boundary factor, complete only up
+        to T2 = 2, is read to T2, not to T2 + s_max*T1 = 2 + 3.3e-7, which
+        lies past its bound by more than the tolerance."""
+        closed = custom_spectrum(2, 1e-12, [(0.0, 1), (1.0, 2)], 100.0, tolerance=1e-9, label="closed")
+        boundary = custom_spectrum(2, 6.0, [(0.0, 1), (1.5, 2)], 2.0, has_boundary=True,
+                                   boundary_minimal=True, tolerance=1e-9, label="boundary")
+        fam = make_family(closed, boundary)
+        window = (0.5, 1e6)
+        assert bifurcation.enumeration_bounds(fam, window)[1] == 2.0
+        got = classify_family(fam, window).instants
+        assert [(scalars.fmt(ci.instant.s, 1e-9), [(br.i, br.j) for br in ci.instant.branches],
+                 ci.n_minus, ci.n_plus) for ci in got] == [
+            ("0.50000000000016664", [(1, 1)], 8, 4), ("2.0000000000006666", [(1, 0)], 4, 2)]
 
     @given(_near_threshold_float_families())
     @settings(max_examples=60, deadline=None)

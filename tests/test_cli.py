@@ -24,6 +24,7 @@ from yamabe_bifurcation import (
 from yamabe_bifurcation.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_FAILURE, EXIT_OK
 
 SPHERE_HEMI = ["--sphere", "2", "--hemisphere", "2"]
+FLOAT_FAMILY = ["--custom", "closed.spec", "--custom", "boundary.spec"]  # TestScan.write_float_family
 
 
 def run(capsys, argv):
@@ -187,7 +188,12 @@ class TestScan:
         (7, "tolerance = tiny", "line 7: bad tolerance 'tiny'"),
         (1, "dim = two", "line 1: bad dim 'two'"),
         (2, "scalar_curvature = 1/0", "line 2: bad scalar_curvature '1/0'"),
-    ], ids=["multiplicity", "missing-key", "boolean", "tolerance-zero", "tolerance-word", "dim", "curvature"])
+        (7, "tolerance = nan", "line 7: tolerance must be positive"),
+        (7, "tolerance = inf", "line 7: tolerance must be finite"),
+        (7, "tolerance = 1e400", "line 7: tolerance must be finite"),
+        (6, "dim = 3", "line 6: repeated header key 'dim' (first on line 1)"),
+    ], ids=["multiplicity", "missing-key", "boolean", "tolerance-zero", "tolerance-word", "dim", "curvature",
+            "tolerance-nan", "tolerance-inf", "tolerance-overflow", "repeated-key"])
     def test_bad_custom_file_message_exit_3(self, capsys, tmp_path, line, text, message):
         """GOOD_SPEC with one line replaced gives the message of that line."""
         spec = tmp_path / "closed.spec"
@@ -195,6 +201,30 @@ class TestScan:
         spec.write_text("\n".join(self.GOOD_SPEC) + "\n")
         assert run(capsys, argv)[0] == EXIT_OK
         spec.write_text("\n".join(self.GOOD_SPEC[:line - 1] + [text] + self.GOOD_SPEC[line:]) + "\n")
+        assert run(capsys, argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+    # a closed and a boundary factor in floating mode
+    FLOAT_SPEC = ["dim = 3", "scalar_curvature = 6", "has_boundary = false", "boundary_minimal = false",
+                  "tolerance = 1e-9", "lambda_max = 200", "eig 0 1", "eig 2.0 2"]
+    FLOAT_BOUNDARY = ["dim = 2", "scalar_curvature = 6", "has_boundary = true", "boundary_minimal = true",
+                      "tolerance = 1e-9", "lambda_max = 200", "eig 0 1", "eig 3.0 2"]
+    @classmethod
+    def write_float_family(cls, directory):
+        (directory / "closed.spec").write_text("\n".join(cls.FLOAT_SPEC) + "\n")
+        (directory / "boundary.spec").write_text("\n".join(cls.FLOAT_BOUNDARY) + "\n")
+
+    @pytest.mark.parametrize("line, text, message", [
+        (6, "lambda_max = 1e400", "line 6: bad lambda_max '1e400'"),
+        (8, "eig 1e400 1", "line 8: bad eigenvalue '1e400'"),
+    ], ids=["lambda-max", "eigenvalue"])
+    def test_float_value_with_no_finite_float_exit_3(self, capsys, tmp_path, monkeypatch, line, text, message):
+        """FLOAT_SPEC with one line replaced by a value past the float range."""
+        monkeypatch.chdir(tmp_path)
+        self.write_float_family(tmp_path)
+        argv = ["scan", *FLOAT_FAMILY, "--window", "1:2"]
+        assert run(capsys, argv)[0] == EXIT_OK
+        spec = self.FLOAT_SPEC[:line - 1] + [text] + self.FLOAT_SPEC[line:]
+        (tmp_path / "closed.spec").write_text("\n".join(spec) + "\n")
         assert run(capsys, argv) == (EXIT_CONFIG, "", f"error: {message}\n")
 
     def test_undecodable_custom_file_exit_3(self, capsys, tmp_path):
@@ -261,11 +291,19 @@ class TestScan:
         ["spectrum", "--torus", "1,1", "--below", "1/0"],
         ["scan", *SPHERE_HEMI, "--window", "1:2", "--lambda-max", "abc"],
         ["verify", *SPHERE_HEMI, "--window", "1:2", "--samples", "10"],
+        # floating mode: a value with no finite float, and a window that is
+        # not 0 < MIN < MAX as floats
+        *([command, *FLOAT_FAMILY, "--window", window] for command in ("scan", "branches", "verify")
+          for window in ("1e-400:2", "1:1e400", "1:1.00000000000000000001")),
+        ["scan", *FLOAT_FAMILY, "--window", "1:2", "--lambda-max", "1e400"],
+        ["spectrum", "--custom", "closed.spec", "--below", "1e400"],
     ])
-    def test_bad_number_exit_3(self, capsys, argv):
+    def test_bad_number_exit_3(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        self.write_float_family(tmp_path)
         code, out, err = run(capsys, argv)
         assert code == EXIT_CONFIG
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err and out == ""
 
     def test_constant_branch_excluded_when_r1_positive_r2_negative(self, capsys, tmp_path):
@@ -604,9 +642,17 @@ class TestConfigFile:
     @pytest.mark.parametrize("command", ["scan", "verify"])
     def test_empty_config_window_exit_3(self, capsys, tmp_path, command):
         # verify's default window applies only when no window is given at all
-        code, out, err = run(capsys, [command, "--config", self.branches_config(tmp_path, "window =\n")])
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text("factor1 = sphere 2\nfactor2 = hemisphere 2\nwindow =\n")
+        code, out, err = run(capsys, [command, "--config", str(cfg)])
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "error: bad window '', expected MIN:MAX\n"
+
+    def test_repeated_key_exit_3(self, capsys, tmp_path):
+        """Unlike a repeated flag, a repeated key is an error at its second line."""
+        cfg = self.branches_config(tmp_path, "# a second window\nwindow = 3:4\n")
+        assert run(capsys, ["scan", "--config", cfg]) == (
+            EXIT_CONFIG, "", f"error: {cfg}: line 5: repeated key 'window' (first on line 3)\n")
 
     def test_config_error_names_the_file_and_the_value(self, capsys, tmp_path):
         cfg = self.branches_config(tmp_path, "samples = lots\n")
@@ -739,6 +785,31 @@ class TestVerify:
         code, out, _ = run(capsys, ["scan", *family])
         assert code == EXIT_OK and "instants (0):" in out
         code, out, err = run(capsys, ["verify", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "all checks passed"
+
+    @pytest.mark.parametrize("closed_levels, boundary_curvature, window", [
+        ("eig 0 1\neig 1.5 2\neig 3 1\n", "1e-12", "0.5:4"),
+        ("eig 0 1\neig 0.99999995 1\neig 2 1\n", "-3e-10", "0.0001:0.001"),
+    ], ids=["above-0", "below-0"])
+    def test_boundary_threshold_within_the_tolerance_of_0(self, capsys, tmp_path, closed_levels,
+                                                          boundary_curvature, window):
+        """T2 = R2/3 lies within the tolerance of 0 but not at it.  Brute
+        force gets R(s)/(m-1) = T1 + T2/s, below which its own check refuses
+        a bound, and scan reads the closed factor as far: below 0, to
+        T1 + T2/s_max, short of the level 0.99999995, whose branch (1, 0),
+        -5e-8 + 1e-10/s, is positive on the window."""
+        closed = tmp_path / "closed.spec"
+        closed.write_text(
+            "dim = 2\nscalar_curvature = 3\nhas_boundary = false\nboundary_minimal = false\n"
+            "tolerance = 1e-9\nlambda_max = 100\n" + closed_levels
+        )
+        boundary = tmp_path / "boundary.spec"
+        boundary.write_text(
+            f"dim = 2\nscalar_curvature = {boundary_curvature}\nhas_boundary = true\nboundary_minimal = true\n"
+            "tolerance = 1e-9\nlambda_max = 100\neig 0 1\neig 1.5 2\n"
+        )
+        code, out, err = run(capsys, ["verify", "--custom", str(closed), "--custom", str(boundary), "--window", window])
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == "all checks passed"
 
