@@ -178,15 +178,17 @@ def enumeration_bounds(fam: ProductFamily, window) -> Tuple[Scalar, Scalar]:
     point (s, s): no branch past these bounds on rho_i and rho_j vanishes or
     is negative in it.  As levels are >= 0, sigma_{i,j}(s) <= 0 means
     rho_i <= T1 + T2/s and rho_j <= T2 + s*T1, each taken where it peaks:
-    T2/s at s_min for T2 > 0 and at s_max otherwise, so that at a point the
+    T2/s at s_min for T2 > 0 and at s_max for T2 < 0, so that at a point the
     first bound is R(s)/(m-1); s*T1 at s_max for T1 > 0 and at s_min for
-    T1 < 0, with T1's sign judged by the coefficient rule.  A T1 within the
-    tolerance of 0 adds nothing: every rho_i - T1 then has sign >= 0, so
-    only the rho_j - T2 of sign <= 0 can make sigma <= 0."""
+    T1 < 0, each sign judged by the coefficient rule.  A threshold within
+    the tolerance of 0 adds nothing to the other factor's bound: every
+    rho - T of its own factor then has sign >= 0, so only the other
+    factor's coefficients of sign <= 0 can make sigma <= 0."""
     s_min, s_max = window
     t1, t2 = fam.threshold1, fam.threshold2
-    sign1 = scalars.sign(t1, fam.tolerance)
-    return t1 + t2 / (s_min if t2 > 0 else s_max), t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0)
+    sign1, sign2 = scalars.sign(t1, fam.tolerance), scalars.sign(t2, fam.tolerance)
+    return (t1 + (t2 / (s_min if sign2 > 0 else s_max) if sign2 else 0),
+            t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0))
 
 
 def _merge_zeros(found: List[Tuple[Scalar, EigenBranch]], tol) -> List[Tuple[Scalar, List[EigenBranch]]]:

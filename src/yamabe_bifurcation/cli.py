@@ -389,11 +389,9 @@ def _verify_checks(fam, window, lam, samples):
         if spec.kind == "interval":
             # recover lambda from the first nonzero eigenvalue 1/lambda^2
             lam_param = math.sqrt(1.0 / float(spec.level(1)[0]))
-            grid = oracle.fd_interval_spectrum(lam_param, 2000, 10)
             worst = 0.0
-            for k in range(10):
+            for k, approx in enumerate(oracle.fd_interval_spectrum(lam_param, 2000, 10)):
                 exact = float(spec.level(k)[0])
-                approx = grid.eigenvalues[k]
                 err = abs(approx - exact) / max(exact, 1e-12) if exact else abs(approx)
                 worst = max(worst, err)
             yield (f"{name}: FD Neumann spectrum", worst < 1e-3, f"max rel err {worst:.2e}")
@@ -429,10 +427,8 @@ def _verify_checks(fam, window, lam, samples):
 
     probes = _probe_indices(fam, window, result.instants)
     checked = [(s, engine) for s, engine in probes if engine is not None]
-    # a level above R(s)/(m-1) gives no negative branch at s, so no factor is read past it
-    brute = oracle.brute_force_indices(fam, [
-        (s, bifurcation.enumeration_bounds(fam, (s, s))[0]) for s, _ in checked
-    ])
+    # each factor up to the bound the engine reads it to at the probe
+    brute = oracle.brute_force_indices(fam, [(s, *bifurcation.enumeration_bounds(fam, (s, s))) for s, _ in checked])
     details = [
         f"s={scalars.fmt(s, fam.tolerance)}: engine {engine} vs brute {count}"
         for (s, engine), count in zip(checked, brute)

@@ -36,12 +36,13 @@ computation with the exact engine it checks:
   are a run of the sign at s_min, a run of zeros and a run of the sign at
   s_max, whose meeting points bisection over grid indices finds.  The
   brackets are thus bit for bit those of sampling every pair at every point,
-* brute-force Morse index over every pair of factor levels, from one float
-  coefficient list per factor; here and in the scan, a float-mode
-  coefficient within the tolerance of 0 reads 0.0, as in the engine.  For a
-  closed level, the boundary levels with a_i + b_j/s < 0 are a prefix in j,
-  since that float expression is monotone in b_j; bisection finds it, and
-  prefix sums of the multiplicities count it.
+* brute-force Morse index over every pair of factor levels within the two
+  bounds that come with each point, one per factor, as the scan takes its
+  two, from one float coefficient list per factor; here and in the scan, a
+  float-mode coefficient within the tolerance of 0 reads 0.0, as in the
+  engine.  For a closed level, the boundary levels with a_i + b_j/s < 0 are
+  a prefix in j, since that float expression is monotone in b_j; bisection
+  finds it, and prefix sums of the multiplicities count it.
 """
 
 from __future__ import annotations
@@ -51,15 +52,9 @@ import itertools
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .product import ProductFamily
-
-
-class GridSpectrum(NamedTuple):
-    grid_points: int
-    eigenvalues: Tuple[float, ...]
-    error_estimate: float  # worst-case relative discretization error, O(h^2)
 
 
 def _sturm_pass(diag: Sequence[float], off_sq: Sequence[float], x: float, pivmin: float) -> Tuple[int, float]:
@@ -192,7 +187,7 @@ def _mirror_eigenvalues(diag: List[float], off: List[float], count: int) -> List
     return sorted(even + _smallest_tridiagonal_eigenvalues(odd_diag, half_off, odds))
 
 
-def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSpectrum:
+def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> Tuple[float, ...]:
     """First ``count`` Neumann eigenvalues of -d^2/dx^2 on [0, pi*lambda].
 
     Cell-centered second-order stencil: nodes x_i = (i - 1/2) h, ghost values
@@ -229,9 +224,7 @@ def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> GridSp
     off_sq, pivmin = _pass_inputs(off)
     if values and _sturm_count(diag, off_sq, values[-1] + 8 * width, pivmin) != count:
         raise ArithmeticError("the mirror blocks missed an eigenvalue of the stencil")
-    # lambda_k^FD = (4/h^2) sin^2(k pi h / (2 L)); relative error ~ (k pi h / L)^2 / 12
-    worst = (count * math.pi * h / length) ** 2 / 12.0
-    return GridSpectrum(grid_points, tuple(values), worst)
+    return tuple(values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,32 +396,29 @@ def dense_scan_degeneracy(
     return merged
 
 
-def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float]]) -> List[int]:
-    """For each (s, lam): sum the multiplicities of all (i, j) != (0, 0) with
-    rho_i <= lam, rho_j <= lam*s and sigma_{i,j}(s) < 0.  Each factor's
-    levels become one float list, at the largest bound any point needs,
+def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float, float]]) -> List[int]:
+    """For each (s, lam1, lam2): sum the multiplicities of all (i, j) != (0, 0)
+    with rho_i <= lam1, rho_j <= lam2 and sigma_{i,j}(s) < 0.  Each factor's
+    levels become one float list, at the largest bound any point gives it,
     taken in the family's scalars, so that an exact bound reads no level
     past it.  The j with sigma_{i,j}(s) < 0 are a prefix for each i."""
-    points = [(fam.coerce(s), fam.coerce(lam)) for s, lam in points]
-    for s, lam in points:
-        if s <= 0:
-            raise ValueError("family parameter s must be positive")
-        if lam < fam.threshold1 + fam.threshold2 / s:
-            raise ValueError("lambda bound below R(s)/(m-1); enumeration would be incomplete")
+    points = [tuple(map(fam.coerce, point)) for point in points]
+    if any(s <= 0 for s, _, _ in points):
+        raise ValueError("family parameter s must be positive")
     if not points:
         return []
-    levels1 = fam.factor1.eigenvalues_leq(max(lam for _, lam in points))
-    levels2 = fam.factor2.eigenvalues_leq(max(lam * s for s, lam in points))
+    levels1 = fam.factor1.eigenvalues_leq(max(lam1 for _, lam1, _ in points))
+    levels2 = fam.factor2.eigenvalues_leq(max(lam2 for _, _, lam2 in points))
     r1, m1 = [float(r) for r, _ in levels1], [m for _, m in levels1]
     r2, m2 = [float(r) for r, _ in levels2], [m for _, m in levels2]
     a_values = _coefficients(levels1, fam.threshold1, fam.tolerance)
     b_values = _coefficients(levels2, fam.threshold2, fam.tolerance)
     below = list(itertools.accumulate(m2, initial=0))  # below[k]: multiplicity of the first k levels
     counts = []
-    for s, lam in points:
-        s, lam = float(s), float(lam)
-        n1 = bisect_right(r1, lam)
-        c_values = [b / s for b in b_values[:bisect_right(r2, lam * s)]]
+    for s, lam1, lam2 in points:
+        s = float(s)
+        n1 = bisect_right(r1, float(lam1))
+        c_values = [b / s for b in b_values[:bisect_right(r2, float(lam2))]]
         count = sum(m * below[bisect_left(c_values, True, key=lambda c: a + c >= 0)]
                     for a, m in zip(a_values[:n1], m1))
         if n1 and c_values and a_values[0] + c_values[0] < 0:  # the constants' (0, 0) is not a branch

@@ -75,12 +75,13 @@ MUTANTS = (
            "(t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0)) / 2",
            ("test_bifurcation.py",)),
     Mutant("enumeration_bounds clamps a threshold with max(T, 0)", "bifurcation.py",
-           "return t1 + t2 / (s_min if t2 > 0 else s_max), t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0)",
+           "return (t1 + (t2 / (s_min if sign2 > 0 else s_max) if sign2 else 0),\n"
+           "            t2 + (t1 * (s_max if sign1 > 0 else s_min) if sign1 else 0))",
            "return t1 + max(t2, 0) / s_min, t2 + s_max * max(t1, 0)",
            ("test_bifurcation.py",)),
-    Mutant("enumeration_bounds drops a T2 within the tolerance of 0", "bifurcation.py",
+    Mutant("enumeration_bounds adds a T2 within the tolerance of 0", "bifurcation.py",
+           "t1 + (t2 / (s_min if sign2 > 0 else s_max) if sign2 else 0),",
            "t1 + t2 / (s_min if t2 > 0 else s_max),",
-           "t1 + (t2 / (s_min if t2 > 0 else s_max) if scalars.sign(t2, fam.tolerance) else 0),",
            ("test_cli.py",)),
     Mutant("index_jump one too high before the instant", "bifurcation.py",
            "return below + increasing, below + decreasing, increasing != decreasing",
@@ -101,6 +102,10 @@ MUTANTS = (
     Mutant("as_scalar accepts a value with no finite float", "scalars.py",
            "if not math.isfinite(number):",
            "if False:",
+           ("test_cli.py",)),
+    Mutant("brute force reads the boundary factor to lam1 * s", "oracle.py",
+           "levels2 = fam.factor2.eigenvalues_leq(max(lam2 for _, _, lam2 in points))",
+           "levels2 = fam.factor2.eigenvalues_leq(max(lam1 * s for s, lam1, _ in points))",
            ("test_cli.py",)),
     Mutant("brute-force key > instead of >=", "oracle.py",
            "key=lambda c: a + c >= 0)",

@@ -432,8 +432,8 @@ class TestSweep:
             assert left.n_plus == right.n_minus
             probes.append(((left.instant.s + right.instant.s) / 2, left.n_plus))
         for s, expected in probes:
-            theta = fam.threshold1 + fam.threshold2 / s
-            assert brute_force_indices(fam, [(s, max(theta, 0) + 1)]) == [expected]
+            lam = max(fam.threshold1 + fam.threshold2 / s, 0) + 1
+            assert brute_force_indices(fam, [(s, lam, lam * s)]) == [expected]
 
     def test_needs_completeness_only_up_to_enumeration_bounds(self):
         levels1 = [(0, 1), (Fraction(1, 2), 2), (2, 1), (Fraction(5, 2), 3)]

@@ -794,11 +794,10 @@ class TestVerify:
     ], ids=["above-0", "below-0"])
     def test_boundary_threshold_within_the_tolerance_of_0(self, capsys, tmp_path, closed_levels,
                                                           boundary_curvature, window):
-        """T2 = R2/3 lies within the tolerance of 0 but not at it.  Brute
-        force gets R(s)/(m-1) = T1 + T2/s, below which its own check refuses
-        a bound, and scan reads the closed factor as far: below 0, to
-        T1 + T2/s_max, short of the level 0.99999995, whose branch (1, 0),
-        -5e-8 + 1e-10/s, is positive on the window."""
+        """T2 = R2/3 lies within the tolerance of 0 but not at it, so scan
+        and both oracles read the closed factor to T1 = 1.  Below 0, that
+        takes in the level 0.99999995, whose branch (1, 0), -5e-8 + 0/s by
+        the coefficient rule, is negative on the whole window."""
         closed = tmp_path / "closed.spec"
         closed.write_text(
             "dim = 2\nscalar_curvature = 3\nhas_boundary = false\nboundary_minimal = false\n"
@@ -812,6 +811,61 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--custom", str(closed), "--custom", str(boundary), "--window", window])
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == "all checks passed"
+
+    @pytest.mark.parametrize("window", ["0.0001:0.001", "0.0001:1"])
+    def test_index_does_not_depend_on_the_window(self, capsys, tmp_path, window):
+        """T2 = -1e-10 lies within the tolerance of 0, so branch (1, 0),
+        -5e-8 + 0/s by the coefficient rule, is negative at every s, and
+        scan counts it on every window.  Reading the closed factor to
+        T1 + T2/s_max took in the level 0.99999995 on the wider window but
+        not over the instant's span, so the closing recount failed there."""
+        closed = tmp_path / "closed.spec"
+        closed.write_text(
+            "dim = 2\nscalar_curvature = 3\nhas_boundary = false\nboundary_minimal = false\n"
+            "tolerance = 1e-9\nlambda_max = 100\neig 0 1\neig 0.99999995 1\neig 2 1\n"
+        )
+        boundary = tmp_path / "boundary.spec"
+        boundary.write_text(
+            "dim = 2\nscalar_curvature = -3e-10\nhas_boundary = true\nboundary_minimal = true\n"
+            "tolerance = 1e-9\nlambda_max = 100\neig 0 1\neig 0.0005 2\neig 1.5 2\n"
+        )
+        family = ["--custom", str(closed), "--custom", str(boundary), "--window", window]
+        code, out, err = run(capsys, ["scan", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[4:] == [
+            "instants (1):",
+            "  s = 0.00050000010000000004  branches = (0,1)  mult = 2  n- = 1  n+ = 3  certified = yes  side = unbounded",
+        ]
+        code, out, err = run(capsys, ["verify", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "all checks passed"
+
+    def test_closed_threshold_within_the_tolerance_of_0(self, capsys, tmp_path):
+        """T1 = R1/3 lies within the tolerance of 0 but not at it, so scan
+        reads the boundary factor to T2 = 2, its lambda_max, and no further.
+        Brute force must read it as far at each probe, not to
+        T2 + s*T1 = 2.0000003333333329 at s = 1e6."""
+        closed = tmp_path / "closed.spec"
+        closed.write_text(
+            "dim = 2\nscalar_curvature = 1e-12\nhas_boundary = false\nboundary_minimal = false\n"
+            "tolerance = 1e-9\nlambda_max = 1000\neig 0 1\neig 1.5 3\neig 4 2\neig 9 4\n"
+        )
+        boundary = tmp_path / "boundary.spec"
+        boundary.write_text(
+            "dim = 2\nscalar_curvature = 6\nhas_boundary = true\nboundary_minimal = true\n"
+            "tolerance = 1e-9\nlambda_max = 2\neig 0 1\neig 0.5 2\neig 1.25 1\n"
+        )
+        family = ["--custom", str(closed), "--custom", str(boundary), "--window", "0.5:1000000"]
+        code, out, err = run(capsys, ["scan", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert "instants (3):" in out
+        code, out, err = run(capsys, ["verify", *family])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-3:] == [
+            "PASS degeneracy instants vs dense scan: 3 exact instants, 3 brackets",
+            "PASS Morse index vs brute force: 6 probe points agree",
+            "all checks passed",
+        ]
 
     def test_critical_indices_use_the_sign_rule_of_the_walk(self, capsys, tmp_path):
         """T1 = T2 = 10 and branch (1, 1) has a = -b = 5e-9, both beyond the

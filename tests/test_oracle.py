@@ -37,33 +37,34 @@ from yamabe_bifurcation.oracle import (
 
 class TestFiniteDifference:
     def test_unit_interval_against_catalog(self):
-        grid = fd_interval_spectrum(1, 2000, 5)
+        values = fd_interval_spectrum(1, 2000, 5)
         exact = [float(e) for e, _ in interval_neumann(1).eigenvalues_leq(16)]
         assert len(exact) == 5
-        for got, want in zip(grid.eigenvalues, exact):
-            assert abs(got - want) <= max(grid.error_estimate * max(want, 1.0), 1e-8)
+        # lambda_k^FD = (4/h^2) sin^2(k pi h / (2L)), h/L = 1/2000: relative error ~ (k pi h / L)^2 / 12, O(h^2)
+        worst = (5 * math.pi / 2000) ** 2 / 12
+        for got, want in zip(values, exact):
+            assert abs(got - want) <= max(worst * max(want, 1.0), 1e-8)
 
     def test_scaled_interval(self):
-        grid = fd_interval_spectrum(2, 2000, 4)
         exact = [0.0, 0.25, 1.0, 2.25]
-        for got, want in zip(grid.eigenvalues, exact):
+        for got, want in zip(fd_interval_spectrum(2, 2000, 4), exact):
             assert abs(got - want) < 1e-5
 
     def test_second_order_convergence(self):
         """Halving h should cut the error of lambda_2 = 4 by about 4x."""
-        coarse = fd_interval_spectrum(1, 500, 3).eigenvalues[2]
-        fine = fd_interval_spectrum(1, 1000, 3).eigenvalues[2]
+        coarse = fd_interval_spectrum(1, 500, 3)[2]
+        fine = fd_interval_spectrum(1, 1000, 3)[2]
         ratio = abs(coarse - 4.0) / abs(fine - 4.0)
         assert 3.5 < ratio < 4.5
 
     @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2)])
     def test_matches_closed_form_of_the_stencil(self, length_over_pi):
         """The stencil's own eigenvalues are (4/h^2) sin^2(k pi h / (2L))."""
-        grid = fd_interval_spectrum(length_over_pi, 2000, 10)
+        values = fd_interval_spectrum(length_over_pi, 2000, 10)
         length = math.pi * float(length_over_pi)
         h = length / 2000
         norm = 4.0 / h**2
-        for k, got in enumerate(grid.eigenvalues):
+        for k, got in enumerate(values):
             want = norm * math.sin(k * math.pi * h / (2 * length)) ** 2
             assert abs(got - want) <= 16 * sys.float_info.epsilon * norm
 
@@ -84,7 +85,7 @@ class TestFiniteDifference:
         diag, off, norm = self._stencil(Fraction(3, 2), grid_points)
         for count in (1, 3, min(grid_points // 4, 10)):
             want = _smallest_tridiagonal_eigenvalues(diag, off, count)
-            got = fd_interval_spectrum(Fraction(3, 2), grid_points, count).eigenvalues
+            got = fd_interval_spectrum(Fraction(3, 2), grid_points, count)
             assert len(got) == count
             assert max(abs(g - w) for g, w in zip(got, want)) <= 16 * sys.float_info.epsilon * norm
 
@@ -429,7 +430,7 @@ class TestBruteForceIndex:
             (a + b) / 2 for a, b in zip(instants, instants[1:])
         ] + [25]
         for s in probes:
-            assert brute_force_indices(sphere_hemisphere, [(s, 300)])[0] == morse_index(sphere_hemisphere, s)
+            assert brute_force_indices(sphere_hemisphere, [(s, 300, 300 * s)])[0] == morse_index(sphere_hemisphere, s)
 
     def test_matches_engine_other_families(self, sphere_interval, torus_hemisphere):
         for fam, probes in (
@@ -437,21 +438,15 @@ class TestBruteForceIndex:
             (torus_hemisphere, [Fraction(1, 5), Fraction(1, 2), 5]),
         ):
             for s in probes:
-                assert brute_force_indices(fam, [(s, 200)])[0] == morse_index(fam, s)
-
-    def test_insufficient_lambda_rejected(self, sphere_hemisphere):
-        with pytest.raises(ValueError):
-            brute_force_indices(sphere_hemisphere, [(Fraction(1, 100), 10)])
-        with pytest.raises(ValueError):
-            brute_force_indices(sphere_hemisphere, [(1.0, 300.0), (0.01, 10.0)])
+                assert brute_force_indices(fam, [(s, 200, 200 * s)])[0] == morse_index(fam, s)
 
     @staticmethod
-    def _double_loop(fam, s, lam):
+    def _double_loop(fam, s, lam1, lam2):
         """The per-point double loop over exact levels converted to float."""
         t1, t2 = float(fam.threshold1), float(fam.threshold2)
         count = 0
-        for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(fam.coerce(lam))):
-            for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_leq(fam.coerce(lam * s))):
+        for i, (r1, m1) in enumerate(fam.factor1.eigenvalues_leq(fam.coerce(lam1))):
+            for j, (r2, m2) in enumerate(fam.factor2.eigenvalues_leq(fam.coerce(lam2))):
                 if (i, j) != (0, 0) and float(r1) - t1 + (float(r2) - t2) / s < 0:
                     count += m1 * m2
         return count
@@ -462,20 +457,20 @@ class TestBruteForceIndex:
         coefficient tables, its negative entries masked, (0, 0) dropped, and
         the outer product of the multiplicities summed under the mask.  In
         float mode a coefficient x with |x| <= tol * max(1, |x|) reads 0."""
-        points = [(fam.coerce(s), fam.coerce(lam)) for s, lam in points]
+        points = [tuple(map(fam.coerce, point)) for point in points]
         (r1, m1), (r2, m2) = (
             (np.array([float(r) for r, _ in levels]), np.array([m for _, m in levels], dtype=np.int64))
-            for levels in (fam.factor1.eigenvalues_leq(max(lam for _, lam in points)),
-                           fam.factor2.eigenvalues_leq(max(lam * s for s, lam in points)))
+            for levels in (fam.factor1.eigenvalues_leq(max(lam1 for _, lam1, _ in points)),
+                           fam.factor2.eigenvalues_leq(max(lam2 for _, _, lam2 in points)))
         )
         a, b = r1 - float(fam.threshold1), r2 - float(fam.threshold2)
         if fam.tolerance is not None:
             a, b = (np.where(np.abs(x) <= fam.tolerance * np.maximum(1.0, np.abs(x)), 0.0, x) for x in (a, b))
         counts = []
-        for s, lam in points:
-            s, lam = float(s), float(lam)
-            n1 = np.searchsorted(r1, lam, side="right")
-            n2 = np.searchsorted(r2, lam * s, side="right")
+        for s, lam1, lam2 in points:
+            s = float(s)
+            n1 = np.searchsorted(r1, float(lam1), side="right")
+            n2 = np.searchsorted(r2, float(lam2), side="right")
             negative = a[:n1, None] + (b[:n2] / s)[None, :] < 0
             if negative.size:
                 negative[0, 0] = False
@@ -486,17 +481,19 @@ class TestBruteForceIndex:
     @settings(max_examples=100, deadline=None)
     def test_same_counts_as_the_outer_sum(self, data, float_mode):
         """On exact and float custom families with levels on a threshold or
-        within 3e-10 relative of one, at points on and off the instants."""
+        within 3e-10 relative of one, at points on and off the instants, each
+        with the boundary bound lam1 * s or one past T2 + s*T1."""
         value = float if float_mode else Fraction
         fam, instants = _draw_custom_family(data, float_mode, 1000, near=True)
-        instants = [s for s in instants if 1 / 8 <= s <= 40]  # lam * s stays below 1000
+        instants = [s for s in instants if 1 / 8 <= s <= 40]  # lam1 * s stays below 1000
         where = st.fractions(Fraction(1, 8), 40, max_denominator=8).map(value)
         if instants:
             where = st.one_of(where, st.sampled_from(instants))
         points = []
         for s in data.draw(st.lists(where, min_size=1, max_size=4)):
-            theta = max(fam.threshold1 + fam.threshold2 / s, 0)
-            points.append((s, theta + value(data.draw(st.sampled_from([0, 1, 12])))))
+            lam1 = max(fam.threshold1 + fam.threshold2 / s, 0) + value(data.draw(st.sampled_from([0, 1, 12])))
+            lam2 = data.draw(st.sampled_from([lam1 * s, max(fam.threshold2 + s * fam.threshold1, 0) + 1]))
+            points.append((s, lam1, lam2))
         assert brute_force_indices(fam, points) == self._outer_sum(fam, points)
 
     def test_same_counts_as_the_outer_sum_on_a_torus(self):
@@ -504,13 +501,15 @@ class TestBruteForceIndex:
         points = []
         for k in range(40):
             s = Fraction(k + 1, 8)
-            points.append((s, max(fam.threshold1 + fam.threshold2 / s, 0) + 5 * (k % 4)))
+            lam = max(fam.threshold1 + fam.threshold2 / s, 0) + 5 * (k % 4)
+            points.append((s, lam, lam * s))
         assert brute_force_indices(fam, points) == self._outer_sum(fam, points)
 
     @pytest.mark.parametrize("name", ["sphere_hemisphere", "sphere_interval", "torus_hemisphere", "exact custom"])
     def test_indices_match_single_points(self, name, request):
         """One table for many points gives what each point gives alone,
-        whatever the order of the points and their bounds."""
+        whatever the order of the points and their bounds, also where the
+        boundary bound is below lam1 * s."""
         if name == "exact custom":
             fam = make_family(
                 custom_spectrum(2, 3, [(0, 1), (Fraction(1, 2), 2), (2, 2)], 2000),
@@ -521,11 +520,14 @@ class TestBruteForceIndex:
             fam = request.getfixturevalue(name)
         points = []
         for s in (25.0, 0.005, 1.0, 0.37, 1.0, 6.5, 0.1):
-            theta = max(float(fam.threshold1 + fam.threshold2 / fam.coerce(s)), 0.0)
-            points += [(s, theta + 1), (s, theta + 40)]
+            theta1 = max(float(fam.threshold1 + fam.threshold2 / fam.coerce(s)), 0.0)
+            theta2 = max(float(fam.threshold2 + fam.coerce(s) * fam.threshold1), 0.0)
+            points += [(s, theta1 + 1, (theta1 + 1) * s), (s, theta1 + 40, (theta1 + 40) * s),
+                       (s, theta1 + 40, theta2 + 1)]
+        assert any(lam2 < lam1 * s for s, lam1, lam2 in points)
         got = brute_force_indices(fam, points)
         assert got == [brute_force_indices(fam, [point])[0] for point in points]
-        assert got == [self._double_loop(fam, s, lam) for s, lam in points]
+        assert got == [self._double_loop(fam, *point) for point in points]
         assert brute_force_indices(fam, []) == []
 
 

@@ -19,7 +19,6 @@ from yamabe_bifurcation import (
     hemisphere_neumann,
     round_sphere,
 )
-from yamabe_bifurcation.oracle import GridSpectrum
 
 SPHERE = round_sphere(2)
 HEMISPHERE = hemisphere_neumann(2)
@@ -46,7 +45,6 @@ RECORDS = {
         FamilyCase.BOTH_POSITIVE, (_certified(),), "accumulate", (Fraction(1), Fraction(3))
     ),
     "ProductFamily": lambda: ProductFamily(SPHERE, HEMISPHERE),
-    "GridSpectrum": lambda: GridSpectrum(100, (0.0, 1.0, 4.0), 1e-4),
     "FactorSpectrum": lambda: SPHERE._replace(),
 }
 
