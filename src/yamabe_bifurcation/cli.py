@@ -48,10 +48,11 @@ _COMMANDS = {
     "branches": ("emit sampled branch curves as CSV plot data", {
         **_FAMILY, "samples": ("N", "points per curve (default 200)"),
         "limit": ("N", "zeroless branches to include (default 4)")}),
-    "verify": ("run the oracle suite against the engine", {
-        **_FAMILY, "samples": ("N", "dense-scan grid size (default 20000)")}),
+    "verify": ("run the oracle suite against the engine", _FAMILY),
 }
-_CONFIG_KEYS = {"factor1", "factor2", "window", "lambda_max", "format", "out", "below", "samples", "limit"}
+# a config file gives the factors and every other flag but --config, lambda_max for --lambda-max
+_CONFIG_KEYS = {"factor1", "factor2"} | {flag.replace("-", "_") for _, flags in _COMMANDS.values()
+                                          for flag in flags if flag not in _FACTOR_FLAGS and flag != "config"}
 
 
 class _Args(dict):
@@ -379,7 +380,7 @@ def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
     return found
 
 
-def _verify_checks(fam, window, lam, samples):
+def _verify_checks(fam, window, lam):
     """Yield (name, passed, detail) for each oracle/engine comparison;
     ``passed`` is None for a check that no oracle covers."""
     from . import oracle  # the oracles are needed by verify alone
@@ -414,7 +415,7 @@ def _verify_checks(fam, window, lam, samples):
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
         raise DegeneratePairError(fam.label)
     # each factor up to the bound the engine read it to, and never past it
-    brackets = oracle.dense_scan_degeneracy(fam, window, samples, *bifurcation.enumeration_bounds(fam, window))
+    brackets = oracle.dense_scan_degeneracy(fam, window, 20000, *bifurcation.enumeration_bounds(fam, window))
     matched = (
         len(brackets) == len(result.instants)
         and all(lo <= float(ci.instant.s) <= hi for ci, (lo, hi) in zip(result.instants, brackets))
@@ -467,14 +468,10 @@ _VERDICTS = {True: "PASS", False: "FAIL", None: "SKIP"}
 
 
 def cmd_verify(args) -> int:
-    fam, window, lam = _family(args, "0.1:10")
-    samples = _number_setting(args, "samples", int, 1000, 20000)
-    failures = 0
-    lines = []
-    for name, passed, detail in _verify_checks(fam, window, lam, samples):
-        lines.append(f"{_VERDICTS[passed]} {name}: {detail}")
-        failures += passed is False
-    lines.append(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
+    checks = list(_verify_checks(*_family(args, "0.1:10")))
+    failures = sum(passed is False for _, passed, _ in checks)
+    lines = [f"{_VERDICTS[passed]} {name}: {detail}" for name, passed, detail in checks]
+    lines.append(f"{failures} check(s) failed" if failures else "all checks passed")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 

@@ -40,9 +40,9 @@ computation with the exact engine it checks:
   bounds that come with each point, one per factor, as the scan takes its
   two, from one float coefficient list per factor; here and in the scan, a
   float-mode coefficient within the tolerance of 0 reads 0.0, as in the
-  engine.  For a closed level, the boundary levels with a_i + b_j/s < 0 are
-  a prefix in j, since that float expression is monotone in b_j; bisection
-  finds it, and prefix sums of the multiplicities count it.
+  engine.  a_i + b_j/s is monotone in each float coefficient, so for each
+  level of the factor with fewer levels within its bound, the other's with
+  a_i + b_j/s < 0 are a prefix, found by bisection, counted by prefix sums.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float,
     with rho_i <= lam1, rho_j <= lam2 and sigma_{i,j}(s) < 0.  Each factor's
     levels become one float list, at the largest bound any point gives it,
     taken in the family's scalars, so that an exact bound reads no level
-    past it.  The j with sigma_{i,j}(s) < 0 are a prefix for each i."""
+    past it.  The pairs with sigma_{i,j}(s) < 0 are a prefix in j for each i, and in i for each j."""
     points = [tuple(map(fam.coerce, point)) for point in points]
     if any(s <= 0 for s, _, _ in points):
         raise ValueError("family parameter s must be positive")
@@ -413,15 +413,18 @@ def brute_force_indices(fam: ProductFamily, points: Sequence[Tuple[float, float,
     r2, m2 = [float(r) for r, _ in levels2], [m for _, m in levels2]
     a_values = _coefficients(levels1, fam.threshold1, fam.tolerance)
     b_values = _coefficients(levels2, fam.threshold2, fam.tolerance)
-    below = list(itertools.accumulate(m2, initial=0))  # below[k]: multiplicity of the first k levels
+    below1, below2 = (list(itertools.accumulate(m, initial=0)) for m in (m1, m2))  # below[k] = sum(m[:k])
     counts = []
     for s, lam1, lam2 in points:
         s = float(s)
-        n1 = bisect_right(r1, float(lam1))
-        c_values = [b / s for b in b_values[:bisect_right(r2, float(lam2))]]
-        count = sum(m * below[bisect_left(c_values, True, key=lambda c: a + c >= 0)]
-                    for a, m in zip(a_values[:n1], m1))
-        if n1 and c_values and a_values[0] + c_values[0] < 0:  # the constants' (0, 0) is not a branch
+        n1, n2 = bisect_right(r1, float(lam1)), bisect_right(r2, float(lam2))
+        if n1 <= n2:  # walk the factor with fewer levels in its bound, bisect the other
+            count = sum(m * below2[bisect_left(b_values, True, 0, n2, key=lambda b: a + b / s >= 0)]
+                        for a, m in zip(a_values[:n1], m1))
+        else:
+            count = sum(m * below1[bisect_left(a_values, True, 0, n1, key=lambda a: a + b / s >= 0)]
+                        for b, m in zip(b_values[:n2], m2))
+        if n1 and n2 and a_values[0] + b_values[0] / s < 0:  # the constants' (0, 0) is not a branch
             count -= m1[0] * m2[0]
         counts.append(count)
     return counts

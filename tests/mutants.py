@@ -108,8 +108,12 @@ MUTANTS = (
            "levels2 = fam.factor2.eigenvalues_leq(max(lam1 * s for s, lam1, _ in points))",
            ("test_cli.py",)),
     Mutant("brute-force key > instead of >=", "oracle.py",
-           "key=lambda c: a + c >= 0)",
-           "key=lambda c: a + c > 0)",
+           "key=lambda b: a + b / s >= 0)",
+           "key=lambda b: a + b / s > 0)",
+           ("test_oracle.py",)),
+    Mutant("brute force walking the boundary factor bisects the closed factor one level short", "oracle.py",
+           "bisect_left(a_values, True, 0, n1, ",
+           "bisect_left(a_values, True, 0, n1 - 1, ",
            ("test_oracle.py",)),
     Mutant("the oracles read raw float signs", "oracle.py",
            "return values if tol is None else [",

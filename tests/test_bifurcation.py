@@ -542,6 +542,7 @@ class TestFloatMode:
         st.floats(0.1, 0.9),
         st.sampled_from([1e-6, 1e-4, 1e-2]),
     )
+    @settings(max_examples=100)
     def test_close_is_symmetric(self, a, b, f, tol):
         assert scalars.close(a, b, tol) == scalars.close(b, a, tol)
         # farther than tol * |a| from a, but within tol * |far|

@@ -505,6 +505,22 @@ class TestBruteForceIndex:
             points.append((s, lam, lam * s))
         assert brute_force_indices(fam, points) == self._outer_sum(fam, points)
 
+    def test_same_counts_as_the_outer_sum_when_either_factor_is_longer(self, sphere_hemisphere):
+        """At small s the closed factor has more levels within its bound than
+        the boundary factor, and at large s the boundary factor has more, so
+        each factor is walked at some points and bisected at others.  Each
+        point reads both factors to their bounds at s, T1 + T2/s and
+        T2 + s*T1, as verify's probes do, or 1 or 12 past them."""
+        fam = sphere_hemisphere
+        points = []
+        for s in (Fraction(1, 300), Fraction(1, 40), Fraction(1, 3), 1, 7, 50, 300):
+            theta1, theta2 = fam.threshold1 + fam.threshold2 / s, fam.threshold2 + s * fam.threshold1
+            points += [(s, theta1 + extra, theta2 + extra) for extra in (0, 1, 12)]
+        longer = {(len(fam.factor1.eigenvalues_leq(lam1)) > len(fam.factor2.eigenvalues_leq(lam2)))
+                  for _, lam1, lam2 in points}
+        assert longer == {True, False}
+        assert brute_force_indices(fam, points) == self._outer_sum(fam, points)
+
     @pytest.mark.parametrize("name", ["sphere_hemisphere", "sphere_interval", "torus_hemisphere", "exact custom"])
     def test_indices_match_single_points(self, name, request):
         """One table for many points gives what each point gives alone,
