@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import io
 import math
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -209,11 +210,8 @@ def _family(args, window=None):
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(str(exc))
+        with open(out_path, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -476,40 +474,53 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
+def _command(argv) -> int:
+    if not argv:
+        raise ConfigError("the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        sys.stdout.write(_help())
+        return EXIT_OK
+    if argv[0] not in _COMMANDS:
+        raise ConfigError(f"argument command: invalid choice: {argv[0]!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    args = _read_flags(argv[0], argv[1:])
+    if args is None:
+        return EXIT_OK
+    if args.config:
+        try:  # the config file's settings, each one the command line left unset
+            args["configured"] = _read_flags(args.command, _config_flags(args))
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}")
+        args.update(args.configured)
+    handler = {"spectrum": cmd_spectrum, "scan": cmd_scan, "branches": cmd_branches, "verify": cmd_verify}
+    return handler[args.command](args)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        # one command is one short process: its collections, at exit too, skip the import-time heap
+    """Run the command ``argv`` and return its exit code.  Without ``argv`` the command is
+    ``sys.argv[1:]``, and main flushes stdout and stderr and ends the process with ``os._exit``."""
+    own_process = argv is None
+    if own_process:
+        # the collections during the run skip the import-time heap
         gc.freeze()
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        if not argv:
-            raise ConfigError("the following arguments are required: command")
-        if argv[0] in ("-h", "--help"):
-            sys.stdout.write(_help())
-            return EXIT_OK
-        if argv[0] not in _COMMANDS:
-            raise ConfigError(f"argument command: invalid choice: {argv[0]!r} "
-                              f"(choose from {', '.join(map(repr, _COMMANDS))})")
-        args = _read_flags(argv[0], argv[1:])
-        if args is None:
-            return EXIT_OK
-        if args.config:
-            try:  # the config file's settings, each one the command line left unset
-                args["configured"] = _read_flags(args.command, _config_flags(args))
-            except ConfigError as exc:
-                raise ConfigError(f"{args.config}: {exc}")
-            args.update(args.configured)
-        handler = {"spectrum": cmd_spectrum, "scan": cmd_scan, "branches": cmd_branches, "verify": cmd_verify}
-        return handler[args.command](args)
+        code = _command(sys.argv[1:] if own_process else argv)
+        if own_process:
+            sys.stdout.flush()  # os._exit flushes nothing
     except DegeneratePairError as exc:
         print(f"degenerate pair -- index-jump certification inapplicable: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ConfigError, SpectrumFormatError) as exc:
+        code = EXIT_DEGENERATE
+    except (ConfigError, SpectrumFormatError, OSError) as exc:  # OSError: stdout or --out unwritable
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except YamabeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        code = EXIT_FAILURE
+    if not own_process:
+        return code
+    # no atexit handler, thread or open file needs the interpreter's teardown, which takes milliseconds
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -189,12 +189,24 @@ MUTANTS = (
            "if False:",
            ("test_cli.py",)),
     Mutant("the heap is frozen on every call of main", "cli.py",
-           "if argv is None:",
-           "if True:",
+           "if own_process:\n        # the collections during the run skip the import-time heap\n",
+           "if True:\n",
            ("test_cli.py",)),
     Mutant("the heap is never frozen", "cli.py",
            "        gc.freeze()\n",
            "        pass\n",
+           ("test_cli.py",)),
+    Mutant("the own-process path skips the stdout flush", "cli.py",
+           "sys.stdout.flush()  # os._exit flushes nothing",
+           "pass",
+           ("test_cli.py",)),
+    Mutant("main ends the process when given a list", "cli.py",
+           "    if not own_process:\n        return code\n",
+           "",
+           ("test_cli.py",)),
+    Mutant("a failed stdout write is a traceback", "cli.py",
+           "except (ConfigError, SpectrumFormatError, OSError) as exc:",
+           "except (ConfigError, SpectrumFormatError) as exc:",
            ("test_cli.py",)),
     Mutant("no --format choice check", "cli.py",
            'if name == "format" and value not in (choices := flags[name][0][1:-1].split(",")):',

@@ -36,11 +36,30 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+SOURCE_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
+@pytest.fixture(autouse=True)
+def no_exit_in_this_process(monkeypatch):
+    """main(argv) with a list returns its code: an os._exit here would end pytest with that code."""
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) in the test process")
+    monkeypatch.setattr(os, "_exit", refuse)
+
+
 def run_python(script, *args, text=True):
     """``python -c script *args`` in a fresh interpreter that imports this package's source;
     ``text=False`` keeps stdout and stderr as bytes."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=text, env=env)
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=text, env=SOURCE_ENV)
+
+
+def command(*argv, unbuffered=False):
+    """The ``subprocess`` arguments of ``python -m yamabe_bifurcation.cli *argv``, which runs main in a
+    process of its own, as the ``yamabe`` script does; stdout is block-buffered unless ``unbuffered``."""
+    env = {key: value for key, value in SOURCE_ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return {"args": [sys.executable, "-m", "yamabe_bifurcation.cli", *argv], "env": env}
 
 
 def write_custom(tmp_path, name="deg.spec", levels="eig 0 1\neig 5/2 2\n",
@@ -478,19 +497,24 @@ class TestHeapFreeze:
     SCAN = ["scan", "--sphere", "2", "--hemisphere", "2", "--window", "1:3"]
 
     def test_command_line_run_freezes(self):
+        # main ends the process, so the count is read in the os._exit it calls
         script = (
-            "import gc, sys\n"
+            "import gc, os, sys\n"
             "from yamabe_bifurcation import cli\n"
             "sys.argv = ['yamabe', *sys.argv[1:]]\n"
-            "before = gc.get_freeze_count()\n"
-            "code = cli.main()\n"
-            "print(gc.get_freeze_count() - before, file=sys.stderr)\n"
-            "sys.exit(code)\n"
+            "before, exit = gc.get_freeze_count(), os._exit\n"
+            "def report(code):\n"
+            "    print('frozen', gc.get_freeze_count() - before, file=sys.stderr, flush=True)\n"
+            "    exit(code)\n"
+            "os._exit = report\n"
+            "cli.main()\n"
+            "sys.exit('main returned')\n"
         )
         proc = run_python(script, *self.SCAN)
         assert proc.returncode == 0, proc.stderr
         assert "s = 2" in proc.stdout
-        assert int(proc.stderr.split()[-1]) > 0
+        word, count = proc.stderr.split()
+        assert word == "frozen" and int(count) > 0
 
     def test_call_with_arguments_freezes_nothing(self, capsys):
         before = gc.get_freeze_count()
@@ -503,6 +527,50 @@ class TestHeapFreeze:
                           "import yamabe_bifurcation.cli\nprint(gc.get_freeze_count() - before)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+
+class TestOwnProcess:
+    """main without arguments, as ``python -m yamabe_bifurcation.cli`` and the ``yamabe``
+    script call it, flushes stdout and stderr and ends the process with os._exit."""
+
+    BIG = ["spectrum", "--hemisphere", "2", "--below", "100000000", "--format", "json"]  # 664 KB
+
+    def test_output_past_a_pipe_buffer_is_mains(self, capsys):
+        proc = subprocess.run(**command(*self.BIG), capture_output=True)
+        code, out, err = run(capsys, self.BIG)
+        assert code == EXIT_OK and len(out) > 600_000
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+    @pytest.mark.parametrize("expected, argv", [
+        (EXIT_OK, ["scan", *SPHERE_HEMI, "--window", "1:3"]),
+        (EXIT_DEGENERATE, ["scan", "--custom", "f1.spec", "--custom", "f2.spec", "--window", "0.1:10"]),
+        (EXIT_CONFIG, ["scan", *SPHERE_HEMI]),
+        (EXIT_OK, ["--help"]),
+    ])
+    def test_exit_code_and_output_are_mains(self, capsys, tmp_path, monkeypatch, expected, argv):
+        write_degenerate_pair(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        proc = subprocess.run(**command(*argv), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
+        assert proc.returncode == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_device_is_one_error_line(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(**command(*TestHeapFreeze.SCAN, unbuffered=unbuffered),
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == EXIT_CONFIG
+        assert re.fullmatch(r"error: [^\n]+\n", proc.stderr), proc.stderr
+
+    def test_pipe_closed_early_is_one_error_line(self):
+        # stdout block-buffered, the default: under -u, CPython drops the rest of a short write unreported
+        with subprocess.Popen(**command(*self.BIG), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{\n  "label'
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait() == EXIT_CONFIG
+        assert re.fullmatch(r"error: [^\n]+\n", err), err
 
 
 class TestConfigFile:
