@@ -212,8 +212,51 @@ def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, such as the io.StringIO of contextlib.redirect_stdout
         sys.stdout.write(text)
+        return
+    # the bytes go to the byte layer until every one is written: under python -u that layer is the
+    # raw file, and the text layer would drop the rest of a write that a closed pipe cut short
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[buffer.write(data):]
+
+
+def _quote(text: str) -> str:
+    """``json.dumps(text)``; only a label from a custom file path can need its escapes."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+    return json.dumps(text)
+
+
+def _json(value, pad="\n") -> str:
+    """``json.dumps(value, indent=2)`` for the values of the JSON payloads: dicts with str keys,
+    lists, str, int, True, False and None, and a TypeError for any other; ``pad`` is the line
+    break and indent of the enclosing level."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"{kind.__name__} is not a value of a JSON payload")
 
 
 def _mode_of(fam_or_spec) -> str:
@@ -231,7 +274,6 @@ def cmd_spectrum(args) -> int:
     rows = spec.eigenvalues_below(bound)
     tol = spec.tolerance
     if args.format == "json":
-        import json  # only the JSON writers need it
         payload = {
             "label": spec.label,
             "dim": spec.dim,
@@ -244,7 +286,7 @@ def cmd_spectrum(args) -> int:
                 {"value": scalars.fmt(e, tol), "multiplicity": m} for e, m in rows
             ],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     else:
         lines = [
             f"factor: {spec.label}",
@@ -307,8 +349,7 @@ def cmd_scan(args) -> int:
     result = bifurcation.classify_family(fam, window, lam)
     payload = _scan_payload(fam, result, lam)
     if args.format == "json":
-        import json
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     elif args.format == "csv":
         import csv  # only the CSV writers need it
         buf = io.StringIO()

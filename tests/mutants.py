@@ -208,6 +208,22 @@ MUTANTS = (
            "except (ConfigError, SpectrumFormatError, OSError) as exc:",
            "except (ConfigError, SpectrumFormatError) as exc:",
            ("test_cli.py",)),
+    Mutant("the JSON writer's fast path takes a text with a double quote", "cli.py",
+           "text.isprintable() and '\"' not in text and",
+           "text.isprintable() and",
+           ("test_cli.py",)),
+    Mutant("the JSON writer indents a nested level by one space", "cli.py",
+           'inner = pad + "  "',
+           'inner = pad + " "',
+           ("test_cli.py",)),
+    Mutant("the JSON writer prints an empty list as {}", "cli.py",
+           'return "{}" if kind is dict else "[]"',
+           'return "{}"',
+           ("test_cli.py",)),
+    Mutant("stdout gets one write of the bytes, however few it takes", "cli.py",
+           "while data:\n        data = data[buffer.write(data):]",
+           "buffer.write(data)",
+           ("test_cli.py",)),
     Mutant("no --format choice check", "cli.py",
            'if name == "format" and value not in (choices := flags[name][0][1:-1].split(",")):',
            "if False:",

@@ -403,18 +403,59 @@ class TestScan:
         assert "all checks passed" in proc.stdout
 
     def test_import_and_verify_load_neither_argparse_nor_json(self):
+        # nor do the JSON formats of scan and spectrum, whose labels need no escapes
         script = (
             "import sys\n"
             "before = set(sys.modules)  # what site imported does not count\n"
             "from yamabe_bifurcation import cli\n"
             "code = cli.main(['verify', '--sphere', '2', '--interval', '1',"
             " '--window', '0.5:10'])\n"
+            "code = code or cli.main(['scan', '--torus', '1,1', '--hemisphere', '2', '--window', '0.05:1',"
+            " '--format', 'json'])\n"
+            "code = code or cli.main(['spectrum', '--interval', '2', '--below', '3', '--format', 'json'])\n"
             "loaded = sorted({'argparse', 'json'} & (sys.modules.keys() - before))\n"
             "sys.exit(f'imported {loaded}' if loaded else code)\n"
         )
         proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.endswith("all checks passed\n")
+        verify, _, rest = proc.stdout.partition("all checks passed\n")
+        scan, _, spectrum = rest.partition("\n}\n")  # the first top-level close
+        assert verify and json.loads(scan + "}")["instants"] and json.loads(spectrum)["below"] == "3"
+
+    def test_label_with_escapes_is_the_stdlib_json(self, capsys, tmp_path):
+        path = write_custom(tmp_path, name='odd "é" name.spec', levels="eig 0 1\neig 3 2\n", curv=6)
+        for key, argv in (
+            ("label", ["spectrum", "--custom", path, "--below", "5", "--format", "json"]),
+            ("family", ["scan", "--custom", path, "--hemisphere", "2", "--window", "0.1:10", "--format", "json"]),
+        ):
+            code, out, _ = run(capsys, argv)
+            assert code == EXIT_OK and path in json.loads(out)[key]
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            assert '\\u00e9' in out and '\\"' in out
+
+
+# the texts a label can hold: non-ASCII, control and astral characters, quotes, backslashes and
+# the lone surrogate that a file name which is not UTF-8 decodes to
+_TEXTS = st.text() | st.sampled_from(["", "é", "\x00\n\t\x7f", '"', "\\", "𝄞", "\udcff", 'a "b" \\ c'])
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXTS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXTS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    """The JSON formats print ``json.dumps(payload, indent=2)`` without importing json."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_is_the_stdlib_with_indent_2(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [0.0, (1, 2), {3}, {"s": [1.5]}], ids=["float", "tuple", "set", "nested-float"])
+    def test_another_type_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 class TestArguments:
@@ -563,9 +604,10 @@ class TestOwnProcess:
         assert proc.returncode == EXIT_CONFIG
         assert re.fullmatch(r"error: [^\n]+\n", proc.stderr), proc.stderr
 
-    def test_pipe_closed_early_is_one_error_line(self):
-        # stdout block-buffered, the default: under -u, CPython drops the rest of a short write unreported
-        with subprocess.Popen(**command(*self.BIG), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_pipe_closed_early_is_one_error_line(self, unbuffered):
+        with subprocess.Popen(**command(*self.BIG, unbuffered=unbuffered),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.read(10) == b'{\n  "label'
             proc.stdout.close()
             err = proc.stderr.read().decode()
