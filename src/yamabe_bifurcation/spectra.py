@@ -9,7 +9,8 @@ a text file via :func:`custom_from_file`.  The round kinds share one closed
 form: eigenvalues k(k+n-1)/r2, k >= 0, with harmonic multiplicities on S^n and
 even-harmonic ones on its closed hemisphere.  The interval [0, pi*lambda] is
 n = 1, r2 = lambda^2: the closed half circle of radius lambda, whose even
-harmonics are simple.
+harmonics are simple.  The flat torus is the product of its circles S^1, and
+its levels are the exact convolution of theirs: theta_{AxB} = theta_A * theta_B.
 
 Every catalog spectrum satisfies a completeness contract: asked for all
 eigenvalues up to a cutoff, it returns a provably complete finite list, for
@@ -21,10 +22,10 @@ silently truncating.
 from __future__ import annotations
 
 import bisect
-import itertools
+import functools
 import math
+import sys
 import weakref
-from collections import Counter
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -130,6 +131,8 @@ def _round(n: int, r2: Fraction, kind: str, label: str) -> FactorSpectrum:
     (for n = 1, the interval): eigenvalues k(k+n-1)/r2, k >= 0, with the
     harmonic multiplicities, or the even-harmonic ones on a hemisphere, whose
     totally geodesic boundary is minimal; R = n(n-1)/r2."""
+    if r2 <= 0:
+        raise ValueError("radius squared must be positive")
     half = kind != "sphere"
     multiplicity = even_harmonic_multiplicity if half else harmonic_multiplicity
 
@@ -137,6 +140,8 @@ def _round(n: int, r2: Fraction, kind: str, label: str) -> FactorSpectrum:
     def enum(bound):
         cap = math.floor(Fraction(bound) * r2)  # Fraction keeps a float bound exact
         top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2
+        if top > sys.maxsize:  # no list can hold the levels
+            raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
         return [(Fraction(k * (k + n - 1)) / r2, multiplicity(n, k)) for k in range(top + 1)]
 
     return FactorSpectrum(
@@ -164,8 +169,6 @@ def round_sphere(n: int, radius_sq=1) -> FactorSpectrum:
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")
     r2 = as_exact(radius_sq)
-    if r2 <= 0:
-        raise ValueError("radius squared must be positive")
     return _round(n, r2, "sphere", f"S^{n}(r2={scalars.fmt(r2)})")
 
 
@@ -176,9 +179,25 @@ def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
     if n < 2:
         raise ValueError("hemisphere dimension must be >= 2 (the equator must be a manifold)")
     r2 = as_exact(radius_sq)
-    if r2 <= 0:
-        raise ValueError("radius squared must be positive")
     return _round(n, r2, "hemisphere", f"S^{n}+(r2={scalars.fmt(r2)})")
+
+
+def _product_levels(enum_a, enum_b) -> Callable[[Scalar], List[Level]]:
+    """The ``enum_leq`` of A x B: the sums r + q <= bound of their levels, equal sums merged."""
+
+    def enum(bound):
+        sums = {}
+        levels_b = enum_b(bound)
+        for r, m in enum_a(bound):
+            rest = bound - r
+            for q, n in levels_b:
+                if q > rest:
+                    break  # the levels ascend: no later q fits either
+                s = r + q
+                sums[s] = sums.get(s, 0) + m * n
+        return sorted(sums.items())
+
+    return enum
 
 
 def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
@@ -187,35 +206,23 @@ def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
     Demanding rational ell_i makes the eigenvalues sum_i k_i^2/ell_i exact
     rationals in absolute units (the 4 pi^2 factor cancels); a torus with
     L = 2 pi in every direction has ell = 1 and the integer-lattice spectrum.
+    The levels fold ``_product_levels`` over the circles S^1(r2 = ell_i), of
+    levels k^2/ell_i and multiplicities 1, 2, 2, ... (theta series multiply).
     """
     ells = [as_exact(v) for v in squared_lengths]
     if not ells:
         raise ValueError("torus needs at least one side length")
     if any(v <= 0 for v in ells):
         raise ValueError("torus squared lengths must be positive")
-
-    def enum(bound):
-        counts = Counter()
-        ranges = []
-        for ell in ells:
-            cap = bound * ell
-            kmax = math.isqrt(cap.numerator // cap.denominator)  # exact, as k^2 is an integer
-            ranges.append(range(-kmax, kmax + 1))
-        for kvec in itertools.product(*ranges):
-            val = sum((Fraction(k * k) / ell for k, ell in zip(kvec, ells)), Fraction(0))
-            if val <= bound:
-                counts[val] += 1
-        return sorted(counts.items())
-
-    label_ells = ",".join(scalars.fmt(v) for v in ells)
+    label = f"T^{len(ells)}(l2/4pi2=[{','.join(scalars.fmt(v) for v in ells)}])"
     return FactorSpectrum(
         dim=len(ells),
         scalar_curvature=Fraction(0),
         has_boundary=False,
         boundary_minimal=False,
-        label=f"T^{len(ells)}(l2/4pi2=[{label_ells}])",
+        label=label,
         kind="torus",
-        enum_leq=enum,
+        enum_leq=functools.reduce(_product_levels, [_round(1, ell, "sphere", label).enum_leq for ell in ells]),
     )
 
 

@@ -38,9 +38,21 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("torus kmax one short at perfect squares", "spectra.py",
-           "kmax = math.isqrt(cap.numerator // cap.denominator)",
-           "kmax = math.isqrt(cap.numerator // cap.denominator - 1)",
+    Mutant("torus circle (n = 1) kmax one short at perfect squares", "spectra.py",
+           "top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2",
+           "top = (math.isqrt((n - 1) ** 2 + 4 * cap - (n == 1)) - (n - 1)) // 2",
+           ("test_spectra.py",)),
+    Mutant("a product level's multiplicity is the sum of its factors'", "spectra.py",
+           "sums[s] = sums.get(s, 0) + m * n",
+           "sums[s] = sums.get(s, 0) + m + n",
+           ("test_spectra.py",)),
+    Mutant("equal sums of a product overwrite instead of merging", "spectra.py",
+           "sums[s] = sums.get(s, 0) + m * n",
+           "sums[s] = m * n",
+           ("test_spectra.py",)),
+    Mutant("a product drops the sums that land on the bound", "spectra.py",
+           "if q > rest:",
+           "if q >= rest:",
            ("test_spectra.py",)),
     Mutant("a custom factor of dimension below 1 is accepted", "spectra.py",
            "if dim < 1:",

@@ -20,6 +20,7 @@ from yamabe_bifurcation import (
     round_sphere,
 )
 from yamabe_bifurcation.oracle import even_harmonic_dimension, harmonic_dimension
+from yamabe_bifurcation.spectra import _product_levels
 
 
 class TestInterval:
@@ -76,6 +77,12 @@ class TestSphere:
             for k in range(9):
                 total += spec.level(k)[1]
                 assert total == sum(harmonic_dimension(n, j) for j in range(k + 1))
+
+    @pytest.mark.parametrize("make", [round_sphere, hemisphere_neumann])
+    def test_rejects_nonpositive_radius(self, make):
+        for r2 in (0, -1):
+            with pytest.raises(ValueError, match="^radius squared must be positive$"):
+                make(2, r2)
 
 
 class TestHemisphere:
@@ -137,11 +144,51 @@ class TestTorus:
         expected = sorted((value, count) for value, count in counts.items() if value <= bound)
         assert flat_torus(ells).eigenvalues_leq(bound) == expected
 
+    def test_four_dimensional_box(self):
+        ells = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2)]
+        bound = 3  # k^2/ell <= 3 needs |k| <= 2 on every axis
+        lattice = product(range(-3, 4), repeat=4)
+        counts = Counter(sum(Fraction(k * k) / ell for k, ell in zip(kvec, ells)) for kvec in lattice)
+        expected = sorted((value, count) for value, count in counts.items() if value <= bound)
+        assert flat_torus(ells).eigenvalues_leq(bound) == expected
+
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
             flat_torus([])
         with pytest.raises(ValueError):
             flat_torus([1, 0])
+
+
+_LEVEL_LISTS = st.lists(
+    st.tuples(st.fractions(0, 6, max_denominator=6), st.integers(1, 5)), max_size=8, unique_by=lambda lv: lv[0]
+).map(sorted)
+
+
+def _enumerator(levels):
+    """The ``enum_leq`` of a finite ascending list of exact levels."""
+    return lambda bound: [lv for lv in levels if lv[0] <= bound]
+
+
+@given(levels_a=_LEVEL_LISTS, levels_b=_LEVEL_LISTS, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_product_levels_is_the_merged_outer_sum(levels_a, levels_b, data):
+    sums = [r + q for r, _ in levels_a for q, _ in levels_b]
+    offset = data.draw(st.sampled_from([0, Fraction(-1, 10**9), Fraction(1, 10**9)]))
+    anywhere = st.fractions(0, 12, max_denominator=12)
+    # a bound on (or just off) one of the sums, or anywhere
+    bound = data.draw(st.sampled_from(sums) | anywhere if sums else anywhere) + offset
+    expected = Counter()
+    for r, m in levels_a:
+        for q, n in levels_b:
+            if r + q <= bound:
+                expected[r + q] += m * n
+    assert _product_levels(_enumerator(levels_a), _enumerator(levels_b))(bound) == sorted(expected.items())
+
+
+@pytest.mark.parametrize("spec", [flat_torus([10**400]), flat_torus([1, 10**400]), hemisphere_neumann(2, 10**400)])
+def test_too_many_levels_to_enumerate(spec):
+    with pytest.raises(IncompleteSpectrumError, match=r": the eigenvalues up to 3 are too many to enumerate$"):
+        spec.eigenvalues_leq(3)
 
 
 def _level_by_level(eig, mult, bound, strict):
