@@ -47,4 +47,4 @@ print(f"{pair.label}: {classify_family(pair, WINDOW).case.value}")
 try:
     degeneracy_instants(pair, WINDOW)
 except DegeneratePairError as exc:
-    print(f"  degeneracy_instants refuses: {exc}")
+    print(f"  degeneracy_instants refuses the degenerate pair {exc}")

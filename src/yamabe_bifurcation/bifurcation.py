@@ -69,8 +69,6 @@ class EigenBranch(_EigenBranch):
 class CriticalIndices(NamedTuple):
     i_star: int
     j_star: int
-    equality1: bool  # rho_{i*}^(1) == T1 exactly
-    equality2: bool  # rho_{j*}^(2) == T2 exactly
 
 
 class DegeneracyInstant(NamedTuple):
@@ -142,27 +140,26 @@ def _column(spectrum, threshold, bound, tol) -> List[Tuple[Scalar, int, int]]:
     return [(c, scalars.sign(c, tol), m) for r, m in spectrum.eigenvalues_leq(bound) for c in (r - threshold,)]
 
 
-def _least_index_geq(spectrum, threshold, tol) -> Tuple[int, bool]:
-    """Least level index whose coefficient r - threshold has sign >= 0, plus
-    whether a coefficient has sign 0 (exact equality in exact mode).  For
-    threshold <= 0 this is level 0 (eigenvalue 0)."""
-    signs = [sign for _, sign, _ in _column(spectrum, threshold, threshold, tol)]
-    return signs.count(-1), 0 in signs
+def _threshold_signs(fam: ProductFamily) -> Tuple[List[int], ...]:
+    """Each factor's coefficient signs, rho - T by the coefficient rule, of its
+    levels up to its threshold T: a run of -1, then the levels that read T
+    (sign 0), at most one in exact mode and possibly several in float mode."""
+    return tuple([sign for _, sign, _ in _column(spec, t, t, fam.tolerance)]
+                 for spec, t in ((fam.factor1, fam.threshold1), (fam.factor2, fam.threshold2)))
 
 
 def critical_indices(fam: ProductFamily) -> CriticalIndices:
-    tol = fam.tolerance
-    i_star, eq1 = _least_index_geq(fam.factor1, fam.threshold1, tol)
-    j_star, eq2 = _least_index_geq(fam.factor2, fam.threshold2, tol)
-    return CriticalIndices(i_star, j_star, eq1, eq2)
+    """In each factor, the least level index whose coefficient has sign >= 0:
+    its count of -1s.  For a threshold <= 0 this is level 0 (eigenvalue 0)."""
+    return CriticalIndices(*(signs.count(-1) for signs in _threshold_signs(fam)))
 
 
 def is_degenerate_pair(fam: ProductFamily) -> bool:
-    """Both thresholds attained exactly, so sigma_{i*,j*} vanishes
-    identically -- except at (0, 0), which is outside the domain of J_s
-    (constants are excluded) and is treated as nondegenerate."""
-    ci = critical_indices(fam)
-    return ci.equality1 and ci.equality2 and (ci.i_star, ci.j_star) != (0, 0)
+    """Some branch sigma_{i,j} with (i, j) != (0, 0) has both coefficients of
+    sign 0, so the walk reads it as 0 for every s.  (0, 0) is the constants,
+    outside the domain of J_s."""
+    zeros1, zeros2 = ([k for k, sign in enumerate(signs) if sign == 0] for signs in _threshold_signs(fam))
+    return any(i or j for i in zeros1 for j in zeros2)
 
 
 def _require_budget(lam, needed, what):
@@ -264,9 +261,7 @@ def _search(fam: ProductFamily, window, lam) -> Tuple[List[DegeneracyInstant], i
     """degeneracy_instants, plus the Morse index just left of the first
     instant, read off the same window walk."""
     if is_degenerate_pair(fam):
-        raise DegeneratePairError(
-            f"{fam.label}: degenerate pair -- 0 is an eigenvalue of J_s for every s"
-        )
+        raise DegeneratePairError(fam.label)
     s_min, s_max = fam.coerce(window[0]), fam.coerce(window[1])
     if not (0 < s_min < s_max):
         raise ValueError("window must satisfy 0 < s_min < s_max")

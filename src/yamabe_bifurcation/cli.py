@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_DEGENERATE = 2
 EXIT_CONFIG = 3
+# the stderr line of exit 2, completed by the family's label
+_DEGENERATE_LINE = "degenerate pair -- index-jump certification inapplicable: "
 
 # flag -> (metavar, help); every factor flag appends (flag, value) to one ordered stream
 _FACTOR_FLAGS = {
@@ -367,7 +369,7 @@ def cmd_scan(args) -> int:
         text = _scan_text(payload)
     _emit(text, args.out)
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
-        print("degenerate pair -- index-jump certification inapplicable", file=sys.stderr)
+        print(_DEGENERATE_LINE + fam.label, file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK
 
@@ -549,7 +551,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if own_process:
             sys.stdout.flush()  # os._exit flushes nothing
     except DegeneratePairError as exc:
-        print(f"degenerate pair -- index-jump certification inapplicable: {exc}", file=sys.stderr)
+        print(_DEGENERATE_LINE + str(exc), file=sys.stderr)
         code = EXIT_DEGENERATE
     except (ConfigError, SpectrumFormatError, OSError) as exc:  # OSError: stdout or --out unwritable
         print(f"error: {exc}", file=sys.stderr)

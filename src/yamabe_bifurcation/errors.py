@@ -24,7 +24,10 @@ class FamilyError(YamabeError):
 
 
 class DegeneratePairError(YamabeError):
-    """The pair attains both thresholds exactly, so 0 is an eigenvalue for every s."""
+    """Some branch sigma_{i,j}, (i, j) != (0, 0), has both coefficients
+    rho_i - T1 and rho_j - T2 of sign 0 by the coefficient rule (exactly 0,
+    or in float mode within the tolerance of 0), so 0 is an eigenvalue of J_s
+    for every s.  The message is the family's label."""
 
 
 class DegeneracyInstantError(YamabeError):

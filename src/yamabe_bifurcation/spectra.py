@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import sys
 import weakref
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -34,6 +33,9 @@ from .errors import IncompleteSpectrumError, SpectrumFormatError
 from .scalars import Scalar, as_exact
 
 Level = Tuple[Scalar, int]
+
+# the most levels, or level pairs of a product, one enumeration may hold: about 1.9 GB at 187 B a level
+_MAX_LEVELS = 10**7
 
 # enum_leq -> (largest bound enumerated, its levels); a table lives as long as its enum_leq
 _TABLES = weakref.WeakKeyDictionary()
@@ -140,7 +142,7 @@ def _round(n: int, r2: Fraction, kind: str, label: str) -> FactorSpectrum:
     def enum(bound):
         cap = math.floor(Fraction(bound) * r2)  # Fraction keeps a float bound exact
         top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2
-        if top > sys.maxsize:  # no list can hold the levels
+        if top >= _MAX_LEVELS:
             raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
         return [(Fraction(k * (k + n - 1)) / r2, multiplicity(n, k)) for k in range(top + 1)]
 
@@ -182,17 +184,22 @@ def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
     return _round(n, r2, "hemisphere", f"S^{n}+(r2={scalars.fmt(r2)})")
 
 
-def _product_levels(enum_a, enum_b) -> Callable[[Scalar], List[Level]]:
-    """The ``enum_leq`` of A x B: the sums r + q <= bound of their levels, equal sums merged."""
+def _product_levels(enum_a, enum_b, label) -> Callable[[Scalar], List[Level]]:
+    """The ``enum_leq`` of A x B, named ``label``: the sums r + q <= bound of
+    their levels, equal sums merged."""
 
     def enum(bound):
-        sums = {}
-        levels_b = enum_b(bound)
+        levels_b, rows, pairs = enum_b(bound), [], 0
         for r, m in enum_a(bound):
-            rest = bound - r
-            for q, n in levels_b:
-                if q > rest:
-                    break  # the levels ascend: no later q fits either
+            # the levels ascend, so the q <= bound - r are a prefix of levels_b
+            row = bisect.bisect_right(levels_b, bound - r, key=lambda lv: lv[0])
+            pairs += row
+            if pairs > _MAX_LEVELS:
+                raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
+            rows.append((r, m, row))
+        sums = {}
+        for r, m, row in rows:
+            for q, n in levels_b[:row]:
                 s = r + q
                 sums[s] = sums.get(s, 0) + m * n
         return sorted(sums.items())
@@ -222,7 +229,8 @@ def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
         boundary_minimal=False,
         label=label,
         kind="torus",
-        enum_leq=functools.reduce(_product_levels, [_round(1, ell, "sphere", label).enum_leq for ell in ells]),
+        enum_leq=functools.reduce(functools.partial(_product_levels, label=label),
+                                  [_round(1, ell, "sphere", label).enum_leq for ell in ells]),
     )
 
 

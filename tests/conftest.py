@@ -12,8 +12,9 @@ from yamabe_bifurcation import (
     round_sphere,
 )
 
-# Every property sets max_examples but TestVerify::test_passes_on_random_closed_form_families,
-# which takes it from the profile: 40 in Tier-1, 400 under --hypothesis-profile verify-fuzz (CI)
+# Every property sets max_examples but TestVerify::test_passes_on_random_closed_form_families and
+# TestDegeneratePair::test_one_rule_near_zero, which take it from the profile: 40 in Tier-1, 400
+# under --hypothesis-profile verify-fuzz (CI)
 settings.register_profile("tier-1", max_examples=40)
 settings.register_profile("verify-fuzz", max_examples=400)
 settings.load_profile("tier-1")

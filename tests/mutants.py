@@ -51,8 +51,12 @@ MUTANTS = (
            "sums[s] = m * n",
            ("test_spectra.py",)),
     Mutant("a product drops the sums that land on the bound", "spectra.py",
-           "if q > rest:",
-           "if q >= rest:",
+           "row = bisect.bisect_right(levels_b, bound - r,",
+           "row = bisect.bisect_left(levels_b, bound - r,",
+           ("test_spectra.py",)),
+    Mutant("the cap is not checked, only sys.maxsize", "spectra.py",
+           "if top >= _MAX_LEVELS:",
+           "if top > 9223372036854775807:",
            ("test_spectra.py",)),
     Mutant("a custom factor of dimension below 1 is accepted", "spectra.py",
            "if dim < 1:",
@@ -108,8 +112,20 @@ MUTANTS = (
            "            if sign <= 0:\n                below += m1 * m2\n",
            ("test_bifurcation.py",)),
     Mutant("critical indices judge a level by the relative close rule", "bifurcation.py",
-           "signs = [sign for _, sign, _ in _column(",
-           "signs = [0 if scalars.close(c + threshold, threshold, tol) else sign for c, sign, _ in _column(",
+           "return tuple([sign for _, sign, _ in _column(",
+           "return tuple([0 if scalars.close(c + t, t, fam.tolerance) else sign for c, sign, _ in _column(",
+           ("test_cli.py",)),
+    Mutant("only the first level at each threshold is compared", "bifurcation.py",
+           "if sign == 0] for signs in",
+           "if sign == 0][:1] for signs in",
+           ("test_bifurcation.py",)),
+    Mutant("the constants' (0, 0) counts", "bifurcation.py",
+           "return any(i or j for i in zeros1 for j in zeros2)",
+           "return any(True for i in zeros1 for j in zeros2)",
+           ("test_bifurcation.py",)),
+    Mutant("a cluster's s is its least zero", "bifurcation.py",
+           "return [(min(cluster, key=recorded)[0],",
+           "return [(cluster[0][0],",
            ("test_cli.py",)),
     Mutant("as_scalar accepts a value with no finite float", "scalars.py",
            "if not math.isfinite(number):",

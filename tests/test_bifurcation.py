@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from yamabe_bifurcation import (
@@ -12,6 +12,7 @@ from yamabe_bifurcation import (
     IncompleteSpectrumError,
     Monotonicity,
     RecountError,
+    YamabeError,
     branch_from_indices,
     branch_zero,
     classify_family,
@@ -95,29 +96,32 @@ class TestBranches:
             assert not ({1, -1} <= signs)
 
 
+def _attained(fam):
+    """Whether level i* of the closed factor equals T1 and level j* of the
+    boundary factor equals T2."""
+    i_star, j_star = critical_indices(fam)
+    return fam.factor1.level(i_star)[0] == fam.threshold1, fam.factor2.level(j_star)[0] == fam.threshold2
+
+
 class TestCriticalIndices:
     def test_strict_case(self, sphere_hemisphere):
-        ci = critical_indices(sphere_hemisphere)
-        assert (ci.i_star, ci.j_star) == (1, 1)
-        assert not ci.equality1 and not ci.equality2
+        assert critical_indices(sphere_hemisphere) == (1, 1)
+        assert _attained(sphere_hemisphere) == (False, False)
         assert not is_degenerate_pair(sphere_hemisphere)
 
     def test_one_sided_equality(self, sphere_interval):
-        ci = critical_indices(sphere_interval)
-        assert (ci.i_star, ci.j_star) == (1, 0)
-        assert not ci.equality1 and ci.equality2
+        assert critical_indices(sphere_interval) == (1, 0)
+        assert _attained(sphere_interval) == (False, True)
         assert not is_degenerate_pair(sphere_interval)
 
     def test_zero_zero_carve_out(self, torus_interval):
-        ci = critical_indices(torus_interval)
-        assert (ci.i_star, ci.j_star) == (0, 0)
-        assert ci.equality1 and ci.equality2
+        assert critical_indices(torus_interval) == (0, 0)
+        assert _attained(torus_interval) == (True, True)
         assert not is_degenerate_pair(torus_interval)
 
     def test_degenerate_pair(self, degenerate_pair_family):
-        ci = critical_indices(degenerate_pair_family)
-        assert (ci.i_star, ci.j_star) == (1, 1)
-        assert ci.equality1 and ci.equality2
+        assert critical_indices(degenerate_pair_family) == (1, 1)
+        assert _attained(degenerate_pair_family) == (True, True)
         assert is_degenerate_pair(degenerate_pair_family)
 
 
@@ -410,6 +414,89 @@ _FLOAT_FAMILIES = st.one_of(
     _near_threshold_float_families(),
     _pairs(_coincident_families(), 1e-9),
 )
+
+
+_TOLERANCES = st.sampled_from([1e-9, 1e-4, 0.2])
+_NEAR = st.floats(-3, 3)  # in tolerances
+_GAP = st.floats(1.01, 2.5)  # in tolerances
+
+
+@st.composite
+def _near_zero_float_families(draw):
+    """A float family (dimensions 2 and 2, so R = 3T) whose first levels lie
+    a few tolerances apart and whose thresholds lie within 3 tolerances of
+    one of them, sometimes with a far level after them; with its listed
+    levels of each factor and a window.  Several levels can then read a
+    threshold."""
+    tol = draw(_TOLERANCES)
+    thresholds, listed = [], []
+    for _ in range(2):
+        levels, value = [(0.0, 1)], 0.0
+        for _ in range(draw(st.integers(0, 3))):
+            value += draw(_GAP) * tol
+            levels.append((value, draw(_MULTIPLICITY)))
+        thresholds.append(draw(st.sampled_from(levels))[0] + draw(_NEAR) * tol)
+        if draw(st.booleans()):
+            levels.append((value + draw(st.floats(1, 5)), draw(_MULTIPLICITY)))
+        listed.append(levels)
+    try:
+        fam = make_family(
+            custom_spectrum(2, 3 * thresholds[0], listed[0], 100.0, tolerance=tol, label="closed"),
+            custom_spectrum(2, 3 * thresholds[1], listed[1], 100.0, has_boundary=True,
+                            boundary_minimal=True, tolerance=tol, label="boundary"),
+        )
+    except ValueError:  # levels of tolerance 0.2 past 1 need gaps of 0.2 * level
+        reject()
+    s_min = draw(st.floats(0.05, 2))
+    return fam, listed, (s_min, s_min * draw(st.floats(1.1, 20)))
+
+
+class TestDegeneratePair:
+    """A pair is degenerate when some branch (i, j) != (0, 0) has both
+    coefficients of sign 0, however many levels read each threshold."""
+
+    # the two float families of the README's exit-2 example: several levels read a threshold
+    REPRODUCERS = {
+        # T1 = 0.15, T2 = 0.1 at tolerance 0.2: levels 0 and 0.3 read T1, level 0 reads T2
+        "B": (0.2, (0.45, [(0.0, 1), (0.3, 1), (3.0, 2)]), (0.3, [(0.0, 1), (2.0, 2)])),
+        # T1 = T2 = 9e-10 at tolerance 1e-9: levels 0 and 1.5e-9 read T1, level 0 reads T2
+        "A": (1e-9, (2.7e-9, [(0.0, 1), (1.5e-9, 2), (5.0, 3)]), (2.7e-9, [(0.0, 1), (3.0, 2)])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPRODUCERS))
+    def test_several_levels_read_a_threshold(self, name):
+        """Branch (1, 0) reads 0 for every s, although level 0 is the first
+        level at each threshold, so (i*, j*) = (0, 0)."""
+        tol, (r1, levels1), (r2, levels2) = self.REPRODUCERS[name]
+        fam = make_family(
+            custom_spectrum(2, r1, levels1, 100.0, tolerance=tol, label="closed"),
+            custom_spectrum(2, r2, levels2, 100.0, has_boundary=True, boundary_minimal=True,
+                            tolerance=tol, label="boundary"),
+        )
+        assert critical_indices(fam) == (0, 0)
+        assert is_degenerate_pair(fam)
+        assert classify_family(fam, (0.5, 2.0)).case is FamilyCase.DEGENERATE_PAIR
+        with pytest.raises(DegeneratePairError, match="^closed x boundary$"):
+            degeneracy_instants(fam, (0.5, 2.0))
+
+    @given(_near_zero_float_families())
+    @settings(derandomize=True, deadline=None)  # max_examples from the profile: see conftest.py
+    def test_one_rule_near_zero(self, case):
+        """is_degenerate_pair is the brute force over the listed levels, and
+        classify_family returns, DegeneratePair exactly then, or raises a
+        YamabeError, never anything else."""
+        fam, listed, window = case
+        tol = fam.tolerance
+        zeros1, zeros2 = ([k for k, (r, _) in enumerate(levels) if scalars.sign(r - t, tol) == 0]
+                          for levels, t in zip(listed, (fam.threshold1, fam.threshold2)))
+        degenerate = any(i + j > 0 for i in zeros1 for j in zeros2)
+        assert is_degenerate_pair(fam) == degenerate
+        try:
+            case = classify_family(fam, window).case
+        except YamabeError:
+            assert not degenerate
+        else:
+            assert (case is FamilyCase.DEGENERATE_PAIR) == degenerate
 
 
 class TestSweep:

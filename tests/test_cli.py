@@ -136,9 +136,22 @@ class TestSpectrum:
         ["verify", "--torus", "1e400", "--hemisphere", "2", "--window", "1/10:1"],
     ])
     def test_factor_too_large_to_enumerate_is_one_error_line(self, argv):
-        """No list holds a factor's levels past sys.maxsize entries: an error
+        """No list holds a factor's levels past a cap of 10**7 entries: an error
         line at once, not an OverflowError traceback or endless allocation."""
         proc = subprocess.run(**command(*argv), capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (EXIT_FAILURE, "")
+        assert re.fullmatch(r"error: [^\n]+ are too many to enumerate\n", proc.stderr), proc.stderr[-300:]
+
+    def test_levels_past_the_cap_are_one_error_line(self):
+        """A circle of 1.7e9 levels below 3 fits sys.maxsize indices but not memory: an error
+        line at once.  A 1 GB address space and a timeout make a missing cap fail fast."""
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(**command("spectrum", "--torus", "1e18", "--below", "3"), capture_output=True,
+                              text=True, timeout=60, preexec_fn=limit)
         assert (proc.returncode, proc.stdout) == (EXIT_FAILURE, "")
         assert re.fullmatch(r"error: [^\n]+ are too many to enumerate\n", proc.stderr), proc.stderr[-300:]
 
@@ -203,6 +216,23 @@ class TestScan:
         )
         assert code == EXIT_DEGENERATE
         assert "degenerate pair" in err
+
+    def test_chained_zeros_print_the_first_recorded_zero(self, capsys, tmp_path):
+        """T1 = T2 = 1 at tolerance 1e-9: the decreasing branches (1, 1) and (0, 2) vanish at
+        s = 1 and s = 1 + 6e-10, one chain.  Its s is the zero of (0, 2), recorded first,
+        not the least zero."""
+        closed, boundary = tmp_path / "closed.spec", tmp_path / "boundary.spec"
+        closed.write_text("dim = 2\nscalar_curvature = 3\nhas_boundary = false\nboundary_minimal = false\n"
+                          "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 0.5 1\neig 3 2\n")
+        boundary.write_text("dim = 2\nscalar_curvature = 3\nhas_boundary = true\nboundary_minimal = true\n"
+                            "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 1.5 1\neig 2.0000000006 1\n")
+        code, out, err = run(capsys, ["scan", "--custom", str(closed), "--custom", str(boundary),
+                                      "--window", "0.8:1.5"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-2:] == [
+            "instants (1):",
+            "  s = 1.0000000006  branches = (0,2) (1,1)  mult = 2  n- = 2  n+ = 4  certified = yes  side = unbounded",
+        ]
 
     def test_bad_custom_file_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.spec"
@@ -792,6 +822,37 @@ class TestConfigFile:
         code, out, _ = run(capsys, ["spectrum", "--config", str(cfg)])
         assert code == EXIT_OK
         assert json.loads(out)["eigenvalues"] == [{"value": "0", "multiplicity": 1}, {"value": "2", "multiplicity": 3}]
+
+
+class TestDegeneratePair:
+    """Families where several levels read a threshold, so that branch (1, 0) has both
+    coefficients of sign 0 although (i*, j*) = (0, 0): every command exits 2 with one line."""
+
+    FAMILIES = {
+        # T1 = 0.15, T2 = 0.1: levels 0 and 0.3 read T1, level 0 reads T2
+        "B": ("tolerance = 0.2", ("scalar_curvature = 0.45", "eig 0 1\neig 0.3 1\neig 3 2"),
+              ("scalar_curvature = 0.3", "eig 0 1\neig 2 2")),
+        # T1 = T2 = 9e-10: levels 0 and 1.5e-9 read T1, level 0 reads T2
+        "A": ("tolerance = 1e-9", ("scalar_curvature = 2.7e-9", "eig 0 1\neig 1.5e-9 2\neig 5 3"),
+              ("scalar_curvature = 2.7e-9", "eig 0 1\neig 3 2")),
+    }
+
+    @pytest.mark.parametrize("command", ["scan", "verify", "branches"])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_exit_2_with_one_line(self, capsys, tmp_path, monkeypatch, name, command):
+        tolerance, (curvature1, levels1), (curvature2, levels2) = self.FAMILIES[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "closed.spec").write_text(
+            f"dim = 2\n{curvature1}\nhas_boundary = false\nboundary_minimal = false\n{tolerance}\n"
+            f"lambda_max = 100\n{levels1}\n")
+        (tmp_path / "boundary.spec").write_text(
+            f"dim = 2\n{curvature2}\nhas_boundary = true\nboundary_minimal = true\n{tolerance}\n"
+            f"lambda_max = 100\n{levels2}\n")
+        code, out, err = run(capsys, [command, *FLOAT_FAMILY, "--window", "0.5:2"])
+        assert code == EXIT_DEGENERATE
+        assert err == "degenerate pair -- index-jump certification inapplicable: closed.spec x boundary.spec\n"
+        # scan prints its payload before the line; verify and branches print nothing
+        assert ("classification: DegeneratePair" in out) if command == "scan" else out == ""
 
 
 class TestBranches:

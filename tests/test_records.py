@@ -38,7 +38,7 @@ def _certified():
 
 RECORDS = {
     "EigenBranch": _branch,
-    "CriticalIndices": lambda: CriticalIndices(1, 1, False, False),
+    "CriticalIndices": lambda: CriticalIndices(1, 1),
     "DegeneracyInstant": _instant,
     "CertifiedInstant": _certified,
     "FamilyClassification": lambda: FamilyClassification(

@@ -20,6 +20,7 @@ from yamabe_bifurcation import (
     round_sphere,
 )
 from yamabe_bifurcation.oracle import even_harmonic_dimension, harmonic_dimension
+from yamabe_bifurcation import spectra
 from yamabe_bifurcation.spectra import _product_levels
 
 
@@ -182,13 +183,28 @@ def test_product_levels_is_the_merged_outer_sum(levels_a, levels_b, data):
         for q, n in levels_b:
             if r + q <= bound:
                 expected[r + q] += m * n
-    assert _product_levels(_enumerator(levels_a), _enumerator(levels_b))(bound) == sorted(expected.items())
+    assert _product_levels(_enumerator(levels_a), _enumerator(levels_b), "A x B")(bound) == sorted(expected.items())
 
 
 @pytest.mark.parametrize("spec", [flat_torus([10**400]), flat_torus([1, 10**400]), hemisphere_neumann(2, 10**400)])
 def test_too_many_levels_to_enumerate(spec):
     with pytest.raises(IncompleteSpectrumError, match=r": the eigenvalues up to 3 are too many to enumerate$"):
         spec.eigenvalues_leq(3)
+
+
+def test_level_cap(monkeypatch):
+    """An enumeration holds at most _MAX_LEVELS levels, and a product at most
+    _MAX_LEVELS level pairs r + q <= bound: the circle k^2 has 4 levels up
+    to 9, and T^2 has 6 pairs up to 4 (0+0, 0+1, 0+4, 1+0, 1+1, 4+0)."""
+    monkeypatch.setattr(spectra, "_MAX_LEVELS", 4)
+    assert len(interval_neumann(1).eigenvalues_leq(9)) == 4
+    with pytest.raises(IncompleteSpectrumError, match=r"^I\(lambda=1\): the eigenvalues up to 16 are too many"):
+        interval_neumann(1).eigenvalues_leq(16)
+    monkeypatch.setattr(spectra, "_MAX_LEVELS", 6)
+    assert flat_torus([1, 1]).eigenvalues_leq(4) == [(0, 1), (1, 4), (2, 4), (4, 4)]
+    monkeypatch.setattr(spectra, "_MAX_LEVELS", 5)
+    with pytest.raises(IncompleteSpectrumError, match=r"^T\^2\(l2/4pi2=\[1,1\]\): the eigenvalues up to 4 are too many"):
+        flat_torus([1, 1]).eigenvalues_leq(4)
 
 
 def _level_by_level(eig, mult, bound, strict):
