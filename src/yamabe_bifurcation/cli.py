@@ -275,29 +275,27 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("missing --below Q")
     rows = spec.eigenvalues_below(bound)
     tol = spec.tolerance
+    payload = {
+        "label": spec.label,
+        "dim": spec.dim,
+        "scalar_curvature": scalars.fmt(spec.scalar_curvature, tol),
+        "has_boundary": spec.has_boundary,
+        "boundary_minimal": spec.boundary_minimal,
+        "mode": _mode_of(spec),
+        "below": scalars.fmt(bound, tol),
+        "eigenvalues": [{"value": scalars.fmt(e, tol), "multiplicity": m} for e, m in rows],
+    }
     if args.format == "json":
-        payload = {
-            "label": spec.label,
-            "dim": spec.dim,
-            "scalar_curvature": scalars.fmt(spec.scalar_curvature, tol),
-            "has_boundary": spec.has_boundary,
-            "boundary_minimal": spec.boundary_minimal,
-            "mode": _mode_of(spec),
-            "below": scalars.fmt(bound, tol),
-            "eigenvalues": [
-                {"value": scalars.fmt(e, tol), "multiplicity": m} for e, m in rows
-            ],
-        }
         text = _json(payload) + "\n"
     else:
         lines = [
-            f"factor: {spec.label}",
-            f"dim = {spec.dim}  R = {scalars.fmt(spec.scalar_curvature, tol)}  "
-            f"boundary = {str(spec.has_boundary).lower()}  "
-            f"minimal = {str(spec.boundary_minimal).lower()}  mode = {_mode_of(spec)}",
-            f"eigenvalues below {scalars.fmt(bound, tol)}:",
+            f"factor: {payload['label']}",
+            f"dim = {payload['dim']}  R = {payload['scalar_curvature']}  "
+            f"boundary = {str(payload['has_boundary']).lower()}  "
+            f"minimal = {str(payload['boundary_minimal']).lower()}  mode = {payload['mode']}",
+            f"eigenvalues below {payload['below']}:",
         ]
-        lines += [f"  {scalars.fmt(e, tol)}  x{m}" for e, m in rows]
+        lines += [f"  {row['value']}  x{row['multiplicity']}" for row in payload["eigenvalues"]]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK

@@ -2,24 +2,13 @@
 
 Everything here is intentionally naive -- bisection, echelon ranks,
 exhaustive counts, dense grids -- and pure Python, and shares no
-computation with the exact engine it checks:
+computation with the exact engine it checks, only the closeness rule
+``scalars.close`` of float mode:
 
 * finite-difference Neumann spectrum of the interval, by bisection on Sturm
-  counts.  A bracket that spans more than a factor of 4 above 0 is split at
-  its geometric midpoint.  Until an eigenvalue is alone in its bracket the
-  passes only count; after, the same LDL^T pass also gives a Newton step on
-  det(T - xI).  The stencil is its own mirror image, so a stencil of an
-  even size of at least 4 splits into an even and an odd block of half the
-  rows each (Cantoni & Butler 1976).  The k-th eigenvector of a Jacobi
-  matrix changes sign k times, so the eigenvalues alternate between the
-  blocks, starting with the even one; the even block gives ceil(count/2)
-  of them and the odd block floor(count/2).  The even block is the Neumann
-  stencil of half the rows, so the same rule splits it again.  The odd
-  blocks are bisected whole, as is a Neumann stencil of any other size.
-  One count on the whole stencil just above the largest must find exactly
-  ``count``, or the oracle raises.  The first count of each block is taken
-  half a width above its Gershgorin lower end, which closes the constant
-  mode of the last Neumann block at once,
+  counts with Newton steps, on the even and odd mirror blocks of the stencil
+  (Cantoni & Butler 1976), checked by one count on the whole stencil; the
+  method is in the docstring of ``fd_interval_spectrum`` and its helpers,
 * harmonic-polynomial dimension counts by the exact rank of the Laplacian
   matrix on monomials, one block per parity class of the exponents (the
   Laplacian keeps them), by an echelon count that raises on a repeated
@@ -35,12 +24,16 @@ computation with the exact engine it checks:
   fl(1/g), fl(b*x) and fl(a + y) are each monotone, so the sampled signs
   are a run of the sign at s_min, a run of zeros and a run of the sign at
   s_max, whose meeting points bisection over grid indices finds.  The
-  brackets are thus bit for bit those of sampling every pair at every point,
+  brackets are thus bit for bit those of sampling every pair at every point.
+  Brackets that overlap merge, and so do two whose far ends are one value
+  by ``scalars.close``, so a chain of zeros that the engine counts as one
+  instant is one bracket, unless two of its zeros are apart by less than
+  the tolerance but by more than it less a bracket's width (1e-10 relative),
 * brute-force Morse index over every pair of factor levels within the two
   bounds that come with each point, one per factor, as the scan takes its
   two, from one float coefficient list per factor; here and in the scan, a
-  float-mode coefficient within the tolerance of 0 reads 0.0, as in the
-  engine.  a_i + b_j/s is monotone in each float coefficient, so for each
+  float-mode coefficient that ``scalars.close`` puts at 0 reads 0.0, as in
+  the engine.  a_i + b_j/s is monotone in each float coefficient, so for each
   level of the factor with fewer levels within its bound, the other's with
   a_i + b_j/s < 0 are a prefix, found by bisection, counted by prefix sums.
 """
@@ -54,6 +47,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import scalars
 from .product import ProductFamily
 
 
@@ -361,9 +355,9 @@ def _pair_brackets(a: float, b: float, point, samples: int) -> List[Tuple[float,
 
 def _coefficients(levels, threshold, tol: Optional[float]) -> List[float]:
     """The float coefficients r - threshold of the levels; in float mode a
-    coefficient x with |x| <= tol * max(1, |x|) is 0.0, as the engine reads it."""
+    coefficient x that ``scalars.close`` puts at 0 is 0.0, as the engine reads it."""
     values = [float(r) - float(threshold) for r, _ in levels]
-    return values if tol is None else [0.0 if abs(x) <= tol * max(1.0, abs(x)) else x for x in values]
+    return values if tol is None else [0.0 if scalars.close(x, 0, tol) else x for x in values]
 
 
 def dense_scan_degeneracy(
@@ -372,7 +366,9 @@ def dense_scan_degeneracy(
     """Bracket every zero in the window of the branches whose levels are at
     most ``lam1`` on the closed factor and ``lam2`` on the boundary factor,
     by the sign changes of sigma on a dense log-spaced grid, whose points are
-    computed where read; overlapping brackets (coincident zeros) merge."""
+    computed where read.  A bracket merges into the one before it when they
+    overlap, or when ``scalars.close`` makes its upper end and the lower end
+    of the one before one value: their zeros are then a chain of the engine's."""
     if samples < 1000:
         raise ValueError("sample grid too coarse; use at least 1000 samples")
     s_lo, s_hi = float(window[0]), float(window[1])
@@ -388,8 +384,8 @@ def dense_scan_degeneracy(
             brackets += _pair_brackets(a, b, point, samples)
     brackets.sort()
     merged: List[Tuple[float, float]] = []
-    for lo, hi in brackets:
-        if merged and lo <= merged[-1][1]:
+    for k, (lo, hi) in enumerate(brackets):
+        if merged and (lo <= merged[-1][1] or scalars.close(hi, brackets[k - 1][0], fam.tolerance)):
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))

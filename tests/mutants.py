@@ -147,6 +147,14 @@ MUTANTS = (
            "return values if tol is None else [",
            "return values if True else [",
            ("test_cli.py",)),
+    Mutant("the dense scan merges brackets only when they overlap", "oracle.py",
+           "if merged and (lo <= merged[-1][1] or scalars.close(hi, brackets[k - 1][0], fam.tolerance)):",
+           "if merged and lo <= merged[-1][1]:",
+           ("test_cli.py",)),
+    Mutant("brackets chain when their near ends are close", "oracle.py",
+           "scalars.close(hi, brackets[k - 1][0], fam.tolerance)",
+           "scalars.close(lo, merged[-1][1], fam.tolerance)",
+           ("test_cli.py",)),
     Mutant("the echelon count never raises", "oracle.py",
            'raise ArithmeticError(f"two columns have their lowest entry in row {lead}")',
            "pass",

@@ -82,6 +82,31 @@ def write_degenerate_pair(tmp_path):
     return write_custom(tmp_path, "f1.spec"), str(f2)
 
 
+def write_chained_zeros(tmp_path):
+    """T1 = T2 = 1 at tolerance 1e-9: the decreasing branches (1, 1) and (0, 2) vanish at
+    s = 1 and s = 1 + 6e-10, one chain of zeros within the tolerance."""
+    closed, boundary = tmp_path / "closed.spec", tmp_path / "boundary.spec"
+    closed.write_text("dim = 2\nscalar_curvature = 3\nhas_boundary = false\nboundary_minimal = false\n"
+                      "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 0.5 1\neig 3 2\n")
+    boundary.write_text("dim = 2\nscalar_curvature = 3\nhas_boundary = true\nboundary_minimal = true\n"
+                        "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 1.5 1\neig 2.0000000006 1\n")
+    return str(closed), str(boundary)
+
+
+def write_near_twins(tmp_path, closed_levels, boundary_levels):
+    """A closed factor of R = -30 and a boundary factor of R = 6, both of dim 2, tolerance
+    1e-9 and lambda_max 100, with the listed levels, each of multiplicity 1."""
+    paths = []
+    for name, curvature, boundary, levels in (("closed.spec", -30, "false", closed_levels),
+                                              ("boundary.spec", 6, "true", boundary_levels)):
+        path = tmp_path / name
+        path.write_text(f"dim = 2\nscalar_curvature = {curvature}\nhas_boundary = {boundary}\n"
+                        f"boundary_minimal = {boundary}\ntolerance = 1e-9\nlambda_max = 100\n"
+                        + "".join(f"eig {level} 1\n" for level in levels))
+        paths.append(str(path))
+    return paths
+
+
 class TestSpectrum:
     def test_text(self, capsys):
         code, out, _ = run(capsys, ["spectrum", "--sphere", "2", "--below", "7"])
@@ -218,16 +243,10 @@ class TestScan:
         assert "degenerate pair" in err
 
     def test_chained_zeros_print_the_first_recorded_zero(self, capsys, tmp_path):
-        """T1 = T2 = 1 at tolerance 1e-9: the decreasing branches (1, 1) and (0, 2) vanish at
-        s = 1 and s = 1 + 6e-10, one chain.  Its s is the zero of (0, 2), recorded first,
-        not the least zero."""
-        closed, boundary = tmp_path / "closed.spec", tmp_path / "boundary.spec"
-        closed.write_text("dim = 2\nscalar_curvature = 3\nhas_boundary = false\nboundary_minimal = false\n"
-                          "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 0.5 1\neig 3 2\n")
-        boundary.write_text("dim = 2\nscalar_curvature = 3\nhas_boundary = true\nboundary_minimal = true\n"
-                            "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 1.5 1\neig 2.0000000006 1\n")
-        code, out, err = run(capsys, ["scan", "--custom", str(closed), "--custom", str(boundary),
-                                      "--window", "0.8:1.5"])
+        """The chain of ``write_chained_zeros``: its s is the zero of (0, 2), recorded
+        first, not the least zero."""
+        closed, boundary = write_chained_zeros(tmp_path)
+        code, out, err = run(capsys, ["scan", "--custom", closed, "--custom", boundary, "--window", "0.8:1.5"])
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-2:] == [
             "instants (1):",
@@ -974,6 +993,25 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", *family])
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == "all checks passed"
+
+    @pytest.mark.parametrize("files, window, instants", [
+        (lambda tmp: write_near_twins(tmp, ["0", "1", "1.00000001"], ["0", "1"]), "0.05:1", 3),
+        (write_chained_zeros, "0.8:1.5", 1),
+        (lambda tmp: write_near_twins(tmp, ["0", "1", "1.0000000608025"], ["0"]), "0.1:1", 2),
+    ], ids=["twin-levels", "chained-zeros", "just-past-the-tolerance"])
+    def test_a_chain_of_zeros_is_one_bracket(self, capsys, tmp_path, files, window, instants):
+        """Zeros within the tolerance of each other are one instant of scan
+        and one bracket of the dense scan: the twin levels 1 and 1 + 1e-8
+        chain the zeros of (1, 0) and (2, 0), and of (1, 1) and (2, 1).  The
+        last family's zeros lie 1.005e-9 apart, just past the tolerance, so
+        they stay two instants and two brackets; a merge by the brackets'
+        near ends would join them."""
+        closed, boundary = files(tmp_path)
+        code, out, err = run(capsys, ["verify", "--custom", closed, "--custom", boundary, "--window", window])
+        lines = out.splitlines()
+        assert (code, err) == (EXIT_OK, "")
+        assert lines[-3] == f"PASS degeneracy instants vs dense scan: {instants} exact instants, {instants} brackets"
+        assert lines[-1] == "all checks passed"
 
     @pytest.mark.parametrize("closed_levels, boundary_curvature, window", [
         ("eig 0 1\neig 1.5 2\neig 3 1\n", "1e-12", "0.5:4"),

@@ -22,6 +22,7 @@ from yamabe_bifurcation import (
     oracle,
     round_sphere,
 )
+from yamabe_bifurcation.bifurcation import enumeration_bounds
 from yamabe_bifurcation.oracle import (
     _grid_point,
     _monomials,
@@ -335,6 +336,24 @@ class TestDenseScan:
     def test_bracket_width(self, sphere_interval):
         for lo, hi in dense_scan_degeneracy(sphere_interval, (0.5, 10), 5000, 30, 30):
             assert hi - lo <= 2e-10 * lo + 1e-12
+
+    @pytest.mark.parametrize("tolerance, brackets", [(None, 5), (1e-9, 3)], ids=["exact", "float"])
+    def test_zeros_within_the_tolerance_are_one_bracket(self, tolerance, brackets):
+        """Closed levels 0, 1 and 1 + 1e-8 at R = -30 against boundary levels
+        0 and 1 at R = 6: the twin levels give two pairs of zeros 1e-8
+        relative apart.  Exact, they are five instants and five brackets;
+        at tolerance 1e-9 each pair is one chain of the engine's, and one
+        bracket."""
+        value = Fraction if tolerance is None else float
+        fam = make_family(
+            custom_spectrum(2, -30, [(value(0), 1), (value(1), 1), (value("1.00000001"), 1)], 100,
+                            tolerance=tolerance),
+            custom_spectrum(2, 6, [(value(0), 1), (value(1), 1)], 100, has_boundary=True, boundary_minimal=True,
+                            tolerance=tolerance),
+        )
+        window = (Fraction(1, 20), 1) if tolerance is None else (0.05, 1.0)
+        found = dense_scan_degeneracy(fam, window, 20000, *enumeration_bounds(fam, window))
+        assert len(found) == brackets == len(degeneracy_instants(fam, window))
 
     def test_coarse_grid_rejected(self, sphere_hemisphere):
         with pytest.raises(ValueError):
