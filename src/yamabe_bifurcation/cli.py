@@ -426,29 +426,28 @@ def _verify_checks(fam, window, lam):
 
     for idx, spec in ((1, fam.factor1), (2, fam.factor2)):
         name = f"factor{idx} {spec.label}"
-        if spec.kind == "interval":
-            # recover lambda from the first nonzero eigenvalue 1/lambda^2
-            lam_param = math.sqrt(1.0 / float(spec.level(1)[0]))
-            worst = 0.0
-            for k, approx in enumerate(oracle.fd_interval_spectrum(lam_param, 2000, 10)):
-                exact = float(spec.level(k)[0])
-                err = abs(approx - exact) / max(exact, 1e-12) if exact else abs(approx)
-                worst = max(worst, err)
-            yield (f"{name}: FD Neumann spectrum", worst < 1e-3, f"max rel err {worst:.2e}")
-        elif spec.kind in ("sphere", "hemisphere"):
-            check = f"{name}: {spec.kind} multiplicities"
-            count, top, basis = (
-                (oracle.harmonic_dimension, 12, "harmonic") if spec.kind == "sphere"
-                else (oracle.even_harmonic_dimension, 10, "even-harmonic")
-            )
-            top = oracle.kernel_rank_degree_limit(spec.dim, top)
-            if top < 1:
-                yield (check, None, f"kernel-rank budget covers no degree k >= 1 for n = {spec.dim}")
-            else:
-                ok = all(spec.level(k)[1] == count(spec.dim, k) for k in range(top + 1))
-                yield (check, ok, f"{basis} kernel ranks, k <= {top}")
-        elif spec.kind == "custom":
-            yield (f"{name}: listed levels", None, "no oracle checks a custom spectrum")
+        match spec.parts:  # a factor of two or more parts gets no line
+            case (spectra.Round(n=1, r2=r2, half=True),):  # the interval [0, pi*sqrt(r2)]
+                worst = 0.0
+                for k, approx in enumerate(oracle.fd_interval_spectrum(math.sqrt(r2), 2000, 10)):
+                    exact = float(spec.level(k)[0])
+                    err = abs(approx - exact) / max(exact, 1e-12) if exact else abs(approx)
+                    worst = max(worst, err)
+                yield (f"{name}: FD Neumann spectrum", worst < 1e-3, f"max rel err {worst:.2e}")
+            case (spectra.Round(half=half),):
+                check = f"{name}: {'hemisphere' if half else 'sphere'} multiplicities"
+                count, top, basis = (
+                    (oracle.even_harmonic_dimension, 10, "even-harmonic") if half
+                    else (oracle.harmonic_dimension, 12, "harmonic")
+                )
+                top = oracle.kernel_rank_degree_limit(spec.dim, top)
+                if top < 1:
+                    yield (check, None, f"kernel-rank budget covers no degree k >= 1 for n = {spec.dim}")
+                else:
+                    ok = all(spec.level(k)[1] == count(spec.dim, k) for k in range(top + 1))
+                    yield (check, ok, f"{basis} kernel ranks, k <= {top}")
+            case (_,):
+                yield (f"{name}: listed levels", None, "no oracle checks a custom spectrum")
 
     result = bifurcation.classify_family(fam, window, lam)
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:

@@ -5,12 +5,12 @@ dimension, constant scalar curvature, boundary flags, and the ordered distinct
 Laplace eigenvalues with multiplicities (Neumann eigenvalues when the factor
 has a boundary).  Catalog constructors cover the interval, the round sphere,
 the closed hemisphere and the flat torus; any other factor can be supplied as
-a text file via :func:`custom_from_file`.  The round kinds share one closed
-form: eigenvalues k(k+n-1)/r2, k >= 0, with harmonic multiplicities on S^n and
-even-harmonic ones on its closed hemisphere.  The interval [0, pi*lambda] is
-n = 1, r2 = lambda^2: the closed half circle of radius lambda, whose even
-harmonics are simple.  The flat torus is the product of its circles S^1, and
-its levels are the exact convolution of theirs: theta_{AxB} = theta_A * theta_B.
+a text file via :func:`custom_from_file`.  A catalog factor is a product of
+``Round`` parts: eigenvalues k(k+n-1)/r2, k >= 0, with harmonic multiplicities
+on S^n and even-harmonic ones on its closed hemisphere.  The interval
+[0, pi*lambda] is one part, n = 1, r2 = lambda^2: the closed half circle of
+radius lambda, whose even harmonics are simple.  A flat torus is the product
+of its circles S^1, whose levels convolve: theta_{AxB} = theta_A * theta_B.
 
 Every catalog spectrum satisfies a completeness contract: asked for all
 eigenvalues up to a cutoff, it returns a provably complete finite list, for
@@ -22,7 +22,6 @@ silently truncating.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import weakref
 from fractions import Fraction
@@ -49,10 +48,10 @@ class FactorSpectrum(NamedTuple):
     enumeration primitive, everything else is served from one table of its
     largest result so far.  The table lives in the module's ``_TABLES``,
     keyed by ``enum_leq``: copies and ``_replace`` of other fields share it,
-    and a new ``enum_leq`` starts a new one.
-    ``kind`` names the constructor (interval, sphere, hemisphere, torus or
-    custom).  ``lambda_max`` None means complete for every cutoff,
-    ``tolerance`` None exact rational mode.
+    and a new ``enum_leq`` starts a new one.  ``parts`` is what the factor
+    is the product of: its ``Round`` parts for a catalog factor, one tuple of
+    its listed levels for a custom one.  ``lambda_max`` None means complete
+    for every cutoff, ``tolerance`` None exact rational mode.
     """
 
     dim: int
@@ -60,7 +59,7 @@ class FactorSpectrum(NamedTuple):
     has_boundary: bool
     boundary_minimal: bool
     label: str
-    kind: str
+    parts: tuple
     enum_leq: Callable[[Scalar], List[Level]]
     lambda_max: Optional[Scalar] = None
     tolerance: Optional[float] = None
@@ -128,31 +127,54 @@ def even_harmonic_multiplicity(n: int, k: int) -> int:
     return math.comb(n + k - 1, n - 1)
 
 
-def _round(n: int, r2: Fraction, kind: str, label: str) -> FactorSpectrum:
-    """S^n of radius^2 ``r2`` when ``kind`` is "sphere", else its closed hemisphere
-    (for n = 1, the interval): eigenvalues k(k+n-1)/r2, k >= 0, with the
+class Round(NamedTuple):
+    """S^n of radius^2 ``r2``, or its closed hemisphere when ``half`` (for n = 1,
+    the interval [0, pi*sqrt(r2)]): eigenvalues k(k+n-1)/r2, k >= 0, with the
     harmonic multiplicities, or the even-harmonic ones on a hemisphere, whose
     totally geodesic boundary is minimal; R = n(n-1)/r2."""
-    if r2 <= 0:
-        raise ValueError("radius squared must be positive")
-    half = kind != "sphere"
-    multiplicity = even_harmonic_multiplicity if half else harmonic_multiplicity
 
-    # the integer k(k+n-1) is <= bound*r2 iff it is <= cap, iff (2k+n-1)^2 <= (n-1)^2 + 4*cap
-    def enum(bound):
-        cap = math.floor(Fraction(bound) * r2)  # Fraction keeps a float bound exact
+    n: int
+    r2: Fraction
+    half: bool
+
+    def count(self, bound) -> int:
+        """The number of levels <= ``bound``: k(k+n-1) <= bound*r2 iff (2k+n-1)^2 <= (n-1)^2 + 4*floor(bound*r2)."""
+        n, cap = self.n, math.floor(Fraction(bound) * self.r2)  # Fraction keeps a float bound exact
         top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2
-        if top >= _MAX_LEVELS:
-            raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
-        return [(Fraction(k * (k + n - 1)) / r2, multiplicity(n, k)) for k in range(top + 1)]
+        return top + 1
 
+    def levels(self, bound) -> List[Level]:
+        """The levels <= ``bound``, ascending."""
+        n, r2 = self.n, self.r2
+        multiplicity = even_harmonic_multiplicity if self.half else harmonic_multiplicity
+        return [(Fraction(k * (k + n - 1)) / r2, multiplicity(n, k)) for k in range(self.count(bound))]
+
+
+def _factor(parts: Tuple[Round, ...], label: str) -> FactorSpectrum:
+    """The product of the round ``parts``, named ``label``: dimensions and scalar curvatures
+    add, a half part gives it a minimal boundary, and ``_product_levels`` folds its levels."""
+    if any(part.r2 <= 0 for part in parts):
+        raise ValueError("radius squared must be positive")
+
+    def enum(bound):
+        # the levels <= bound/2 of the first two parts pair into sums <= bound: the fold makes as many pairs or more
+        middle = Fraction(bound) / 2
+        pairs = parts[0].count(middle) * parts[1].count(middle) if len(parts) > 1 else 0
+        if pairs > _MAX_LEVELS or any(part.count(bound) > _MAX_LEVELS for part in parts):
+            raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
+        levels = parts[0].levels(bound)
+        for part in parts[1:]:
+            levels = _product_levels(levels, part.levels(bound), bound, label)
+        return levels
+
+    half = any(part.half for part in parts)
     return FactorSpectrum(
-        dim=n,
-        scalar_curvature=Fraction(n * (n - 1)) / r2,
+        dim=sum(part.n for part in parts),
+        scalar_curvature=sum(Fraction(part.n * (part.n - 1)) / part.r2 for part in parts),
         has_boundary=half,
         boundary_minimal=half,  # for the interval, vacuously
         label=label,
-        kind=kind,
+        parts=parts,
         enum_leq=enum,
     )
 
@@ -162,7 +184,7 @@ def interval_neumann(length_over_pi) -> FactorSpectrum:
     lam = as_exact(length_over_pi)
     if lam <= 0:
         raise ValueError("interval length must be positive")
-    return _round(1, lam * lam, "interval", f"I(lambda={scalars.fmt(lam)})")
+    return _factor((Round(1, lam * lam, True),), f"I(lambda={scalars.fmt(lam)})")
 
 
 def round_sphere(n: int, radius_sq=1) -> FactorSpectrum:
@@ -171,7 +193,7 @@ def round_sphere(n: int, radius_sq=1) -> FactorSpectrum:
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")
     r2 = as_exact(radius_sq)
-    return _round(n, r2, "sphere", f"S^{n}(r2={scalars.fmt(r2)})")
+    return _factor((Round(n, r2, False),), f"S^{n}(r2={scalars.fmt(r2)})")
 
 
 def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
@@ -181,30 +203,26 @@ def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
     if n < 2:
         raise ValueError("hemisphere dimension must be >= 2 (the equator must be a manifold)")
     r2 = as_exact(radius_sq)
-    return _round(n, r2, "hemisphere", f"S^{n}+(r2={scalars.fmt(r2)})")
+    return _factor((Round(n, r2, True),), f"S^{n}+(r2={scalars.fmt(r2)})")
 
 
-def _product_levels(enum_a, enum_b, label) -> Callable[[Scalar], List[Level]]:
-    """The ``enum_leq`` of A x B, named ``label``: the sums r + q <= bound of
-    their levels, equal sums merged."""
-
-    def enum(bound):
-        levels_b, rows, pairs = enum_b(bound), [], 0
-        for r, m in enum_a(bound):
-            # the levels ascend, so the q <= bound - r are a prefix of levels_b
-            row = bisect.bisect_right(levels_b, bound - r, key=lambda lv: lv[0])
-            pairs += row
-            if pairs > _MAX_LEVELS:
-                raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
-            rows.append((r, m, row))
-        sums = {}
-        for r, m, row in rows:
-            for q, n in levels_b[:row]:
-                s = r + q
-                sums[s] = sums.get(s, 0) + m * n
-        return sorted(sums.items())
-
-    return enum
+def _product_levels(levels_a, levels_b, bound, label) -> List[Level]:
+    """The levels <= ``bound`` of A x B, named ``label``, from the ascending
+    levels of A and of B: the sums r + q <= bound, equal sums merged."""
+    rows, pairs = [], 0
+    for r, m in levels_a:
+        # the levels ascend, so the q <= bound - r are a prefix of levels_b
+        row = bisect.bisect_right(levels_b, bound - r, key=lambda lv: lv[0])
+        pairs += row
+        if pairs > _MAX_LEVELS:
+            raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
+        rows.append((r, m, row))
+    sums = {}
+    for r, m, row in rows:
+        for q, n in levels_b[:row]:
+            s = r + q
+            sums[s] = sums.get(s, 0) + m * n
+    return sorted(sums.items())
 
 
 def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
@@ -213,25 +231,16 @@ def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:
     Demanding rational ell_i makes the eigenvalues sum_i k_i^2/ell_i exact
     rationals in absolute units (the 4 pi^2 factor cancels); a torus with
     L = 2 pi in every direction has ell = 1 and the integer-lattice spectrum.
-    The levels fold ``_product_levels`` over the circles S^1(r2 = ell_i), of
-    levels k^2/ell_i and multiplicities 1, 2, 2, ... (theta series multiply).
+    It is the product of its circles, the parts S^1(r2 = ell_i), of levels
+    k^2/ell_i and multiplicities 1, 2, 2, ... (theta series multiply).
     """
     ells = [as_exact(v) for v in squared_lengths]
     if not ells:
         raise ValueError("torus needs at least one side length")
     if any(v <= 0 for v in ells):
         raise ValueError("torus squared lengths must be positive")
-    label = f"T^{len(ells)}(l2/4pi2=[{','.join(scalars.fmt(v) for v in ells)}])"
-    return FactorSpectrum(
-        dim=len(ells),
-        scalar_curvature=Fraction(0),
-        has_boundary=False,
-        boundary_minimal=False,
-        label=label,
-        kind="torus",
-        enum_leq=functools.reduce(functools.partial(_product_levels, label=label),
-                                  [_round(1, ell, "sphere", label).enum_leq for ell in ells]),
-    )
+    return _factor(tuple(Round(1, ell, False) for ell in ells),
+                   f"T^{len(ells)}(l2/4pi2=[{','.join(scalars.fmt(v) for v in ells)}])")
 
 
 def custom_spectrum(
@@ -277,7 +286,7 @@ def custom_spectrum(
         has_boundary=has_boundary,
         boundary_minimal=boundary_minimal,
         label=label,
-        kind="custom",
+        parts=(tuple(coerced),),
         enum_leq=enum,
         lambda_max=lam_max,
         tolerance=tol,

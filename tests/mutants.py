@@ -55,8 +55,12 @@ MUTANTS = (
            "row = bisect.bisect_left(levels_b, bound - r,",
            ("test_spectra.py",)),
     Mutant("the cap is not checked, only sys.maxsize", "spectra.py",
-           "if top >= _MAX_LEVELS:",
-           "if top > 9223372036854775807:",
+           "any(part.count(bound) > _MAX_LEVELS for part in parts)",
+           "any(part.count(bound) > 9223372036854775807 for part in parts)",
+           ("test_spectra.py",)),
+    Mutant("the pair floor of a product counts its first two parts to the full bound", "spectra.py",
+           "pairs = parts[0].count(middle) * parts[1].count(middle)",
+           "pairs = parts[0].count(bound) * parts[1].count(bound)",
            ("test_spectra.py",)),
     Mutant("a custom factor of dimension below 1 is accepted", "spectra.py",
            "if dim < 1:",
@@ -66,9 +70,9 @@ MUTANTS = (
            "if dim != int(dim):",
            "if False:",
            ("test_spectra.py",)),
-    Mutant("the shared round constructor gives the interval the sphere's harmonic multiplicities", "spectra.py",
-           "multiplicity = even_harmonic_multiplicity if half else harmonic_multiplicity",
-           'multiplicity = even_harmonic_multiplicity if half and kind != "interval" else harmonic_multiplicity',
+    Mutant("the round part gives the interval the sphere's harmonic multiplicities", "spectra.py",
+           "multiplicity = even_harmonic_multiplicity if self.half else harmonic_multiplicity",
+           "multiplicity = even_harmonic_multiplicity if self.half and n > 1 else harmonic_multiplicity",
            ("test_spectra.py",)),
     Mutant("a repeated header key keeps its last value", "spectra.py",
            "            if key in header:\n",
@@ -208,6 +212,10 @@ MUTANTS = (
            'raise ArithmeticError("the mirror blocks missed an eigenvalue of the stencil")',
            "pass",
            ("test_oracle.py",)),
+    Mutant("verify hands the FD oracle r2 in place of its square root", "cli.py",
+           "oracle.fd_interval_spectrum(math.sqrt(r2), 2000, 10)",
+           "oracle.fd_interval_spectrum(float(r2), 2000, 10)",
+           ("test_cli.py",)),
     Mutant("verify checks no round factor past n = 4", "cli.py",
            "top = oracle.kernel_rank_degree_limit(spec.dim, top)",
            "top = top if spec.dim <= 4 else -1",

@@ -1141,6 +1141,27 @@ class TestVerify:
         assert code == EXIT_OK
         assert "FD Neumann spectrum" in out
 
+    def test_interval_is_checked_at_the_square_root_of_its_r2(self, capsys):
+        """The interval [0, 3*pi/2] is the half circle of r2 = 9/4; the FD
+        oracle takes its length over pi, 3/2."""
+        code, out, _ = run(capsys, ["verify", "--sphere", "2", "--interval", "3/2", "--window", "0.5:10"])
+        assert out.splitlines()[1] == "PASS factor2 I(lambda=3/2): FD Neumann spectrum: max rel err 1.67e-05"
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("ells, first", [
+        ("1", "PASS factor1 T^1(l2/4pi2=[1]): sphere multiplicities: harmonic kernel ranks, k <= 12"),
+        ("1,2/3", "PASS factor2 S^2+(r2=1): hemisphere multiplicities: even-harmonic kernel ranks, k <= 10"),
+    ], ids=["one-circle", "two-circles"])
+    def test_torus_is_checked_when_it_is_one_circle(self, capsys, ells, first):
+        """A one-circle torus is the circle S^1(r2 = ell); a torus of two or
+        more circles gets no line."""
+        code, out, _ = run(capsys, ["verify", "--torus", ells, "--hemisphere", "2", "--window", "0.1:1"])
+        lines = out.splitlines()
+        assert lines[0] == first
+        assert sum(line.startswith(("PASS factor", "SKIP factor")) for line in lines) == 3 - len(ells.split(","))
+        assert lines[-1] == "all checks passed"
+        assert code == EXIT_OK
+
     def test_instant_on_window_end(self, capsys):
         # 1/75 is the zero of an increasing branch; the dense scan must count it
         code, out, _ = run(
@@ -1185,7 +1206,7 @@ class TestVerify:
         assert code == EXIT_OK
 
     def test_custom_file_named_like_a_sphere(self, capsys, tmp_path, monkeypatch):
-        """The oracle is chosen by the factor's kind, not by its label."""
+        """The oracle is chosen by the factor's parts, not by its label."""
         levels = "".join(f"eig {k * k}/2 1\n" for k in range(14))
         write_custom(tmp_path, name="S^2.spec", levels=levels, dim=2, curv=2, lam=100)
         monkeypatch.chdir(tmp_path)

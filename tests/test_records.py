@@ -139,6 +139,6 @@ class TestFactorSpectrum:
             SPHERE.table = (50, [])
 
     def test_positional_and_default_fields(self):
-        spec = FactorSpectrum(1, Fraction(0), True, True, "seg", "custom", lambda bound: [(Fraction(0), 1)])
+        spec = FactorSpectrum(1, Fraction(0), True, True, "seg", (((Fraction(0), 1),),), lambda bound: [(Fraction(0), 1)])
         assert spec.lambda_max is None and spec.tolerance is None
         assert spec.eigenvalues_leq(5) == [(0, 1)]

@@ -165,11 +165,6 @@ _LEVEL_LISTS = st.lists(
 ).map(sorted)
 
 
-def _enumerator(levels):
-    """The ``enum_leq`` of a finite ascending list of exact levels."""
-    return lambda bound: [lv for lv in levels if lv[0] <= bound]
-
-
 @given(levels_a=_LEVEL_LISTS, levels_b=_LEVEL_LISTS, data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_product_levels_is_the_merged_outer_sum(levels_a, levels_b, data):
@@ -183,7 +178,8 @@ def test_product_levels_is_the_merged_outer_sum(levels_a, levels_b, data):
         for q, n in levels_b:
             if r + q <= bound:
                 expected[r + q] += m * n
-    assert _product_levels(_enumerator(levels_a), _enumerator(levels_b), "A x B")(bound) == sorted(expected.items())
+    upto = lambda levels: [lv for lv in levels if lv[0] <= bound]
+    assert _product_levels(upto(levels_a), upto(levels_b), bound, "A x B") == sorted(expected.items())
 
 
 @pytest.mark.parametrize("spec", [flat_torus([10**400]), flat_torus([1, 10**400]), hemisphere_neumann(2, 10**400)])
@@ -205,6 +201,17 @@ def test_level_cap(monkeypatch):
     monkeypatch.setattr(spectra, "_MAX_LEVELS", 5)
     with pytest.raises(IncompleteSpectrumError, match=r"^T\^2\(l2/4pi2=\[1,1\]\): the eigenvalues up to 4 are too many"):
         flat_torus([1, 1]).eigenvalues_leq(4)
+
+
+def test_oversized_product_is_refused_before_any_part_is_enumerated(monkeypatch):
+    """The circles of T^2(10^12, 10^12) each hold about 7 * 10^5 levels up to
+    1/2, whose pairs all sum to <= 1: far more than _MAX_LEVELS pairs, so the
+    refusal reads the circles' counts and enumerates neither."""
+    enumerated = []
+    monkeypatch.setattr(spectra.Round, "levels", lambda part, bound: enumerated.append(part))
+    with pytest.raises(IncompleteSpectrumError, match=r": the eigenvalues up to 1 are too many to enumerate$"):
+        flat_torus([10**12, 10**12]).eigenvalues_leq(1)
+    assert enumerated == []
 
 
 def _level_by_level(eig, mult, bound, strict):
