@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import gc
 import io
-import math
 import os
 import sys
 from typing import List, Optional, Tuple
@@ -420,19 +419,19 @@ def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
 
 
 def _verify_checks(fam, window, lam):
-    """Yield (name, passed, detail) for each oracle/engine comparison;
-    ``passed`` is None for a check that no oracle covers."""
+    """Yield (name, passed, detail) for each oracle/engine comparison, after the engine's run, so that
+    its errors are scan's; ``passed`` is None for a check that no oracle covers."""
     from . import oracle  # the oracles are needed by verify alone
 
+    result = bifurcation.classify_family(fam, window, lam)
+    if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
+        raise DegeneratePairError(fam.label)
     for idx, spec in ((1, fam.factor1), (2, fam.factor2)):
         name = f"factor{idx} {spec.label}"
         match spec.parts:  # a factor of two or more parts gets no line
-            case (spectra.Round(n=1, r2=r2, half=True),):  # the interval [0, pi*sqrt(r2)]
-                worst = 0.0
-                for k, approx in enumerate(oracle.fd_interval_spectrum(math.sqrt(r2), 2000, 10)):
-                    exact = float(spec.level(k)[0])
-                    err = abs(approx - exact) / max(exact, 1e-12) if exact else abs(approx)
-                    worst = max(worst, err)
+            case (spectra.Round(n=1, r2=r2, half=True),):  # [0, pi] scaled by r2: level k times r2 is k^2
+                exact = [float(spec.level(k)[0] * r2) for k in range(10)]
+                worst = max(abs(a - e) / max(e, 1) for a, e in zip(oracle.fd_interval_spectrum(2000, 10), exact))
                 yield (f"{name}: FD Neumann spectrum", worst < 1e-3, f"max rel err {worst:.2e}")
             case (spectra.Round(half=half),):
                 check = f"{name}: {'hemisphere' if half else 'sphere'} multiplicities"
@@ -449,9 +448,6 @@ def _verify_checks(fam, window, lam):
             case (_,):
                 yield (f"{name}: listed levels", None, "no oracle checks a custom spectrum")
 
-    result = bifurcation.classify_family(fam, window, lam)
-    if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
-        raise DegeneratePairError(fam.label)
     # each factor up to the bound the engine read it to, and never past it
     brackets = oracle.dense_scan_degeneracy(fam, window, 20000, *bifurcation.enumeration_bounds(fam, window))
     matched = (
@@ -476,7 +472,7 @@ def _verify_checks(fam, window, lam):
     yield (
         "Morse index vs brute force",
         not details,
-        "; ".join(details) if details else f"{len(probes)} probe points agree",
+        "; ".join(details) if details else f"{len(checked)} probe points agree",
     )
 
 
@@ -506,7 +502,11 @@ _VERDICTS = {True: "PASS", False: "FAIL", None: "SKIP"}
 
 
 def cmd_verify(args) -> int:
-    checks = list(_verify_checks(*_family(args, "0.1:10")))
+    fam, window, lam = _family(args, "0.1:10")
+    # the oracles sample the window in floats: README's float-mode window rule, in every mode
+    if not (window[1] <= sys.float_info.max and 0 < float(window[0]) < float(window[1])):
+        raise ConfigError(f"bad window {args.window!r} for verify: its ends must be finite floats with 0 < MIN < MAX")
+    checks = list(_verify_checks(fam, window, lam))
     failures = sum(passed is False for _, passed, _ in checks)
     lines = [f"{_VERDICTS[passed]} {name}: {detail}" for name, passed, detail in checks]
     lines.append(f"{failures} check(s) failed" if failures else "all checks passed")

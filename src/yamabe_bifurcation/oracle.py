@@ -5,7 +5,7 @@ exhaustive counts, dense grids -- and pure Python, and shares no
 computation with the exact engine it checks, only the closeness rule
 ``scalars.close`` of float mode:
 
-* finite-difference Neumann spectrum of the interval, by bisection on Sturm
+* finite-difference Neumann spectrum of [0, pi], by bisection on Sturm
   counts with Newton steps, on the even and odd mirror blocks of the stencil
   (Cantoni & Butler 1976), checked by one count on the whole stencil; the
   method is in the docstring of ``fd_interval_spectrum`` and its helpers,
@@ -181,8 +181,9 @@ def _mirror_eigenvalues(diag: List[float], off: List[float], count: int) -> List
     return sorted(even + _smallest_tridiagonal_eigenvalues(odd_diag, half_off, odds))
 
 
-def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> Tuple[float, ...]:
-    """First ``count`` Neumann eigenvalues of -d^2/dx^2 on [0, pi*lambda].
+def fd_interval_spectrum(grid_points: int, count: int) -> Tuple[float, ...]:
+    """First ``count`` Neumann eigenvalues of -d^2/dx^2 on [0, pi], whose exact values
+    are k^2, and lambda^2 times those of [0, pi*lambda], which no float need hold.
 
     Cell-centered second-order stencil: nodes x_i = (i - 1/2) h, ghost values
     reflected across the boundary (u_0 = u_1, u_{N+1} = u_N), which encodes
@@ -204,10 +205,7 @@ def fd_interval_spectrum(length_over_pi, grid_points: int, count: int) -> Tuple[
         raise ValueError("need at least 16 grid points")
     if count > grid_points // 4:
         raise ValueError("too many eigenvalues requested for this grid")
-    length = math.pi * float(length_over_pi)
-    if length <= 0:
-        raise ValueError("interval length must be positive")
-    h = length / grid_points
+    h = math.pi / grid_points
     c = 1.0 / h**2
     diag = [2.0 * c] * grid_points
     diag[0] = diag[-1] = c

@@ -179,9 +179,9 @@ def _factor(parts: Tuple[Round, ...], label: str) -> FactorSpectrum:
     )
 
 
-def interval_neumann(length_over_pi) -> FactorSpectrum:
-    """Neumann spectrum of the segment [0, pi*lambda]: k^2/lambda^2, simple."""
-    lam = as_exact(length_over_pi)
+def interval_neumann(lam) -> FactorSpectrum:
+    """Neumann spectrum of the segment [0, pi*lam]: k^2/lam^2, simple."""
+    lam = as_exact(lam)
     if lam <= 0:
         raise ValueError("interval length must be positive")
     return _factor((Round(1, lam * lam, True),), f"I(lambda={scalars.fmt(lam)})")

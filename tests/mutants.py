@@ -212,9 +212,17 @@ MUTANTS = (
            'raise ArithmeticError("the mirror blocks missed an eigenvalue of the stencil")',
            "pass",
            ("test_oracle.py",)),
-    Mutant("verify hands the FD oracle r2 in place of its square root", "cli.py",
-           "oracle.fd_interval_spectrum(math.sqrt(r2), 2000, 10)",
-           "oracle.fd_interval_spectrum(float(r2), 2000, 10)",
+    Mutant("verify compares level(k) without the factor r2", "cli.py",
+           "float(spec.level(k)[0] * r2)",
+           "float(spec.level(k)[0])",
+           ("test_cli.py",)),
+    Mutant("verify checks the float ends of its window for range but not order", "cli.py",
+           "window[1] <= sys.float_info.max and 0 < float(window[0]) < float(window[1])",
+           "window[1] <= sys.float_info.max and 0 < float(window[1])",
+           ("test_cli.py",)),
+    Mutant("the Morse-index line counts the probes on an instant", "cli.py",
+           'f"{len(checked)} probe points agree"',
+           'f"{len(probes)} probe points agree"',
            ("test_cli.py",)),
     Mutant("verify checks no round factor past n = 4", "cli.py",
            "top = oracle.kernel_rank_degree_limit(spec.dim, top)",

@@ -240,7 +240,7 @@ def test_criterion_6_homothety(sphere_hemisphere, sphere_interval, torus_hemisph
 
 def test_criterion_7_catalog_validation():
     ok = True
-    values = fd_interval_spectrum(1, 2000, 10)
+    values = fd_interval_spectrum(2000, 10)
     exact = interval_neumann(1).eigenvalues_leq(90)
     for k in range(10):
         want = float(exact[k][0])

@@ -1088,7 +1088,7 @@ class TestVerify:
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-3:] == [
             "PASS degeneracy instants vs dense scan: 3 exact instants, 3 brackets",
-            "PASS Morse index vs brute force: 6 probe points agree",
+            "PASS Morse index vs brute force: 4 probe points agree",
             "all checks passed",
         ]
 
@@ -1141,11 +1141,52 @@ class TestVerify:
         assert code == EXIT_OK
         assert "FD Neumann spectrum" in out
 
-    def test_interval_is_checked_at_the_square_root_of_its_r2(self, capsys):
+    def test_interval_is_checked_on_0_pi_times_its_r2(self, capsys):
         """The interval [0, 3*pi/2] is the half circle of r2 = 9/4; the FD
-        oracle takes its length over pi, 3/2."""
+        oracle runs on [0, pi], whose levels are 9/4 times the interval's."""
         code, out, _ = run(capsys, ["verify", "--sphere", "2", "--interval", "3/2", "--window", "0.5:10"])
         assert out.splitlines()[1] == "PASS factor2 I(lambda=3/2): FD Neumann spectrum: max rel err 1.67e-05"
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("lam", ["1/10000", "1/3000", "1e-150", "1e-160", "1e-170"])
+    def test_interval_of_any_length_is_checked_on_0_pi(self, capsys, lam):
+        """No length reaches a float: a stencil of spacing pi*lambda/2000
+        once failed below lambda = 4e-4 and broke below 1e-149."""
+        code, out, err = run(capsys, ["verify", "--sphere", "2", "--interval", lam, "--window", "0.1:10"])
+        lines = out.splitlines()
+        assert lines[1].endswith(": FD Neumann spectrum: max rel err 1.67e-05")
+        assert (code, err, lines[-1]) == (EXIT_OK, "", "all checks passed")
+
+    def test_interval_too_long_to_enumerate_is_scans_error(self, capsys):
+        """verify runs the engine before its oracles, so it stops with the error line of scan."""
+        family = ["--sphere", "2", "--interval", "1e200", "--window", "0.1:10"]
+        scanned = run(capsys, ["scan", *family])
+        assert scanned[0] == EXIT_FAILURE and scanned[2].startswith("error: ")
+        assert run(capsys, ["verify", *family]) == (EXIT_FAILURE, "", scanned[2])
+
+    @pytest.mark.parametrize("factors, window", [
+        (["--sphere", "2", "--interval", "1"], "1e-400:1"),  # MIN reads 0.0
+        (SPHERE_HEMI, "1:1.00000000000000000001"),  # MIN and MAX read 1.0
+        (["--torus", "1", "--hemisphere", "2"], "1e300:1e400"),  # MAX has no float
+    ], ids=["underflow", "one-float", "overflow"])
+    def test_window_its_oracles_cannot_sample_is_refused(self, capsys, factors, window):
+        """scan takes these windows exactly; verify's oracles sample in floats, so
+        it applies the float-mode window rule and exits 3."""
+        assert run(capsys, ["scan", *factors, "--window", window])[0] == EXIT_OK
+        code, out, err = run(capsys, ["verify", *factors, "--window", window])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"error: bad window {window!r} for verify: "
+                       "its ends must be finite floats with 0 < MIN < MAX\n")
+
+    def test_morse_line_counts_the_probes_it_compares(self, capsys):
+        """Both window ends and two gap midpoints lie on the instants 1/2 and 2,
+        so one of the five probes is compared."""
+        code, out, _ = run(capsys, ["verify", *SPHERE_HEMI, "--window", "0.5:2"])
+        assert out.splitlines()[-3:] == [
+            "PASS degeneracy instants vs dense scan: 2 exact instants, 2 brackets",
+            "PASS Morse index vs brute force: 1 probe points agree",
+            "all checks passed",
+        ]
         assert code == EXIT_OK
 
     @pytest.mark.parametrize("ells, first", [
@@ -1269,17 +1310,21 @@ class TestVerify:
     def test_passes_on_random_closed_form_families(self, data):
         """Every check PASSes or SKIPs on a round sphere (n <= 4) or a flat
         torus (d <= 3) times a hemisphere (n <= 4) or an interval, of small
-        rational radii and lengths, on a window with s_max/s_min <= 400; a
-        degenerate pair, which verify answers with exit 2, is rejected."""
+        rational radii and lengths, or of an interval length q * 10^-e with
+        e <= 12, on a window with s_max/s_min <= 400; a degenerate pair,
+        which verify answers with exit 2, is rejected."""
         small = st.fractions(Fraction(1, 4), 4, max_denominator=4)
         if data.draw(st.booleans()):
             closed = spectra.flat_torus(data.draw(st.lists(small, min_size=1, max_size=3)))
         else:
             closed = spectra.round_sphere(data.draw(st.integers(1, 4)), data.draw(small))
-        if data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(["hemisphere", "interval", "short interval"]))
+        if kind == "hemisphere":
             boundary = spectra.hemisphere_neumann(data.draw(st.integers(2, 4)), data.draw(small))
-        else:
+        elif kind == "interval":
             boundary = spectra.interval_neumann(data.draw(small))
+        else:
+            boundary = spectra.interval_neumann(data.draw(small) / 10 ** data.draw(st.integers(0, 12)))
         assume(closed.dim + boundary.dim >= 3)  # make_family refuses m < 3
         fam = make_family(closed, boundary)
         s_min = data.draw(st.fractions(Fraction(1, 400), 10, max_denominator=400))

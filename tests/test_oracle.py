@@ -38,7 +38,7 @@ from yamabe_bifurcation.oracle import (
 
 class TestFiniteDifference:
     def test_unit_interval_against_catalog(self):
-        values = fd_interval_spectrum(1, 2000, 5)
+        values = fd_interval_spectrum(2000, 5)
         exact = [float(e) for e, _ in interval_neumann(1).eigenvalues_leq(16)]
         assert len(exact) == 5
         # lambda_k^FD = (4/h^2) sin^2(k pi h / (2L)), h/L = 1/2000: relative error ~ (k pi h / L)^2 / 12, O(h^2)
@@ -46,33 +46,26 @@ class TestFiniteDifference:
         for got, want in zip(values, exact):
             assert abs(got - want) <= max(worst * max(want, 1.0), 1e-8)
 
-    def test_scaled_interval(self):
-        exact = [0.0, 0.25, 1.0, 2.25]
-        for got, want in zip(fd_interval_spectrum(2, 2000, 4), exact):
-            assert abs(got - want) < 1e-5
-
     def test_second_order_convergence(self):
         """Halving h should cut the error of lambda_2 = 4 by about 4x."""
-        coarse = fd_interval_spectrum(1, 500, 3)[2]
-        fine = fd_interval_spectrum(1, 1000, 3)[2]
+        coarse = fd_interval_spectrum(500, 3)[2]
+        fine = fd_interval_spectrum(1000, 3)[2]
         ratio = abs(coarse - 4.0) / abs(fine - 4.0)
         assert 3.5 < ratio < 4.5
 
-    @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2)])
-    def test_matches_closed_form_of_the_stencil(self, length_over_pi):
-        """The stencil's own eigenvalues are (4/h^2) sin^2(k pi h / (2L))."""
-        values = fd_interval_spectrum(length_over_pi, 2000, 10)
-        length = math.pi * float(length_over_pi)
-        h = length / 2000
+    def test_matches_closed_form_of_the_stencil(self):
+        """The stencil's own eigenvalues are (4/h^2) sin^2(k h / 2), h = pi/N."""
+        values = fd_interval_spectrum(2000, 10)
+        h = math.pi / 2000
         norm = 4.0 / h**2
         for k, got in enumerate(values):
-            want = norm * math.sin(k * math.pi * h / (2 * length)) ** 2
+            want = norm * math.sin(k * h / 2) ** 2
             assert abs(got - want) <= 16 * sys.float_info.epsilon * norm
 
     @staticmethod
-    def _stencil(length_over_pi, grid_points):
-        """The whole N-row Neumann stencil on [0, pi*lambda] and its norm."""
-        h = math.pi * float(length_over_pi) / grid_points
+    def _stencil(grid_points):
+        """The whole N-row Neumann stencil on [0, pi] and its norm."""
+        h = math.pi / grid_points
         diag = [2.0 / h**2] * grid_points
         diag[0] = diag[-1] = 1.0 / h**2
         return diag, [-1.0 / h**2] * (grid_points - 1), 4.0 / h**2
@@ -83,15 +76,14 @@ class TestFiniteDifference:
         odd counts (where the even block gives one more) and even ones, and
         for even sizes whose split recurses several levels: 64 down to a
         2-row stencil, 96 to a 3-row one, 1000 and 4000 to 125 rows."""
-        diag, off, norm = self._stencil(Fraction(3, 2), grid_points)
+        diag, off, norm = self._stencil(grid_points)
         for count in (1, 3, min(grid_points // 4, 10)):
             want = _smallest_tridiagonal_eigenvalues(diag, off, count)
-            got = fd_interval_spectrum(Fraction(3, 2), grid_points, count)
+            got = fd_interval_spectrum(grid_points, count)
             assert len(got) == count
             assert max(abs(g - w) for g, w in zip(got, want)) <= 16 * sys.float_info.epsilon * norm
 
-    @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2), 2, Fraction(5, 2), 3])
-    def test_work_is_bounded(self, monkeypatch, length_over_pi):
+    def test_work_is_bounded(self, monkeypatch):
         """The recursive mirror split takes about 53,000 Sturm rows, counts
         and Newton passes together; the whole stencil takes 124,000-126,000.
         The constant mode closes at once."""
@@ -106,10 +98,10 @@ class TestFiniteDifference:
 
         monkeypatch.setattr(oracle, "_sturm_pass", counted(oracle._sturm_pass))
         monkeypatch.setattr(oracle, "_sturm_count", counted(oracle._sturm_count))
-        fd_interval_spectrum(length_over_pi, 2000, 10)
+        fd_interval_spectrum(2000, 10)
         assert work["rows"] <= 60_000
         work["calls"] = 0
-        diag, off, norm = self._stencil(length_over_pi, 2000)
+        diag, off, norm = self._stencil(2000)
         assert abs(_smallest_tridiagonal_eigenvalues(diag, off, 1)[0]) <= 16 * sys.float_info.epsilon * norm
         assert work["calls"] <= 2
 
@@ -118,15 +110,13 @@ class TestFiniteDifference:
         monkeypatch.setattr(oracle, "_smallest_tridiagonal_eigenvalues",
                             lambda diag, off, count: smallest(diag, off, count + 1)[1:])
         with pytest.raises(ArithmeticError):
-            fd_interval_spectrum(1, 2000, 10)
+            fd_interval_spectrum(2000, 10)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            fd_interval_spectrum(1, 8, 2)
+            fd_interval_spectrum(8, 2)
         with pytest.raises(ValueError):
-            fd_interval_spectrum(1, 100, 80)
-        with pytest.raises(ValueError):
-            fd_interval_spectrum(0, 100, 2)
+            fd_interval_spectrum(100, 80)
 
 
 class TestSturmBisection:
