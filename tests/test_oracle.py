@@ -53,19 +53,22 @@ class TestFiniteDifference:
         ratio = abs(coarse - 4.0) / abs(fine - 4.0)
         assert 3.5 < ratio < 4.5
 
-    def test_matches_closed_form_of_the_stencil(self):
-        """The stencil's own eigenvalues are (4/h^2) sin^2(k h / 2), h = pi/N."""
+    @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2)])
+    def test_matches_closed_form_of_the_stencil(self, length_over_pi):
+        """The stencil's own eigenvalues on [0, pi*lambda] are (4/h^2) sin^2(k pi h / (2L)),
+        h = L/N: those of [0, pi] divided by lambda^2, the scaling verify relies on."""
         values = fd_interval_spectrum(2000, 10)
-        h = math.pi / 2000
+        length = math.pi * float(length_over_pi)
+        h = length / 2000
         norm = 4.0 / h**2
         for k, got in enumerate(values):
-            want = norm * math.sin(k * h / 2) ** 2
-            assert abs(got - want) <= 16 * sys.float_info.epsilon * norm
+            want = norm * math.sin(k * math.pi * h / (2 * length)) ** 2
+            assert abs(got / float(length_over_pi) ** 2 - want) <= 16 * sys.float_info.epsilon * norm
 
     @staticmethod
-    def _stencil(grid_points):
-        """The whole N-row Neumann stencil on [0, pi] and its norm."""
-        h = math.pi / grid_points
+    def _stencil(grid_points, length_over_pi=1):
+        """The whole N-row Neumann stencil on [0, pi*lambda] and its norm."""
+        h = math.pi * float(length_over_pi) / grid_points
         diag = [2.0 / h**2] * grid_points
         diag[0] = diag[-1] = 1.0 / h**2
         return diag, [-1.0 / h**2] * (grid_points - 1), 4.0 / h**2
@@ -83,10 +86,11 @@ class TestFiniteDifference:
             assert len(got) == count
             assert max(abs(g - w) for g, w in zip(got, want)) <= 16 * sys.float_info.epsilon * norm
 
-    def test_work_is_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2), 2, Fraction(5, 2), 3])
+    def test_work_is_bounded(self, monkeypatch, length_over_pi):
         """The recursive mirror split takes about 53,000 Sturm rows, counts
         and Newton passes together; the whole stencil takes 124,000-126,000.
-        The constant mode closes at once."""
+        The constant mode closes at once, on the stencil of any length."""
         work = {"calls": 0, "rows": 0}
 
         def counted(loop):
@@ -101,7 +105,7 @@ class TestFiniteDifference:
         fd_interval_spectrum(2000, 10)
         assert work["rows"] <= 60_000
         work["calls"] = 0
-        diag, off, norm = self._stencil(2000)
+        diag, off, norm = self._stencil(2000, length_over_pi)
         assert abs(_smallest_tridiagonal_eigenvalues(diag, off, 1)[0]) <= 16 * sys.float_info.epsilon * norm
         assert work["calls"] <= 2
 
