@@ -209,6 +209,13 @@ def _family(args, window=None):
     return fam, window, _number_setting(args, "lambda_max", fam.coerce, 0, None)
 
 
+def _check_float_window(args, window) -> None:
+    """For a command that samples ``window`` in floats: README's float-mode window rule, in every mode."""
+    if not (window[1] <= sys.float_info.max and 0 < float(window[0]) < float(window[1])):
+        raise ConfigError(f"bad window {args.window!r} for {args.command}: "
+                          "its ends must be finite floats with 0 < MIN < MAX")
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -373,6 +380,7 @@ def cmd_scan(args) -> int:
 
 def cmd_branches(args) -> int:
     fam, window, lam = _family(args)
+    _check_float_window(args, window)
     samples = _number_setting(args, "samples", int, 2, 200)
     limit = _number_setting(args, "limit", int, 0, 4)
 
@@ -503,9 +511,7 @@ _VERDICTS = {True: "PASS", False: "FAIL", None: "SKIP"}
 
 def cmd_verify(args) -> int:
     fam, window, lam = _family(args, "0.1:10")
-    # the oracles sample the window in floats: README's float-mode window rule, in every mode
-    if not (window[1] <= sys.float_info.max and 0 < float(window[0]) < float(window[1])):
-        raise ConfigError(f"bad window {args.window!r} for verify: its ends must be finite floats with 0 < MIN < MAX")
+    _check_float_window(args, window)
     checks = list(_verify_checks(fam, window, lam))
     failures = sum(passed is False for _, passed, _ in checks)
     lines = [f"{_VERDICTS[passed]} {name}: {detail}" for name, passed, detail in checks]

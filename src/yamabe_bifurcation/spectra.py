@@ -5,12 +5,13 @@ dimension, constant scalar curvature, boundary flags, and the ordered distinct
 Laplace eigenvalues with multiplicities (Neumann eigenvalues when the factor
 has a boundary).  Catalog constructors cover the interval, the round sphere,
 the closed hemisphere and the flat torus; any other factor can be supplied as
-a text file via :func:`custom_from_file`.  A catalog factor is a product of
-``Round`` parts: eigenvalues k(k+n-1)/r2, k >= 0, with harmonic multiplicities
-on S^n and even-harmonic ones on its closed hemisphere.  The interval
-[0, pi*lambda] is one part, n = 1, r2 = lambda^2: the closed half circle of
-radius lambda, whose even harmonics are simple.  A flat torus is the product
-of its circles S^1, whose levels convolve: theta_{AxB} = theta_A * theta_B.
+a text file via :func:`custom_from_file`.  A factor's levels come from its
+parts alone.  A catalog factor is a product of ``Round`` parts: eigenvalues
+k(k+n-1)/r2, k >= 0, with harmonic multiplicities on S^n and even-harmonic
+ones on its closed hemisphere.  The interval [0, pi*lambda] is one part,
+n = 1, r2 = lambda^2: the closed half circle of radius lambda, whose even
+harmonics are simple.  A flat torus is the product of its circles S^1, whose
+levels convolve: theta_{AxB} = theta_A * theta_B.
 
 Every catalog spectrum satisfies a completeness contract: asked for all
 eigenvalues up to a cutoff, it returns a provably complete finite list, for
@@ -23,9 +24,8 @@ from __future__ import annotations
 
 import bisect
 import math
-import weakref
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import scalars
 from .errors import IncompleteSpectrumError, SpectrumFormatError
@@ -36,22 +36,21 @@ Level = Tuple[Scalar, int]
 # the most levels, or level pairs of a product, one enumeration may hold: about 1.9 GB at 187 B a level
 _MAX_LEVELS = 10**7
 
-# enum_leq -> (largest bound enumerated, its levels); a table lives as long as its enum_leq
-_TABLES = weakref.WeakKeyDictionary()
+# a catalog factor's parts -> (largest bound enumerated, its levels); a table lives as long as the process
+_TABLES = {}
 
 
 class FactorSpectrum(NamedTuple):
     """One factor manifold, reduced to its spectral data.
 
-    ``enum_leq(bound)`` must return the complete ascending list of distinct
-    (eigenvalue, multiplicity) pairs with eigenvalue <= bound; it is the only
-    enumeration primitive, everything else is served from one table of its
-    largest result so far.  The table lives in the module's ``_TABLES``,
-    keyed by ``enum_leq``: copies and ``_replace`` of other fields share it,
-    and a new ``enum_leq`` starts a new one.  ``parts`` is what the factor
-    is the product of: its ``Round`` parts for a catalog factor, one tuple of
-    its listed levels for a custom one.  ``lambda_max`` None means complete
-    for every cutoff, ``tolerance`` None exact rational mode.
+    ``parts`` is what the factor is the product of, and all its levels come
+    from them: its ``Round`` parts for a catalog factor, whose levels are
+    enumerated by ``_round_levels`` into one table of the largest bound so
+    far, kept in the module's ``_TABLES`` under the parts' value; or one
+    tuple of its listed levels for a custom one, which is its table.  Equal
+    factors, copies and ``_replace`` of other fields share a table; new
+    parts read their own.  ``lambda_max`` None means complete for every
+    cutoff, ``tolerance`` None exact rational mode.
     """
 
     dim: int
@@ -60,15 +59,16 @@ class FactorSpectrum(NamedTuple):
     boundary_minimal: bool
     label: str
     parts: tuple
-    enum_leq: Callable[[Scalar], List[Level]]
     lambda_max: Optional[Scalar] = None
     tolerance: Optional[float] = None
 
-    def _levels_upto(self, bound) -> List[Level]:
-        """The table, enumerated afresh when ``bound`` lies beyond it."""
-        table = _TABLES.get(self.enum_leq)
+    def _levels_upto(self, bound) -> Sequence[Level]:
+        """A custom factor's listed levels, or the round parts' table, enumerated afresh to a ``bound`` beyond it."""
+        if not isinstance(self.parts[0], Round):
+            return self.parts[0]
+        table = _TABLES.get(self.parts)
         if table is None or bound > table[0]:
-            table = _TABLES[self.enum_leq] = (bound, self.enum_leq(bound))
+            table = _TABLES[self.parts] = (bound, _round_levels(self.parts, bound, self.label))
         return table[1]
 
     def _prefix(self, bound, past) -> List[Level]:
@@ -81,7 +81,7 @@ class FactorSpectrum(NamedTuple):
         levels = self._levels_upto(max(bound, 0))
         # the levels whose eigenvalue is past(eigenvalue, bound) form a suffix of the table
         end = bisect.bisect_left(levels, True, key=lambda lv: past(lv[0], bound, self.tolerance))
-        return levels[:end]
+        return list(levels[:end])
 
     def eigenvalues_leq(self, bound) -> List[Level]:
         """All (eigenvalue, multiplicity) with eigenvalue <= bound, ascending."""
@@ -95,20 +95,15 @@ class FactorSpectrum(NamedTuple):
         """The ``index``-th distinct eigenvalue with its multiplicity."""
         if index < 0:
             raise ValueError("negative level index")
-        if self.lambda_max is not None:
-            levels = self._levels_upto(self.lambda_max)
-            if index >= len(levels):
-                raise IncompleteSpectrumError(
-                    f"{self.label}: level {index} lies beyond the declared "
-                    f"completeness bound {scalars.fmt(self.lambda_max, self.tolerance)}"
-                )
-            return levels[index]
-        bound = self.scalar_curvature if self.scalar_curvature > 0 else 1
-        while True:
-            levels = self._levels_upto(bound)
-            if index < len(levels):
-                return levels[index]
-            bound *= 4
+        if isinstance(self.parts[0], Round):
+            # each part's levels 0..index, the other parts' at 0, are index + 1 distinct levels up to its level index
+            bound = min(Fraction(index * (index + part.n - 1)) / part.r2 for part in self.parts)
+            return self._levels_upto(bound)[index]
+        levels = self.parts[0]
+        if index >= len(levels):
+            raise IncompleteSpectrumError(f"{self.label}: level {index} lies beyond the declared "
+                                          f"completeness bound {scalars.fmt(self.lambda_max, self.tolerance)}")
+        return levels[index]
 
 
 def harmonic_multiplicity(n: int, k: int) -> int:
@@ -150,23 +145,24 @@ class Round(NamedTuple):
         return [(Fraction(k * (k + n - 1)) / r2, multiplicity(n, k)) for k in range(self.count(bound))]
 
 
+def _round_levels(parts: Tuple[Round, ...], bound, label) -> List[Level]:
+    """The levels <= ``bound`` of the product of the round ``parts``, named ``label``: a fold of ``_product_levels``."""
+    # the levels <= bound/2 of the first two parts pair into sums <= bound: the fold makes as many pairs or more
+    middle = Fraction(bound) / 2
+    pairs = parts[0].count(middle) * parts[1].count(middle) if len(parts) > 1 else 0
+    if pairs > _MAX_LEVELS or any(part.count(bound) > _MAX_LEVELS for part in parts):
+        raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
+    levels = parts[0].levels(bound)
+    for part in parts[1:]:
+        levels = _product_levels(levels, part.levels(bound), bound, label)
+    return levels
+
+
 def _factor(parts: Tuple[Round, ...], label: str) -> FactorSpectrum:
     """The product of the round ``parts``, named ``label``: dimensions and scalar curvatures
-    add, a half part gives it a minimal boundary, and ``_product_levels`` folds its levels."""
+    add, and a half part gives it a minimal boundary."""
     if any(part.r2 <= 0 for part in parts):
         raise ValueError("radius squared must be positive")
-
-    def enum(bound):
-        # the levels <= bound/2 of the first two parts pair into sums <= bound: the fold makes as many pairs or more
-        middle = Fraction(bound) / 2
-        pairs = parts[0].count(middle) * parts[1].count(middle) if len(parts) > 1 else 0
-        if pairs > _MAX_LEVELS or any(part.count(bound) > _MAX_LEVELS for part in parts):
-            raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
-        levels = parts[0].levels(bound)
-        for part in parts[1:]:
-            levels = _product_levels(levels, part.levels(bound), bound, label)
-        return levels
-
     half = any(part.half for part in parts)
     return FactorSpectrum(
         dim=sum(part.n for part in parts),
@@ -175,7 +171,6 @@ def _factor(parts: Tuple[Round, ...], label: str) -> FactorSpectrum:
         boundary_minimal=half,  # for the interval, vacuously
         label=label,
         parts=parts,
-        enum_leq=enum,
     )
 
 
@@ -277,9 +272,6 @@ def custom_spectrum(
     if scalars.lt(lam_max, coerced[-1][0], tol):
         raise ValueError(f"{label}: lambda_max below the largest listed eigenvalue")
 
-    def enum(bound):
-        return [lv for lv in coerced if scalars.le(lv[0], bound, tol)]
-
     return FactorSpectrum(
         dim=int(dim),
         scalar_curvature=scalars.as_scalar(scalar_curvature, tol),
@@ -287,7 +279,6 @@ def custom_spectrum(
         boundary_minimal=boundary_minimal,
         label=label,
         parts=(tuple(coerced),),
-        enum_leq=enum,
         lambda_max=lam_max,
         tolerance=tol,
     )

@@ -11,6 +11,7 @@ from yamabe_bifurcation import (
     make_family,
     round_sphere,
 )
+from yamabe_bifurcation import spectra
 
 # Every property sets max_examples but TestVerify::test_passes_on_random_closed_form_families and
 # TestDegeneratePair::test_one_rule_near_zero, which take it from the profile: 40 in Tier-1, 400
@@ -18,6 +19,28 @@ from yamabe_bifurcation import (
 settings.register_profile("tier-1", max_examples=40)
 settings.register_profile("verify-fuzz", max_examples=400)
 settings.load_profile("tier-1")
+
+
+@pytest.fixture(autouse=True)
+def no_level_tables():
+    """Each test starts with no level table, as a process does.  Equal factors share one
+    table, so a table that another test built, perhaps under a patched level function
+    or ``_MAX_LEVELS``, would otherwise answer this test's queries."""
+    spectra._TABLES.clear()
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The bounds that catalog factors are enumerated to, by ``spectra._round_levels``, from here on."""
+    bounds = []
+    enumerate_parts = spectra._round_levels
+
+    def counting(parts, bound, label):
+        bounds.append(bound)
+        return enumerate_parts(parts, bound, label)
+
+    monkeypatch.setattr(spectra, "_round_levels", counting)
+    return bounds
 
 
 @pytest.fixture

@@ -74,6 +74,14 @@ MUTANTS = (
            "multiplicity = even_harmonic_multiplicity if self.half else harmonic_multiplicity",
            "multiplicity = even_harmonic_multiplicity if self.half and n > 1 else harmonic_multiplicity",
            ("test_spectra.py",)),
+    Mutant("level reads a catalog factor to the bound of the level before", "spectra.py",
+           "bound = min(Fraction(index * (index + part.n - 1)) / part.r2 for part in self.parts)",
+           "bound = min(Fraction((index - 1) * (index + part.n - 2)) / part.r2 for part in self.parts)",
+           ("test_oracle.py",)),
+    Mutant("the table never grows past its first bound", "spectra.py",
+           "if table is None or bound > table[0]:",
+           "if table is None:",
+           ("test_oracle.py",)),
     Mutant("a repeated header key keeps its last value", "spectra.py",
            "            if key in header:\n",
            "            if False:\n",

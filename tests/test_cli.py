@@ -30,6 +30,14 @@ SPHERE_HEMI = ["--sphere", "2", "--hemisphere", "2"]
 FLOAT_FAMILY = ["--custom", "closed.spec", "--custom", "boundary.spec"]  # TestScan.write_float_family
 
 
+# windows that the exact engine takes but no float sampling can: branches and verify refuse them
+FLOATLESS_WINDOWS = pytest.mark.parametrize("factors, window", [
+    (["--sphere", "2", "--interval", "1"], "1e-400:1"),  # MIN reads 0.0
+    (SPHERE_HEMI, "1:1.00000000000000000001"),  # MIN and MAX read 1.0
+    (["--torus", "1", "--hemisphere", "2"], "1e300:1e400"),  # MAX has no float
+], ids=["underflow", "one-float", "overflow"])
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -925,6 +933,15 @@ class TestBranches:
         # zeros at s = 1/2 and s = 2; (1, 1) is the only zeroless branch the listed levels allow
         assert header.split(",")[1:] == ["sigma_0_1", "sigma_1_0", "sigma_1_1"]
 
+    @FLOATLESS_WINDOWS
+    def test_window_it_cannot_sample_is_refused(self, capsys, factors, window):
+        """branches samples the window in floats, as verify does, so it applies the
+        same float-mode window rule and exits 3 with one line, where scan exits 0."""
+        assert run(capsys, ["scan", *factors, "--window", window])[0] == EXIT_OK
+        assert run(capsys, ["branches", *factors, "--window", window]) == (
+            EXIT_CONFIG, "", f"error: bad window {window!r} for branches: "
+                             "its ends must be finite floats with 0 < MIN < MAX\n")
+
 
 class TestVerify:
     @pytest.mark.parametrize("closed_extra, closed_max, boundary_max", [
@@ -1164,11 +1181,7 @@ class TestVerify:
         assert scanned[0] == EXIT_FAILURE and scanned[2].startswith("error: ")
         assert run(capsys, ["verify", *family]) == (EXIT_FAILURE, "", scanned[2])
 
-    @pytest.mark.parametrize("factors, window", [
-        (["--sphere", "2", "--interval", "1"], "1e-400:1"),  # MIN reads 0.0
-        (SPHERE_HEMI, "1:1.00000000000000000001"),  # MIN and MAX read 1.0
-        (["--torus", "1", "--hemisphere", "2"], "1e300:1e400"),  # MAX has no float
-    ], ids=["underflow", "one-float", "overflow"])
+    @FLOATLESS_WINDOWS
     def test_window_its_oracles_cannot_sample_is_refused(self, capsys, factors, window):
         """scan takes these windows exactly; verify's oracles sample in floats, so
         it applies the float-mode window rule and exits 3."""

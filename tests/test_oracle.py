@@ -21,6 +21,7 @@ from yamabe_bifurcation import (
     morse_index,
     oracle,
     round_sphere,
+    spectra,
 )
 from yamabe_bifurcation.bifurcation import enumeration_bounds
 from yamabe_bifurcation.oracle import (
@@ -34,6 +35,7 @@ from yamabe_bifurcation.oracle import (
     harmonic_dimension,
     kernel_rank_degree_limit,
 )
+from yamabe_bifurcation.spectra import Round
 
 
 class TestFiniteDifference:
@@ -586,12 +588,19 @@ class TestLevelTable:
     @pytest.mark.parametrize("name", sorted(_SPECTRA))
     def test_any_order_of_bounds_matches_a_fresh_spectrum(self, name):
         make = _SPECTRA[name]
-        for order in itertools.permutations(_FLOAT_BOUNDS if name == "float custom" else _BOUNDS):
+        bounds = _FLOAT_BOUNDS if name == "float custom" else _BOUNDS
+        fresh = {}
+        for bound in bounds:  # each from a table of its own, as in a fresh process
+            spectra._TABLES.clear()
+            fresh[bound] = make().eigenvalues_leq(bound), make().eigenvalues_below(bound)
+        top = fresh[max(bounds)][0]
+        for order in itertools.permutations(bounds):
+            spectra._TABLES.clear()
             spec = make()
             for bound in order:
-                assert spec.eigenvalues_leq(bound) == make().eigenvalues_leq(bound)
-                assert spec.eigenvalues_below(bound) == make().eigenvalues_below(bound)
-            assert [spec.level(k) for k in range(4)] == [make().level(k) for k in range(4)]
+                assert (spec.eigenvalues_leq(bound), spec.eigenvalues_below(bound)) == fresh[bound]
+            # level k is the k-th level up to any bound that holds it (T^2 has sides of unequal length)
+            assert [spec.level(k) for k in range(len(top))] == top
 
     def test_float_bound_takes_in_levels_within_the_tolerance(self):
         assert _float_custom().eigenvalues_leq(1.4999999995)[-1] == (1.5, 1)
@@ -600,24 +609,24 @@ class TestLevelTable:
     def test_rescaled_metric_has_its_own_table(self):
         spec = round_sphere(2)
         spec.eigenvalues_leq(50)
-        scaled = spec._replace(enum_leq=lambda bound: [(e / 2, m) for e, m in spec.enum_leq(bound * 2)])
+        scaled = spec._replace(parts=(Round(2, Fraction(2), False),))
         assert scaled.eigenvalues_leq(10) == [(Fraction(e, 2), m) for e, m in spec.eigenvalues_leq(20)]
         assert spec.eigenvalues_leq(10) == [(0, 1), (2, 3), (6, 5)]
 
-    def test_smaller_bound_after_larger_does_not_enumerate(self):
+    def test_smaller_bound_after_larger_does_not_enumerate(self, enumerations):
         spec = interval_neumann(1)
-        bounds = []
+        assert len(spec.eigenvalues_leq(100)) == 11
+        assert enumerations == [100]  # enumerated up to the argument, not beyond
+        spec.eigenvalues_leq(10)
+        spec.eigenvalues_below(50)
+        assert spec.level(10) == (100, 1)
+        assert enumerations == [100]
+        spec.eigenvalues_leq(101)
+        assert enumerations == [100, 101]
 
-        def counting(bound):
-            bounds.append(bound)
-            return spec.enum_leq(bound)
-
-        counted = spec._replace(enum_leq=counting)
-        assert len(counted.eigenvalues_leq(100)) == 11
-        assert bounds == [100]  # enumerated up to the argument, not beyond
-        counted.eigenvalues_leq(10)
-        counted.eigenvalues_below(50)
-        assert counted.level(10) == (100, 1)
-        assert bounds == [100]
-        counted.eigenvalues_leq(101)
-        assert bounds == [100, 101]
+    def test_level_is_one_enumeration(self, enumerations):
+        """Level k of [0, pi*lambda] is k^2/lambda^2, read by one enumeration to that bound,
+        however short the interval."""
+        spec = interval_neumann("1e-300")
+        assert spec.level(9) == (81 / spec.parts[0].r2, 1)
+        assert enumerations == [81 / spec.parts[0].r2]

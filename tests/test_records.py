@@ -19,6 +19,7 @@ from yamabe_bifurcation import (
     hemisphere_neumann,
     round_sphere,
 )
+from yamabe_bifurcation.spectra import Round
 
 SPHERE = round_sphere(2)
 HEMISPHERE = hemisphere_neumann(2)
@@ -97,48 +98,38 @@ class TestEigenBranchChecks:
         assert br.tolerance is None and br == EigenBranch(1, 0, Fraction(1), Fraction(0), 2, None)
 
 
-def _counting(enum):
-    """``enum`` and the list of bounds it has been asked for."""
-    bounds = []
-
-    def counting(bound):
-        bounds.append(bound)
-        return enum(bound)
-
-    return counting, bounds
-
-
 class TestFactorSpectrum:
     def test_equality_compares_the_fields(self):
-        assert round_sphere(2) != round_sphere(2)  # each constructor call has its own enum_leq
+        assert round_sphere(2) == round_sphere(2) and hash(round_sphere(2)) == hash(round_sphere(2))
         assert SPHERE != HEMISPHERE
         assert SPHERE != SPHERE._replace(label="renamed")
 
-    def test_copies_share_the_table(self):
-        counting, bounds = _counting(SPHERE.enum_leq)
-        spec = SPHERE._replace(enum_leq=counting)
-        spec.eigenvalues_leq(50)
-        for duplicate in (copy.copy(spec), copy.deepcopy(spec)):
-            assert duplicate == spec
+    def test_copies_share_the_table(self, enumerations):
+        SPHERE.eigenvalues_leq(50)
+        for duplicate in (copy.copy(SPHERE), copy.deepcopy(SPHERE), round_sphere(2)):
+            assert duplicate == SPHERE
             assert duplicate.eigenvalues_leq(10) == [(0, 1), (2, 3), (6, 5)]
-        assert bounds == [50]
+        assert enumerations == [50]
 
-    def test_replace_shares_the_table_unless_enum_leq_changes(self):
-        counting, bounds = _counting(SPHERE.enum_leq)
-        spec = SPHERE._replace(enum_leq=counting)
-        spec.eigenvalues_leq(50)
-        renamed = spec._replace(label="renamed")
-        assert renamed != spec and renamed.label == "renamed" and renamed.dim == spec.dim
-        assert renamed.eigenvalues_leq(50) == spec.eigenvalues_leq(50) and bounds == [50]
-        recounting, new_bounds = _counting(SPHERE.enum_leq)
-        assert spec._replace(enum_leq=recounting).eigenvalues_leq(10) == spec.eigenvalues_leq(10)
-        assert new_bounds == [10] and bounds == [50]
+    def test_replace_shares_the_table_unless_the_parts_change(self, enumerations):
+        SPHERE.eigenvalues_leq(50)
+        renamed = SPHERE._replace(label="renamed")
+        assert renamed != SPHERE and renamed.label == "renamed" and renamed.dim == SPHERE.dim
+        assert renamed.eigenvalues_leq(50) == SPHERE.eigenvalues_leq(50) and enumerations == [50]
+        SPHERE._replace(parts=(Round(2, Fraction(2), False),)).eigenvalues_leq(6)
+        assert enumerations == [50, 6]
+
+    def test_replace_reads_the_new_parts(self):
+        """The levels are those of the parts: S^2(r2 = 2) has 0, 1, 3, 6 up to 6, not S^2(r2 = 1)'s 0, 2, 6."""
+        spec = SPHERE._replace(parts=(Round(2, Fraction(2), False),))
+        assert [eig for eig, _ in spec.eigenvalues_leq(6)] == [0, 1, 3, 6]
+        assert spec.level(3) == (6, 7)
 
     def test_no_attribute_can_be_added(self):
         with pytest.raises(AttributeError):
             SPHERE.table = (50, [])
 
     def test_positional_and_default_fields(self):
-        spec = FactorSpectrum(1, Fraction(0), True, True, "seg", (((Fraction(0), 1),),), lambda bound: [(Fraction(0), 1)])
+        spec = FactorSpectrum(1, Fraction(0), True, True, "seg", (((Fraction(0), 1),),))
         assert spec.lambda_max is None and spec.tolerance is None
         assert spec.eigenvalues_leq(5) == [(0, 1)]
