@@ -8,25 +8,18 @@ from __future__ import annotations
 
 import gc
 import io
+import math
 import os
 import sys
 from typing import List, Optional, Tuple
 
 from . import bifurcation, product, scalars, spectra
-from .errors import (
-    ConfigError,
-    DegeneratePairError,
-    IncompleteSpectrumError,
-    SpectrumFormatError,
-    YamabeError,
-)
+from .errors import ConfigError, DegeneratePairError, FamilyError, SpectrumFormatError, YamabeError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_DEGENERATE = 2
 EXIT_CONFIG = 3
-# the stderr line of exit 2, completed by the family's label
-_DEGENERATE_LINE = "degenerate pair -- index-jump certification inapplicable: "
 
 # flag -> (metavar, help); every factor flag appends (flag, value) to one ordered stream
 _FACTOR_FLAGS = {
@@ -69,7 +62,7 @@ def _read_flags(command, argv) -> Optional[_Args]:
     args, extras, tokens = _Args(command=command), [], iter(argv)
     for token in tokens:
         if token in ("-h", "--help"):
-            sys.stdout.write(_help(command))
+            _emit(_help(command), None)
             return None
         name, eq, value = token[2:].partition("=")
         if not token.startswith("--") or name not in flags:
@@ -162,7 +155,7 @@ def _factors(args) -> List[spectra.FactorSpectrum]:
                 factors.append(spectra.flat_torus(value.split(",")))
             else:
                 factors.append(spectra.custom_from_file(value))
-        except (OSError, ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ConfigError(str(exc))
     return factors
 
@@ -189,10 +182,7 @@ def _family(args, window=None):
     factors = _factors(args)
     if len(factors) != 2:
         raise ConfigError(f"a family needs exactly two factors, got {len(factors)}")
-    try:
-        fam = product.make_family(factors[0], factors[1])
-    except YamabeError as exc:
-        raise ConfigError(str(exc))
+    fam = product.make_family(factors[0], factors[1])
     text = window if args.window is None else args.window
     if text is None:
         raise ConfigError("missing --window MIN:MAX")
@@ -231,6 +221,7 @@ def _emit(text: str, out_path) -> None:
     data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
     while data:
         data = data[buffer.write(data):]
+    buffer.flush()  # main may end the process with os._exit, which flushes nothing
 
 
 def _quote(text: str) -> str:
@@ -373,8 +364,7 @@ def cmd_scan(args) -> int:
         text = _scan_text(payload)
     _emit(text, args.out)
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
-        print(_DEGENERATE_LINE + fam.label, file=sys.stderr)
-        return EXIT_DEGENERATE
+        raise DegeneratePairError(fam.label)
     return EXIT_OK
 
 
@@ -388,6 +378,15 @@ def cmd_branches(args) -> int:
     branches = [br for inst in bifurcation.degeneracy_instants(fam, window, lam) for br in inst.branches]
     branches.extend(_zeroless_branches(fam, limit))
     branches.sort(key=lambda br: (br.i, br.j))
+    curves = []
+    for br in branches:  # each curve is sampled in floats, so its coefficients need finite ones
+        try:
+            a, b = float(br.a), float(br.b)
+        except OverflowError:  # a rational past the float range
+            a = b = math.inf
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"bad branch sigma_{br.i}_{br.j} for branches: its coefficients must be finite floats")
+        curves.append((a, b))
 
     lo, hi = float(window[0]), float(window[1])
     step = (hi - lo) / (samples - 1)
@@ -402,25 +401,25 @@ def cmd_branches(args) -> int:
     writer.writerow(["s"] + [f"sigma_{br.i}_{br.j}" for br in branches])
     for k in range(samples):
         s = lo + k * step
-        writer.writerow(["%.17g" % s] + ["%.17g" % (float(br.a) + float(br.b) / s) for br in branches])
+        writer.writerow(["%.17g" % s] + ["%.17g" % (a + b / s) for a, b in curves])
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 
 def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
-    """The first ``count`` zeroless branches in (i + j, i) order, skipping pairs
-    beyond a factor's listed levels.  A branch has no zero exactly when i, j
+    """The first ``count`` zeroless branches in (i + j, i) order, among the pairs
+    within each factor's listed levels.  A branch has no zero exactly when i, j
     <= i*, j* or i, j >= i*, j*, so they lie on the diagonals up to i* + j* + count."""
     ci = bifurcation.critical_indices(fam)
+    # the levels each factor can give: a custom factor's listed ones, and a catalog factor's without end
+    n1, n2 = (sys.maxsize if spec.lambda_max is None else len(spec.eigenvalues_leq(spec.lambda_max))
+              for spec in (fam.factor1, fam.factor2))
     found = []
-    for d in range(1, ci.i_star + ci.j_star + count + 1):
-        for i in range(d + 1):
+    for d in range(1, min(ci.i_star + ci.j_star + count, n1 + n2 - 2) + 1):
+        for i in range(max(0, d - n2 + 1), min(d, n1 - 1) + 1):
             if len(found) == count:
                 return found
-            try:
-                br = bifurcation.branch_from_indices(fam, i, d - i)
-            except IncompleteSpectrumError:
-                continue
+            br = bifurcation.branch_from_indices(fam, i, d - i)
             if bifurcation.branch_zero(br) is None:
                 found.append(br)
     return found
@@ -524,7 +523,7 @@ def _command(argv) -> int:
     if not argv:
         raise ConfigError("the following arguments are required: command")
     if argv[0] in ("-h", "--help"):
-        sys.stdout.write(_help())
+        _emit(_help(), None)
         return EXIT_OK
     if argv[0] not in _COMMANDS:
         raise ConfigError(f"argument command: invalid choice: {argv[0]!r} "
@@ -544,19 +543,18 @@ def _command(argv) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the command ``argv`` and return its exit code.  Without ``argv`` the command is
-    ``sys.argv[1:]``, and main flushes stdout and stderr and ends the process with ``os._exit``."""
+    ``sys.argv[1:]``, and main flushes stderr, which it alone writes, and ends the process with ``os._exit``."""
     own_process = argv is None
     if own_process:
         # the collections during the run skip the import-time heap
         gc.freeze()
     try:
         code = _command(sys.argv[1:] if own_process else argv)
-        if own_process:
-            sys.stdout.flush()  # os._exit flushes nothing
     except DegeneratePairError as exc:
-        print(_DEGENERATE_LINE + str(exc), file=sys.stderr)
+        print(f"degenerate pair -- index-jump certification inapplicable: {exc}", file=sys.stderr)
         code = EXIT_DEGENERATE
-    except (ConfigError, SpectrumFormatError, OSError) as exc:  # OSError: stdout or --out unwritable
+    # OSError: a --custom file unreadable, or stdout or --out unwritable
+    except (ConfigError, FamilyError, SpectrumFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except YamabeError as exc:

@@ -61,10 +61,6 @@ def gt(a, b, tol: Optional[float] = None) -> bool:
     return a > b and not close(a, b, tol)
 
 
-def le(a, b, tol: Optional[float] = None) -> bool:
-    return not gt(a, b, tol)
-
-
 def ge(a, b, tol: Optional[float] = None) -> bool:
     return not lt(a, b, tol)
 

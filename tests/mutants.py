@@ -257,7 +257,7 @@ MUTANTS = (
            "        pass\n",
            ("test_cli.py",)),
     Mutant("the own-process path skips the stdout flush", "cli.py",
-           "sys.stdout.flush()  # os._exit flushes nothing",
+           "buffer.flush()  # main may end the process with os._exit, which flushes nothing",
            "pass",
            ("test_cli.py",)),
     Mutant("main ends the process when given a list", "cli.py",
@@ -265,8 +265,8 @@ MUTANTS = (
            "",
            ("test_cli.py",)),
     Mutant("a failed stdout write is a traceback", "cli.py",
-           "except (ConfigError, SpectrumFormatError, OSError) as exc:",
-           "except (ConfigError, SpectrumFormatError) as exc:",
+           "except (ConfigError, FamilyError, SpectrumFormatError, OSError) as exc:",
+           "except (ConfigError, FamilyError, SpectrumFormatError) as exc:",
            ("test_cli.py",)),
     Mutant("the JSON writer's fast path takes a text with a double quote", "cli.py",
            "text.isprintable() and '\"' not in text and",
@@ -283,6 +283,18 @@ MUTANTS = (
     Mutant("stdout gets one write of the bytes, however few it takes", "cli.py",
            "while data:\n        data = data[buffer.write(data):]",
            "buffer.write(data)",
+           ("test_cli.py",)),
+    Mutant("scan exits 0 on a degenerate pair", "cli.py",
+           "        raise DegeneratePairError(fam.label)\n    return EXIT_OK",
+           "        return EXIT_OK\n    return EXIT_OK",
+           ("test_cli.py",)),
+    Mutant("branches samples a coefficient with no finite float", "cli.py",
+           "if not (math.isfinite(a) and math.isfinite(b)):",
+           "if False:",
+           ("test_cli.py",)),
+    Mutant("a diagonal's readable range is one index too long", "cli.py",
+           "range(max(0, d - n2 + 1), min(d, n1 - 1) + 1)",
+           "range(max(0, d - n2 + 1), min(d, n1) + 1)",
            ("test_cli.py",)),
     Mutant("no --format choice check", "cli.py",
            'if name == "format" and value not in (choices := flags[name][0][1:-1].split(",")):',

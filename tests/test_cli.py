@@ -657,6 +657,9 @@ class TestOwnProcess:
         (EXIT_DEGENERATE, ["scan", "--custom", "f1.spec", "--custom", "f2.spec", "--window", "0.1:10"]),
         (EXIT_CONFIG, ["scan", *SPHERE_HEMI]),
         (EXIT_OK, ["--help"]),
+        (EXIT_CONFIG, ["scan", "--custom", "missing.spec", "--custom", "f2.spec", "--window", "0.1:10"]),
+        (EXIT_CONFIG, ["scan", "--custom", ".", "--custom", "f2.spec", "--window", "0.1:10"]),  # a directory
+        (EXIT_CONFIG, ["scan", "--hemisphere", "2", "--sphere", "2", "--window", "1:3"]),  # factors out of order
     ])
     def test_exit_code_and_output_are_mains(self, capsys, tmp_path, monkeypatch, expected, argv):
         write_degenerate_pair(tmp_path)
@@ -918,20 +921,41 @@ class TestBranches:
         header = next(line for line in out.splitlines() if line.startswith("s,"))
         assert header.split(",")[1:] == zeroless
 
-    def test_limit_stops_at_the_listed_levels(self, capsys, tmp_path):
+    @staticmethod
+    def two_listed_levels(tmp_path):
+        """branches on custom factors of two listed levels each, with zeros at s = 1/2 and s = 2;
+        (1, 1) is the only zeroless branch the listed levels allow."""
         closed = write_custom(tmp_path, "closed.spec", levels="eig 0 1\neig 1 2\n", dim=2, curv=2, lam=100)
         boundary = tmp_path / "boundary.spec"
         boundary.write_text(
             "dim = 2\nscalar_curvature = 2\nhas_boundary = true\n"
             "boundary_minimal = true\nlambda_max = 100\neig 0 1\neig 1 1\n"
         )
-        code, out, _ = run(
-            capsys, ["branches", "--custom", closed, "--custom", str(boundary), "--window", "1/4:4", "--samples", "2"]
-        )
+        return ["branches", "--custom", closed, "--custom", str(boundary), "--window", "1/4:4", "--samples", "2"]
+
+    def test_limit_stops_at_the_listed_levels(self, capsys, tmp_path):
+        code, out, _ = run(capsys, self.two_listed_levels(tmp_path))
         assert code == EXIT_OK
         header = next(line for line in out.splitlines() if line.startswith("s,"))
-        # zeros at s = 1/2 and s = 2; (1, 1) is the only zeroless branch the listed levels allow
         assert header.split(",")[1:] == ["sigma_0_1", "sigma_1_0", "sigma_1_1"]
+
+    def test_limit_past_the_listed_levels_reads_each_pair_once(self, capsys, tmp_path, monkeypatch):
+        """The walk ends with the last diagonal that holds a pair within the listed levels, so a
+        large --limit reads each such pair at most once and prints what the default limit prints."""
+        argv = self.two_listed_levels(tmp_path)
+        expected = run(capsys, argv)
+        calls, read = [], bifurcation.branch_from_indices
+        monkeypatch.setattr(bifurcation, "branch_from_indices", lambda fam, i, j: calls.append((i, j)) or read(fam, i, j))
+        assert run(capsys, [*argv, "--limit", "1000"]) == expected
+        assert len(calls) == len(set(calls)) and set(calls) <= {(0, 1), (1, 0), (1, 1)}
+
+    def test_coefficient_it_cannot_sample_is_refused(self, capsys):
+        """The interval [0, 1e-200 pi] has levels k^2 * 1e400, past the float range: branches refuses
+        the first curve it cannot sample in floats with one line and no output, where scan exits 0."""
+        factors = ["--sphere", "2", "--interval", "1e-200", "--window", "0.1:1"]
+        assert run(capsys, ["scan", *factors])[0] == EXIT_OK
+        assert run(capsys, ["branches", *factors]) == (
+            EXIT_CONFIG, "", "error: bad branch sigma_1_1 for branches: its coefficients must be finite floats\n")
 
     @FLOATLESS_WINDOWS
     def test_window_it_cannot_sample_is_refused(self, capsys, factors, window):
