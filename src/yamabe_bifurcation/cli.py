@@ -414,8 +414,15 @@ def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
     # the levels each factor can give: a custom factor's listed ones, and a catalog factor's without end
     n1, n2 = (sys.maxsize if spec.lambda_max is None else len(spec.eigenvalues_leq(spec.lambda_max))
               for spec in (fam.factor1, fam.factor2))
+    last = min(ci.i_star + ci.j_star + count, n1 + n2 - 2)
+    # the pairs i, j >= i*, j* have no zero: each factor is read once, to the diagonal that holds ``count`` of them
+    top, pairs = ci.i_star + ci.j_star, 0
+    while pairs < count and top < last:
+        top += 1
+        pairs += max(0, min(n1 - 1, top - ci.j_star) - max(ci.i_star, top - n2 + 1) + 1)
+    fam.factor1.level(min(top, n1 - 1)), fam.factor2.level(min(top, n2 - 1))
     found = []
-    for d in range(1, min(ci.i_star + ci.j_star + count, n1 + n2 - 2) + 1):
+    for d in range(1, last + 1):
         for i in range(max(0, d - n2 + 1), min(d, n1 - 1) + 1):
             if len(found) == count:
                 return found

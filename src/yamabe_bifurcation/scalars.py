@@ -75,6 +75,5 @@ def fmt(x, tol: Optional[float] = None) -> str:
     """Canonical text form: 'p/q' (or plain integer) exact, 17 significant
     digits floating."""
     if tol is None and is_exact(x):
-        x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x if type(x) is Fraction else Fraction(x))
     return "%.17g" % float(x)

@@ -11,7 +11,8 @@ k(k+n-1)/r2, k >= 0, with harmonic multiplicities on S^n and even-harmonic
 ones on its closed hemisphere.  The interval [0, pi*lambda] is one part,
 n = 1, r2 = lambda^2: the closed half circle of radius lambda, whose even
 harmonics are simple.  A flat torus is the product of its circles S^1, whose
-levels convolve: theta_{AxB} = theta_A * theta_B.
+levels convolve: theta_{AxB} = theta_A * theta_B, on integers over the lcm
+D of the p of each r2 = p/q, each distinct sum one ``Fraction`` at the end.
 
 Every catalog spectrum satisfies a completeness contract: asked for all
 eigenvalues up to a cutoff, it returns a provably complete finite list, for
@@ -138,24 +139,36 @@ class Round(NamedTuple):
         top = (math.isqrt((n - 1) ** 2 + 4 * cap) - (n - 1)) // 2
         return top + 1
 
-    def levels(self, bound) -> List[Level]:
-        """The levels <= ``bound``, ascending."""
-        n, r2 = self.n, self.r2
-        multiplicity = even_harmonic_multiplicity if self.half else harmonic_multiplicity
-        return [(Fraction(k * (k + n - 1)) / r2, multiplicity(n, k)) for k in range(self.count(bound))]
-
 
 def _round_levels(parts: Tuple[Round, ...], bound, label) -> List[Level]:
-    """The levels <= ``bound`` of the product of the round ``parts``, named ``label``: a fold of ``_product_levels``."""
+    """The levels <= ``bound`` of the product of the round ``parts``, named ``label``.  With each r2 = p/q
+    and D the lcm of the p, a part's level k is the integer k(k+n-1)*q*(D/p) over D, and so are their sums."""
     # the levels <= bound/2 of the first two parts pair into sums <= bound: the fold makes as many pairs or more
     middle = Fraction(bound) / 2
     pairs = parts[0].count(middle) * parts[1].count(middle) if len(parts) > 1 else 0
     if pairs > _MAX_LEVELS or any(part.count(bound) > _MAX_LEVELS for part in parts):
         raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
-    levels = parts[0].levels(bound)
-    for part in parts[1:]:
-        levels = _product_levels(levels, part.levels(bound), bound, label)
-    return levels
+    den = math.lcm(*(part.r2.numerator for part in parts))
+    top = math.floor(Fraction(bound) * den)  # Fraction keeps a float bound exact
+    levels = [(0, 1)]  # the product of no parts
+    for part in parts:
+        n, scale = part.n, part.r2.denominator * (den // part.r2.numerator)
+        multiplicity = even_harmonic_multiplicity if part.half else harmonic_multiplicity
+        column = [(k * (k + n - 1) * scale, multiplicity(n, k)) for k in range(part.count(bound))]
+        values, rows, pairs = [v for v, _ in column], [], 0
+        for r, m in levels:
+            # the levels ascend, so the q <= top - r are a prefix of the column
+            row = bisect.bisect_right(values, top - r)
+            pairs += row
+            if pairs > _MAX_LEVELS:
+                raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
+            rows.append((r, m, row))
+        sums = {}
+        for r, m, row in rows:
+            for q, mq in column[:row]:
+                sums[r + q] = sums.get(r + q, 0) + m * mq
+        levels = sorted(sums.items())
+    return [(Fraction(v, den), m) for v, m in levels]
 
 
 def _factor(parts: Tuple[Round, ...], label: str) -> FactorSpectrum:
@@ -199,25 +212,6 @@ def hemisphere_neumann(n: int, radius_sq=1) -> FactorSpectrum:
         raise ValueError("hemisphere dimension must be >= 2 (the equator must be a manifold)")
     r2 = as_exact(radius_sq)
     return _factor((Round(n, r2, True),), f"S^{n}+(r2={scalars.fmt(r2)})")
-
-
-def _product_levels(levels_a, levels_b, bound, label) -> List[Level]:
-    """The levels <= ``bound`` of A x B, named ``label``, from the ascending
-    levels of A and of B: the sums r + q <= bound, equal sums merged."""
-    rows, pairs = [], 0
-    for r, m in levels_a:
-        # the levels ascend, so the q <= bound - r are a prefix of levels_b
-        row = bisect.bisect_right(levels_b, bound - r, key=lambda lv: lv[0])
-        pairs += row
-        if pairs > _MAX_LEVELS:
-            raise IncompleteSpectrumError(f"{label}: the eigenvalues up to {scalars.fmt(bound)} are too many to enumerate")
-        rows.append((r, m, row))
-    sums = {}
-    for r, m, row in rows:
-        for q, n in levels_b[:row]:
-            s = r + q
-            sums[s] = sums.get(s, 0) + m * n
-    return sorted(sums.items())
 
 
 def flat_torus(squared_lengths: Sequence) -> FactorSpectrum:

@@ -43,16 +43,20 @@ MUTANTS = (
            "top = (math.isqrt((n - 1) ** 2 + 4 * cap - (n == 1)) - (n - 1)) // 2",
            ("test_spectra.py",)),
     Mutant("a product level's multiplicity is the sum of its factors'", "spectra.py",
-           "sums[s] = sums.get(s, 0) + m * n",
-           "sums[s] = sums.get(s, 0) + m + n",
+           "sums[r + q] = sums.get(r + q, 0) + m * mq",
+           "sums[r + q] = sums.get(r + q, 0) + m + mq",
            ("test_spectra.py",)),
     Mutant("equal sums of a product overwrite instead of merging", "spectra.py",
-           "sums[s] = sums.get(s, 0) + m * n",
-           "sums[s] = m * n",
+           "sums[r + q] = sums.get(r + q, 0) + m * mq",
+           "sums[r + q] = m * mq",
            ("test_spectra.py",)),
     Mutant("a product drops the sums that land on the bound", "spectra.py",
-           "row = bisect.bisect_right(levels_b, bound - r,",
-           "row = bisect.bisect_left(levels_b, bound - r,",
+           "row = bisect.bisect_right(values, top - r)",
+           "row = bisect.bisect_left(values, top - r)",
+           ("test_spectra.py",)),
+    Mutant("the common denominator is the largest numerator of the r2, not their lcm", "spectra.py",
+           "den = math.lcm(*(part.r2.numerator for part in parts))",
+           "den = max(part.r2.numerator for part in parts)",
            ("test_spectra.py",)),
     Mutant("the cap is not checked, only sys.maxsize", "spectra.py",
            "any(part.count(bound) > _MAX_LEVELS for part in parts)",
@@ -71,8 +75,8 @@ MUTANTS = (
            "if False:",
            ("test_spectra.py",)),
     Mutant("the round part gives the interval the sphere's harmonic multiplicities", "spectra.py",
-           "multiplicity = even_harmonic_multiplicity if self.half else harmonic_multiplicity",
-           "multiplicity = even_harmonic_multiplicity if self.half and n > 1 else harmonic_multiplicity",
+           "multiplicity = even_harmonic_multiplicity if part.half else harmonic_multiplicity",
+           "multiplicity = even_harmonic_multiplicity if part.half and n > 1 else harmonic_multiplicity",
            ("test_spectra.py",)),
     Mutant("level reads a catalog factor to the bound of the level before", "spectra.py",
            "bound = min(Fraction(index * (index + part.n - 1)) / part.r2 for part in self.parts)",
@@ -299,6 +303,10 @@ MUTANTS = (
     Mutant("no --format choice check", "cli.py",
            'if name == "format" and value not in (choices := flags[name][0][1:-1].split(",")):',
            "if False:",
+           ("test_cli.py",)),
+    Mutant("the zeroless walk reads no factor ahead of its diagonals", "cli.py",
+           "fam.factor1.level(min(top, n1 - 1)), fam.factor2.level(min(top, n2 - 1))",
+           "pass",
            ("test_cli.py",)),
     Mutant("a flag of another command is accepted", "cli.py",
            'if not token.startswith("--") or name not in flags:',

@@ -20,6 +20,7 @@ from yamabe_bifurcation import (
     cli,
     custom_spectrum,
     degeneracy_instants,
+    hemisphere_neumann,
     make_family,
     morse_index,
     spectra,
@@ -948,6 +949,15 @@ class TestBranches:
         monkeypatch.setattr(bifurcation, "branch_from_indices", lambda fam, i, j: calls.append((i, j)) or read(fam, i, j))
         assert run(capsys, [*argv, "--limit", "1000"]) == expected
         assert len(calls) == len(set(calls)) and set(calls) <= {(0, 1), (1, 0), (1, 1)}
+
+    def test_limit_enumerates_a_catalog_factor_once_for_the_walk(self, enumerations):
+        """Against a closed custom factor of two listed levels, S^2_+ gives one zeroless branch, so
+        the walk runs to its last diagonal.  It reads S^2_+ to that diagonal before the walk, not a
+        level further on each diagonal: at --limit 600 the hemisphere is enumerated at most twice,
+        once for the critical indices and once for the walk."""
+        fam = make_family(custom_spectrum(2, 12, [(0, 1), (1, 2)], 10), hemisphere_neumann(2, 1))
+        assert len(cli._zeroless_branches(fam, 600)) == 1
+        assert len(enumerations) <= 2
 
     def test_coefficient_it_cannot_sample_is_refused(self, capsys):
         """The interval [0, 1e-200 pi] has levels k^2 * 1e400, past the float range: branches refuses

@@ -21,7 +21,7 @@ from yamabe_bifurcation import (
 )
 from yamabe_bifurcation.oracle import even_harmonic_dimension, harmonic_dimension
 from yamabe_bifurcation import spectra
-from yamabe_bifurcation.spectra import _product_levels
+from yamabe_bifurcation.spectra import Round, _round_levels
 
 
 class TestInterval:
@@ -160,26 +160,36 @@ class TestTorus:
             flat_torus([1, 0])
 
 
-_LEVEL_LISTS = st.lists(
-    st.tuples(st.fractions(0, 6, max_denominator=6), st.integers(1, 5)), max_size=8, unique_by=lambda lv: lv[0]
-).map(sorted)
+_ROUND_PARTS = st.lists(
+    st.builds(Round, st.integers(1, 4), st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 12)), st.booleans()),
+    min_size=1, max_size=3,
+)
 
 
-@given(levels_a=_LEVEL_LISTS, levels_b=_LEVEL_LISTS, data=st.data())
+@given(parts=_ROUND_PARTS, data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_product_levels_is_the_merged_outer_sum(levels_a, levels_b, data):
-    sums = [r + q for r, _ in levels_a for q, _ in levels_b]
-    offset = data.draw(st.sampled_from([0, Fraction(-1, 10**9), Fraction(1, 10**9)]))
-    anywhere = st.fractions(0, 12, max_denominator=12)
-    # a bound on (or just off) one of the sums, or anywhere
-    bound = data.draw(st.sampled_from(sums) | anywhere if sums else anywhere) + offset
-    expected = Counter()
-    for r, m in levels_a:
-        for q, n in levels_b:
-            if r + q <= bound:
-                expected[r + q] += m * n
-    upto = lambda levels: [lv for lv in levels if lv[0] <= bound]
-    assert _product_levels(upto(levels_a), upto(levels_b), bound, "A x B") == sorted(expected.items())
+def test_round_levels_is_the_merged_outer_sum(parts, data):
+    """The integer fold gives the levels <= bound of the product: the outer sum of each
+    part's closed-form levels k(k+n-1)/r2, equal sums merged, for a bound on one of the
+    sums, 1e-9 to either side of it, its float, or a float anywhere."""
+    columns = [[(Fraction(k * (k + n - 1)) / r2, (even_harmonic_multiplicity if half else harmonic_multiplicity)(n, k))
+                for k in range(6)] for n, r2, half in parts]
+    sums = Counter({0: 1})
+    for column in columns:
+        outer = Counter()
+        for r, m in sums.items():
+            for q, mq in column:
+                outer[r + q] += m * mq
+        sums = outer
+    # a sum <= reach takes each part's level from the first six of its column
+    reach = min(column[-1][0] for column in columns)
+    on = data.draw(st.sampled_from(sorted(v for v in sums if v <= reach)))
+    bound = data.draw(st.sampled_from([
+        on, on + Fraction(1, 10**9), max(on - Fraction(1, 10**9), 0), float(on), data.draw(st.floats(0, float(reach))),
+    ]))
+    bound = min(bound, reach)
+    expected = sorted((value, count) for value, count in sums.items() if value <= bound)
+    assert _round_levels(tuple(parts), bound, "P") == expected
 
 
 @pytest.mark.parametrize("spec", [flat_torus([10**400]), flat_torus([1, 10**400]), hemisphere_neumann(2, 10**400)])
@@ -209,10 +219,21 @@ def test_oversized_product_is_refused_before_any_part_is_enumerated(monkeypatch)
     1/2, whose pairs all sum to <= 1: far more than _MAX_LEVELS pairs, so the
     refusal reads the circles' counts and enumerates neither."""
     enumerated = []
-    monkeypatch.setattr(spectra.Round, "levels", lambda part, bound: enumerated.append(part))
+    monkeypatch.setattr(spectra, "harmonic_multiplicity", lambda n, k: enumerated.append((n, k)))
     with pytest.raises(IncompleteSpectrumError, match=r": the eigenvalues up to 1 are too many to enumerate$"):
         flat_torus([10**12, 10**12]).eigenvalues_leq(1)
     assert enumerated == []
+
+
+def test_oversized_part_is_refused_before_its_column_is_built(monkeypatch):
+    """Under a cap of 4 levels the circle k^2 has 5 levels up to 16: the refusal reads its
+    count and builds no column, which for a part past the cap of 10^7 would hold gigabytes."""
+    monkeypatch.setattr(spectra, "_MAX_LEVELS", 4)
+    built = []
+    monkeypatch.setattr(spectra, "harmonic_multiplicity", lambda n, k: built.append((n, k)))
+    with pytest.raises(IncompleteSpectrumError, match=r": the eigenvalues up to 16 are too many to enumerate$"):
+        flat_torus([1]).eigenvalues_leq(16)
+    assert built == []
 
 
 def _level_by_level(eig, mult, bound, strict):
