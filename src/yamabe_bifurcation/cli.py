@@ -232,11 +232,29 @@ def _quote(text: str) -> str:
     return json.dumps(text)
 
 
+class _Rows:
+    """A payload's list of rows, each written ``template % row``: the template holds the row's
+    line breaks and indents, so the list must sit at the first level of its payload."""
+    __slots__ = ("template", "rows")
+
+    def __init__(self, template, rows):
+        self.template, self.rows = template, rows
+
+
+# the rows of spectrum's eigenvalues and of scan's instants, and the branch pairs [i, j] of an instant
+_LEVEL = '\n    {\n      "value": "%s",\n      "multiplicity": %d\n    }'
+_INSTANT = ('\n    {\n      "s": "%s",\n      "branches": [%s\n      ],\n      "multiplicity": %d,'
+            '\n      "n_minus": %d,\n      "n_plus": %d,\n      "certified": %s,\n      "side": "%s"\n    }')
+_PAIR = "\n        [\n          %d,\n          %d\n        ]"
+
+
 def _json(value, pad="\n") -> str:
     """``json.dumps(value, indent=2)`` for the values of the JSON payloads: dicts with str keys,
-    lists, str, int, True, False and None, and a TypeError for any other; ``pad`` is the line
-    break and indent of the enclosing level."""
+    lists, str, int, True, False, None and ``_Rows``, and a TypeError for any other; ``pad`` is
+    the line break and indent of the enclosing level."""
     kind = type(value)
+    if kind is _Rows:
+        return "[" + ",".join(map(value.template.__mod__, value.rows)) + pad + "]" if value.rows else "[]"
     if kind is str:
         return _quote(value)
     if kind is int:
@@ -270,8 +288,8 @@ def cmd_spectrum(args) -> int:
     bound = _number_setting(args, "below", lambda text: scalars.as_scalar(text, spec.tolerance), 0, None)
     if bound is None:
         raise ConfigError("missing --below Q")
-    rows = spec.eigenvalues_below(bound)
     tol = spec.tolerance
+    rows = [(scalars.fmt(e, tol), m) for e, m in spec.eigenvalues_below(bound)]
     payload = {
         "label": spec.label,
         "dim": spec.dim,
@@ -280,7 +298,7 @@ def cmd_spectrum(args) -> int:
         "boundary_minimal": spec.boundary_minimal,
         "mode": _mode_of(spec),
         "below": scalars.fmt(bound, tol),
-        "eigenvalues": [{"value": scalars.fmt(e, tol), "multiplicity": m} for e, m in rows],
+        "eigenvalues": _Rows(_LEVEL, rows),
     }
     if args.format == "json":
         text = _json(payload) + "\n"
@@ -292,31 +310,29 @@ def cmd_spectrum(args) -> int:
             f"minimal = {str(payload['boundary_minimal']).lower()}  mode = {payload['mode']}",
             f"eigenvalues below {payload['below']}:",
         ]
-        lines += [f"  {row['value']}  x{row['multiplicity']}" for row in payload["eigenvalues"]]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(lines + ["  %s  x%d" % row for row in rows]) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 
 
-def _scan_payload(fam, result, lam) -> dict:
+# per scan format: an instant's branch pair (i, j), the text between its pairs, and certified (False, True)
+_SPELLINGS = {"json": (_PAIR, ",", ("false", "true")), "csv": ("%d:%d", ";", ("False", "True")),
+              "text": ("(%d,%d)", " ", ("no", "yes"))}
+
+
+def _scan_payload(fam, result, lam, spelling) -> dict:
+    """scan's payload; each instant is the row (s, branches, multiplicity, n_minus, n_plus, certified,
+    side), its branches and certified in ``spelling``, a value of ``_SPELLINGS``."""
+    pair, between, flags = spelling
     tol = fam.tolerance
     return {
         "family": fam.label,
         "classification": result.case.value,
         "accumulation": result.accumulation,
         "window": [scalars.fmt(result.window[0], tol), scalars.fmt(result.window[1], tol)],
-        "instants": [
-            {
-                "s": scalars.fmt(ci.instant.s, tol),
-                "branches": [[br.i, br.j] for br in ci.instant.branches],
-                "multiplicity": ci.instant.total_multiplicity,
-                "n_minus": ci.n_minus,
-                "n_plus": ci.n_plus,
-                "certified": ci.certified,
-                "side": ci.side,
-            }
-            for ci in result.instants
-        ],
+        "instants": [(scalars.fmt(ci.instant.s, tol), between.join([pair % (br.i, br.j) for br in ci.instant.branches]),
+                      ci.instant.total_multiplicity, ci.n_minus, ci.n_plus, flags[ci.certified], ci.side)
+                     for ci in result.instants],
         "lambda_max": None if lam is None else scalars.fmt(lam, tol),
         "mode": _mode_of(fam),
     }
@@ -331,34 +347,23 @@ def _scan_text(payload) -> str:
         f"lambda_max: {payload['lambda_max']}  mode: {payload['mode']}",
         f"instants ({len(payload['instants'])}):",
     ]
-    for inst in payload["instants"]:
-        branches = " ".join(f"({i},{j})" for i, j in inst["branches"])
-        lines.append(
-            f"  s = {inst['s']}  branches = {branches}  mult = {inst['multiplicity']}  "
-            f"n- = {inst['n_minus']}  n+ = {inst['n_plus']}  "
-            f"certified = {'yes' if inst['certified'] else 'no'}  side = {inst['side']}"
-        )
-    return "\n".join(lines) + "\n"
+    row = "  s = %s  branches = %s  mult = %d  n- = %d  n+ = %d  certified = %s  side = %s"
+    return "\n".join(lines + [row % instant for instant in payload["instants"]]) + "\n"
 
 
 def cmd_scan(args) -> int:
     fam, window, lam = _family(args)
     result = bifurcation.classify_family(fam, window, lam)
-    payload = _scan_payload(fam, result, lam)
+    payload = _scan_payload(fam, result, lam, _SPELLINGS[args.format or "text"])
     if args.format == "json":
+        payload["instants"] = _Rows(_INSTANT, payload["instants"])
         text = _json(payload) + "\n"
     elif args.format == "csv":
         import csv  # only the CSV writers need it
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["s", "branches", "multiplicity", "n_minus", "n_plus", "certified", "side"])
-        for inst in payload["instants"]:
-            writer.writerow([
-                inst["s"],
-                ";".join(f"{i}:{j}" for i, j in inst["branches"]),
-                inst["multiplicity"], inst["n_minus"], inst["n_plus"],
-                inst["certified"], inst["side"],
-            ])
+        writer.writerows(payload["instants"])
         text = buf.getvalue()
     else:
         text = _scan_text(payload)

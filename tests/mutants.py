@@ -284,6 +284,18 @@ MUTANTS = (
            'return "{}" if kind is dict else "[]"',
            'return "{}"',
            ("test_cli.py",)),
+    Mutant("the JSON rows writer prints an empty row list across two lines", "cli.py",
+           'pad + "]" if value.rows else "[]"',
+           'pad + "]" if value.rows else "[" + pad + "]"',
+           ("test_cli.py",)),
+    Mutant("an instant's branch pairs are separated by a comma and a space", "cli.py",
+           '"json": (_PAIR, ",",',
+           '"json": (_PAIR, ", ",',
+           ("test_cli.py",)),
+    Mutant("an instant's certified flag is written in Python's spelling in JSON", "cli.py",
+           '("false", "true")',
+           '("False", "True")',
+           ("test_cli.py",)),
     Mutant("stdout gets one write of the bytes, however few it takes", "cli.py",
            "while data:\n        data = data[buffer.write(data):]",
            "buffer.write(data)",

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -529,6 +530,218 @@ class TestJsonWriter:
             cli._json(value)
 
 
+_SMALL = st.fractions(Fraction(1, 4), 4, max_denominator=4)
+# a custom file's name: a plain one, or one whose label needs JSON escapes
+_NAMES = st.sampled_from(["", 'odd "é" \\ \t']).map(lambda prefix: prefix + "{}.spec")
+
+
+@st.composite
+def _catalog_flags(draw, boundary):
+    """The flags of a random catalog factor: a hemisphere or interval when ``boundary``,
+    else a sphere or flat torus, of small rational radii and lengths."""
+    r2 = str(draw(_SMALL))
+    if boundary:
+        if draw(st.booleans()):
+            return ["--interval", r2]
+        return ["--hemisphere", str(draw(st.integers(2, 4))), "--r2", r2]
+    if draw(st.booleans()):
+        return ["--torus", ",".join(map(str, draw(st.lists(_SMALL, min_size=1, max_size=3))))]
+    return ["--sphere", str(draw(st.integers(1, 4))), "--r2", r2]
+
+
+@st.composite
+def _custom_text(draw, boundary, float_mode):
+    """The text of a custom spectrum file: level 0, then up to four rational levels up to 40,
+    written exact or as floats at tolerance 1e-9, complete up to 1000."""
+    levels = sorted(draw(st.lists(st.fractions(Fraction(1, 8), 40, max_denominator=8), max_size=4, unique=True)))
+    multiplicities = draw(st.lists(st.integers(1, 6), min_size=len(levels), max_size=len(levels)))
+    flag = str(boundary).lower()
+    return (f"dim = {draw(st.integers(2, 3))}\nscalar_curvature = {draw(st.integers(-12, 12))}\n"
+            f"has_boundary = {flag}\nboundary_minimal = {flag}\n" + ("tolerance = 1e-9\n" if float_mode else "")
+            + "lambda_max = 1000\neig 0 1\n"
+            + "".join(f"eig {float(v) if float_mode else v} {m}\n" for v, m in zip(levels, multiplicities)))
+
+
+@st.composite
+def _factor_flags(draw, directory, boundary, mode):
+    """The flags of a random factor in ``mode``: catalog, or a custom file, exact or float,
+    written to ``directory``."""
+    if mode == "catalog":
+        return draw(_catalog_flags(boundary))
+    path = directory / draw(_NAMES).format("boundary" if boundary else "closed")
+    path.write_text(draw(_custom_text(boundary, mode == "float")))
+    return ["--custom", str(path)]
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("specs")
+
+
+@pytest.fixture
+def format_files(tmp_path, monkeypatch):
+    """TestTextFormats.FILES, written to a working directory of their own."""
+    monkeypatch.chdir(tmp_path)
+    for file, text in TestTextFormats.FILES.items():
+        (tmp_path / file).write_text(text)
+
+
+def _stdout(argv):
+    """(exit code, stdout) of ``main(argv)``, for a property: hypothesis refuses capsys, a fixture of each test."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+class TestPayloadJson:
+    """spectrum's and scan's JSON formats print the bytes of ``json.dumps(payload, indent=2)``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["catalog", "exact", "float"]),
+           below=st.fractions(0, 30, max_denominator=6) | st.just(Fraction(0)))
+    def test_spectrum_is_the_stdlib_with_indent_2(self, spec_dir, data, mode, below):
+        flags = data.draw(_factor_flags(spec_dir, data.draw(st.booleans()), mode))
+        code, out = _stdout(["spectrum", *flags, "--below", str(below), "--format", "json"])
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["catalog", "exact", "float"]),
+           s_min=st.fractions(Fraction(1, 20), 4, max_denominator=20),
+           ratio=st.fractions(Fraction(21, 20), 20, max_denominator=20), lambda_max=st.booleans())
+    def test_scan_is_the_stdlib_with_indent_2(self, spec_dir, data, mode, s_min, ratio, lambda_max):
+        closed, boundary = (data.draw(_factor_flags(spec_dir, boundary, mode)) for boundary in (False, True))
+        argv = ["scan", *closed, *boundary, "--window", f"{s_min}:{s_min * ratio}", "--format", "json"]
+        code, out = _stdout(argv + ["--lambda-max", "1000"] * lambda_max)
+        if code in (EXIT_FAILURE, EXIT_CONFIG):  # past lambda_max, or a total dimension below 3
+            reject()
+        assert code in (EXIT_OK, EXIT_DEGENERATE)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv, key, branches", [
+        ("spectrum --sphere 2 --below 0", "eigenvalues", []),
+        ("scan --sphere 2 --hemisphere 2 --window 5/2:7", "instants", []),
+        # TestTextFormats.FILES: instants of one, two and two branches
+        ("scan --custom closed.spec --custom boundary.spec --window 1/4:4", "instants", [1, 2, 2]),
+    ], ids=["spectrum-empty", "scan-empty", "scan-two-branches"])
+    def test_rows(self, format_files, argv, key, branches):
+        code, out = _stdout([*argv.split(), "--format", "json"])
+        assert code == EXIT_OK
+        assert [len(row["branches"]) for row in json.loads(out)[key]] == branches
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestTextFormats:
+    """The bytes of scan's text and CSV formats and of spectrum's text format, which the
+    catalogue digests do not cover.  The custom files have fixed names in the working directory."""
+
+    FILES = {
+        # T1 = 1, T2 = 2: instants at 1/2, and at 1 and 2 of two branches each, the last uncertified
+        "closed.spec": "dim = 2\nscalar_curvature = 3\nhas_boundary = false\nboundary_minimal = false\n"
+                       "lambda_max = 100\neig 0 1\neig 2 1\neig 3 2\n",
+        "boundary.spec": "dim = 2\nscalar_curvature = 6\nhas_boundary = true\nboundary_minimal = true\n"
+                         "lambda_max = 100\neig 0 1\neig 1 1\neig 4 1\n",
+        # write_chained_zeros: one instant of two branches near 1
+        "fclosed.spec": "dim = 2\nscalar_curvature = 3\nhas_boundary = false\nboundary_minimal = false\n"
+                        "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 0.5 1\neig 3 2\n",
+        "fboundary.spec": "dim = 2\nscalar_curvature = 3\nhas_boundary = true\nboundary_minimal = true\n"
+                          "tolerance = 1e-9\nlambda_max = 10\neig 0 1\neig 1.5 1\neig 2.0000000006 1\n",
+    }
+    EXACT = "scan --custom closed.spec --custom boundary.spec --window 1/4:4"
+    FLOAT = "scan --custom fclosed.spec --custom fboundary.spec"
+    CSV_HEADER = "s,branches,multiplicity,n_minus,n_plus,certified,side\r\n"
+    GOLDEN = {
+        "scan-exact-text": (
+            EXACT + " --lambda-max 100",
+            "family: closed.spec x boundary.spec\n"
+            "classification: BothPositive\n"
+            "accumulation: instants accumulate at 0 and at +inf\n"
+            "window: [1/4, 4]  lambda_max: 100  mode: exact\n"
+            "instants (3):\n"
+            "  s = 1/2  branches = (2,1)  mult = 2  n- = 7  n+ = 5  certified = yes  side = tending-to-zero\n"
+            "  s = 1  branches = (1,1) (2,0)  mult = 3  n- = 5  n+ = 2  certified = yes  side = tending-to-zero\n"
+            "  s = 2  branches = (0,2) (1,0)  mult = 2  n- = 2  n+ = 2  certified = no  side = mixed\n",
+        ),
+        "scan-exact-csv": (
+            EXACT + " --format csv",
+            CSV_HEADER
+            + "1/2,2:1,2,7,5,True,tending-to-zero\r\n"
+            "1,1:1;2:0,3,5,2,True,tending-to-zero\r\n"
+            "2,0:2;1:0,2,2,2,False,mixed\r\n",
+        ),
+        "scan-exact-empty-text": (
+            "scan --sphere 2 --hemisphere 2 --window 5/2:7",
+            "family: S^2(r2=1) x S^2+(r2=1)\n"
+            "classification: BothPositive\n"
+            "accumulation: instants accumulate at 0 and at +inf\n"
+            "window: [5/2, 7]  lambda_max: None  mode: exact\n"
+            "instants (0):\n",
+        ),
+        "scan-exact-empty-csv": ("scan --sphere 2 --hemisphere 2 --window 5/2:7 --format csv", CSV_HEADER),
+        "scan-float-text": (
+            FLOAT + " --window 0.8:1.5 --format text",
+            "family: fclosed.spec x fboundary.spec\n"
+            "classification: BothPositive\n"
+            "accumulation: instants accumulate at 0 and at +inf\n"
+            "window: [0.80000000000000004, 1.5]  lambda_max: None  mode: float\n"
+            "instants (1):\n"
+            "  s = 1.0000000006  branches = (0,2) (1,1)  mult = 2  n- = 2  n+ = 4  certified = yes  side = unbounded\n",
+        ),
+        "scan-float-csv": (
+            FLOAT + " --window 0.8:1.5 --format csv",
+            CSV_HEADER + "1.0000000006,0:2;1:1,2,2,4,True,unbounded\r\n",
+        ),
+        "scan-float-empty-text": (
+            FLOAT + " --window 1.2:1.5",
+            "family: fclosed.spec x fboundary.spec\n"
+            "classification: BothPositive\n"
+            "accumulation: instants accumulate at 0 and at +inf\n"
+            "window: [1.2, 1.5]  lambda_max: None  mode: float\n"
+            "instants (0):\n",
+        ),
+        "scan-float-empty-csv": (FLOAT + " --window 1.2:1.5 --format csv", CSV_HEADER),
+        "spectrum-torus": (
+            "spectrum --torus 1,2/3 --below 4",
+            "factor: T^2(l2/4pi2=[1,2/3])\n"
+            "dim = 2  R = 0  boundary = false  minimal = false  mode = exact\n"
+            "eigenvalues below 4:\n"
+            "  0  x1\n  1  x2\n  3/2  x2\n  5/2  x4\n",
+        ),
+        "spectrum-hemisphere": (
+            "spectrum --hemisphere 3 --r2 2 --below 10 --format text",
+            "factor: S^3+(r2=2)\n"
+            "dim = 3  R = 3  boundary = true  minimal = true  mode = exact\n"
+            "eigenvalues below 10:\n"
+            "  0  x1\n  3/2  x3\n  4  x6\n  15/2  x10\n",
+        ),
+        "spectrum-float": (
+            "spectrum --custom fclosed.spec --below 5",
+            "factor: fclosed.spec\n"
+            "dim = 2  R = 3  boundary = false  minimal = false  mode = float\n"
+            "eigenvalues below 5:\n"
+            "  0  x1\n  0.5  x1\n  3  x2\n",
+        ),
+        "spectrum-below-0": (
+            "spectrum --sphere 2 --below 0",
+            "factor: S^2(r2=1)\n"
+            "dim = 2  R = 2  boundary = false  minimal = false  mode = exact\n"
+            "eigenvalues below 0:\n",
+        ),
+        "spectrum-float-below-0": (
+            "spectrum --custom fclosed.spec --below 0",
+            "factor: fclosed.spec\n"
+            "dim = 2  R = 3  boundary = false  minimal = false  mode = float\n"
+            "eigenvalues below 0:\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bytes(self, capsys, format_files, name):
+        argv, expected = self.GOLDEN[name]
+        assert run(capsys, argv.split()) == (EXIT_OK, expected, "")
+
+
 class TestArguments:
     COMMON = ["sphere", "hemisphere", "r2", "interval", "torus", "custom", "config", "out"]
     FLAGS = {
@@ -793,11 +1006,13 @@ class TestConfigFile:
         ("scan", "factor2 = hemisphere 2\nfactor1 = sphere 2 r2 1/2\nwindow = 0.1:10\nlambda_max = 100\nformat = csv\n",
          ["--sphere", "2", "--r2", "1/2", "--hemisphere", "2", "--window", "0.1:10", "--lambda-max", "100",
           "--format", "csv"]),
+        ("scan", "factor1 = sphere 2 r2 1\nfactor2 = hemisphere 2\nwindow = 0.01:20\nformat = json\n",
+         ["--sphere", "2", "--r2", "1", "--hemisphere", "2", "--window", "0.01:20", "--format", "json"]),
         ("branches", "factor1 = sphere 2\nfactor2 = hemisphere 2\nwindow = 1/2:3\nsamples = 7\nlimit = 2\n",
          [*SPHERE_HEMI, "--window", "1/2:3", "--samples", "7", "--limit", "2"]),
         ("verify", "factor1 = sphere 2\nfactor2 = interval 1\nwindow = 0.5:10\n",
          ["--sphere", "2", "--interval", "1", "--window", "0.5:10"]),
-    ], ids=["spectrum", "scan", "branches", "verify"])
+    ], ids=["spectrum", "scan", "scan-json", "branches", "verify"])
     def test_config_gives_the_output_of_the_same_flags(self, capsys, tmp_path, command, config, flags):
         cfg = tmp_path / "family.cfg"
         cfg.write_text(config + f"out = {tmp_path / 'from_config.txt'}\n")
