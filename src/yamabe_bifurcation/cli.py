@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 verification/engine failure, 2 degenerate pair
 (index-jump certification inapplicable), 3 configuration error.
+
+spectrum loads the factor spectra alone; scan, branches and verify load the
+branch engine where they build their family, and verify its oracles too.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from . import bifurcation, product, scalars, spectra
+from . import scalars, spectra
 from .errors import ConfigError, DegeneratePairError, FamilyError, SpectrumFormatError, YamabeError
 
 EXIT_OK = 0
@@ -182,6 +185,7 @@ def _family(args, window=None):
     factors = _factors(args)
     if len(factors) != 2:
         raise ConfigError(f"a family needs exactly two factors, got {len(factors)}")
+    from . import product  # the branch engine and its families are loaded by the family commands alone
     fam = product.make_family(factors[0], factors[1])
     text = window if args.window is None else args.window
     if text is None:
@@ -352,6 +356,7 @@ def _scan_text(payload) -> str:
 
 
 def cmd_scan(args) -> int:
+    from . import bifurcation
     fam, window, lam = _family(args)
     result = bifurcation.classify_family(fam, window, lam)
     payload = _scan_payload(fam, result, lam, _SPELLINGS[args.format or "text"])
@@ -374,6 +379,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_branches(args) -> int:
+    from . import bifurcation
     fam, window, lam = _family(args)
     _check_float_window(args, window)
     samples = _number_setting(args, "samples", int, 2, 200)
@@ -411,10 +417,11 @@ def cmd_branches(args) -> int:
     return EXIT_OK
 
 
-def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
+def _zeroless_branches(fam, count) -> list:
     """The first ``count`` zeroless branches in (i + j, i) order, among the pairs
     within each factor's listed levels.  A branch has no zero exactly when i, j
     <= i*, j* or i, j >= i*, j*, so they lie on the diagonals up to i* + j* + count."""
+    from . import bifurcation
     ci = bifurcation.critical_indices(fam)
     # the levels each factor can give: a custom factor's listed ones, and a catalog factor's without end
     n1, n2 = (sys.maxsize if spec.lambda_max is None else len(spec.eigenvalues_leq(spec.lambda_max))
@@ -440,16 +447,17 @@ def _zeroless_branches(fam, count) -> List[bifurcation.EigenBranch]:
 def _verify_checks(fam, window, lam):
     """Yield (name, passed, detail) for each oracle/engine comparison, after the engine's run, so that
     its errors are scan's; ``passed`` is None for a check that no oracle covers."""
-    from . import oracle  # the oracles are needed by verify alone
+    from . import bifurcation, oracle  # the oracles are needed by verify alone
 
     result = bifurcation.classify_family(fam, window, lam)
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
         raise DegeneratePairError(fam.label)
     for idx, spec in ((1, fam.factor1), (2, fam.factor2)):
         name = f"factor{idx} {spec.label}"
+        # a check reads the factor to the value of its top level: one enumeration for every level below it
         match spec.parts:  # a factor of two or more parts gets no line
             case (spectra.Round(n=1, r2=r2, half=True),):  # [0, pi] scaled by r2: level k times r2 is k^2
-                exact = [float(spec.level(k)[0] * r2) for k in range(10)]
+                exact = [float(e * r2) for e, _ in spec.eigenvalues_leq(spec.level(9)[0])]
                 worst = max(abs(a - e) / max(e, 1) for a, e in zip(oracle.fd_interval_spectrum(2000, 10), exact))
                 yield (f"{name}: FD Neumann spectrum", worst < 1e-3, f"max rel err {worst:.2e}")
             case (spectra.Round(half=half),):
@@ -462,7 +470,8 @@ def _verify_checks(fam, window, lam):
                 if top < 1:
                     yield (check, None, f"kernel-rank budget covers no degree k >= 1 for n = {spec.dim}")
                 else:
-                    ok = all(spec.level(k)[1] == count(spec.dim, k) for k in range(top + 1))
+                    levels = spec.eigenvalues_leq(spec.level(top)[0])
+                    ok = all(m == count(spec.dim, k) for k, (_, m) in enumerate(levels))
                     yield (check, ok, f"{basis} kernel ranks, k <= {top}")
             case (_,):
                 yield (f"{name}: listed levels", None, "no oracle checks a custom spectrum")
@@ -502,6 +511,7 @@ def _probe_indices(fam, window, certified) -> List[Tuple[scalars.Scalar, Optiona
     instant (within the family's tolerance): the n_minus of the certified
     instant that closes the gap, the n_plus of the last one, or morse_index
     when the window holds no instant."""
+    from . import bifurcation
     times = [ci.instant.s for ci in certified]
     gap_index = [ci.n_minus for ci in certified]
     gap_index.append(certified[-1].n_plus if certified else bifurcation.morse_index(fam, window[0]))

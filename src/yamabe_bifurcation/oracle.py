@@ -313,11 +313,13 @@ def _grid_point(s_lo: float, s_hi: float, samples: int, i: int) -> float:
     return s_hi if i == samples - 1 else min(s_lo * (s_hi / s_lo) ** (i / (samples - 1)), s_hi)
 
 
-def _pair_brackets(a: float, b: float, point, samples: int) -> List[Tuple[float, float]]:
+def _pair_brackets(a: float, b: float, point, samples: int, tol: Optional[float]) -> List[Tuple[float, float]]:
     """The brackets of the sampled a + b*(1/s), whose raw signs are monotone
     along the grid: one around each point where it is zero, or within 1e-12
     of its terms on a window end (no neighbor to flip with), and its sign
-    flip, found by bisection and narrowed to relative width 1e-10."""
+    flip, found by bisection and narrowed to relative width 1e-10.  In float
+    mode, as in the engine's walk, a zero -b/a past a window end but within
+    ``tol`` of it lies in the window: its bracket runs from the end to it."""
     last = samples - 1
     grid = range(samples)
 
@@ -334,6 +336,11 @@ def _pair_brackets(a: float, b: float, point, samples: int) -> List[Tuple[float,
     ends = [end for end in (0, last) for inv in (1.0 / point(end),)
             if abs(a + b * inv) <= 1e-12 * (abs(a) + abs(b) * inv)]
     brackets = [(s * (1 - 1e-12), s * (1 + 1e-12)) for s in map(point, set(run).union(ends))]
+    if tol is not None and a:
+        zero, s_lo, s_hi = -b / a, point(0), point(last)
+        end = s_lo if zero < s_lo else s_hi if zero > s_hi else None
+        if end is not None and scalars.close(zero, end, tol):
+            brackets.append((min(zero, end) * (1 - 1e-12), max(zero, end) * (1 + 1e-12)))
     if up and not run and {run.start - 1, run.start}.isdisjoint(ends):
         lo, hi = point(run.start - 1), point(run.start)
         flo = a + b / lo
@@ -379,7 +386,7 @@ def dense_scan_degeneracy(
     # the first pair, (0, 0), is the constants', not a branch
     for a, b in itertools.islice(itertools.product(a_values, b_values), 1, None):
         if not ((a > 0 and b >= 0) or (a < 0 and b <= 0)):  # else it keeps a strict sign
-            brackets += _pair_brackets(a, b, point, samples)
+            brackets += _pair_brackets(a, b, point, samples, fam.tolerance)
     brackets.sort()
     merged: List[Tuple[float, float]] = []
     for k, (lo, hi) in enumerate(brackets):

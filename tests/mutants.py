@@ -225,8 +225,8 @@ MUTANTS = (
            "pass",
            ("test_oracle.py",)),
     Mutant("verify compares level(k) without the factor r2", "cli.py",
-           "float(spec.level(k)[0] * r2)",
-           "float(spec.level(k)[0])",
+           "float(e * r2)",
+           "float(e)",
            ("test_cli.py",)),
     Mutant("verify checks the float ends of its window for range but not order", "cli.py",
            "window[1] <= sys.float_info.max and 0 < float(window[0]) < float(window[1])",
@@ -323,6 +323,18 @@ MUTANTS = (
     Mutant("a flag of another command is accepted", "cli.py",
            'if not token.startswith("--") or name not in flags:',
            'if not token.startswith("--") or all(name not in table for _, table in _COMMANDS.values()):',
+           ("test_cli.py",)),
+    Mutant("cli imports bifurcation at module level", "cli.py",
+           "from . import scalars, spectra\n",
+           "from . import bifurcation, scalars, spectra\n",
+           ("test_cli.py",)),
+    Mutant("a public name maps to the wrong module", "__init__.py",
+           '"product": ["ProductFamily", "make_family"],',
+           '"product": ["ProductFamily", "make_family", "sigma_value"],',
+           ("test_cli.py",)),
+    Mutant("verify's dense scan brackets a float zero past a window end at 1e-12 alone", "oracle.py",
+           "if tol is not None and a:",
+           "if False:",
            ("test_cli.py",)),
 )
 

@@ -854,6 +854,64 @@ class TestHeapFreeze:
         assert proc.stdout == "0\n"
 
 
+class TestLoading:
+    """Each command loads the package modules it runs and no other: spectrum reads one
+    factor and never loads the branch engine (product, bifurcation) or the oracles."""
+
+    SPECTRA = ["cli", "errors", "scalars", "spectra"]
+    ENGINE = sorted(SPECTRA + ["bifurcation", "product"])
+    # the loaded modules are read after main(argv) returns, so no os._exit cuts the check short
+    SCRIPT = ("import sys\n"
+              "from yamabe_bifurcation import cli\n"
+              "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "print(code, *sorted(name.split('.')[1] for name in sys.modules\n"
+              "                    if name.startswith('yamabe_bifurcation.')))\n")
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ([], SPECTRA),
+        (["spectrum", "--hemisphere", "2", "--below", "20"], SPECTRA),
+        (["spectrum", "--torus", "1,1", "--below", "20", "--format", "json"], SPECTRA),
+        (["scan", *SPHERE_HEMI, "--window", "0.5:2"], ENGINE),
+        (["branches", *SPHERE_HEMI, "--window", "0.5:2", "--samples", "3"], ENGINE),
+        (["verify", *SPHERE_HEMI, "--window", "0.5:2"], sorted(ENGINE + ["oracle"])),
+    ], ids=["import", "spectrum", "spectrum-json", "scan", "branches", "verify"])
+    def test_command_loads_only_what_it_runs(self, argv, loaded):
+        proc = run_python(self.SCRIPT, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["0", *loaded]
+
+    NAMES = [
+        "CertifiedInstant", "ConfigError", "CriticalIndices", "DegeneracyInstant", "DegeneracyInstantError",
+        "DegeneratePairError", "EigenBranch", "FactorSpectrum", "FamilyCase", "FamilyClassification",
+        "FamilyError", "IncompleteSpectrumError", "Monotonicity", "ProductFamily", "RecountError",
+        "SpectrumFormatError", "YamabeError", "bifurcation", "branch_from_indices", "branch_zero",
+        "classify_family", "critical_indices", "custom_from_file", "custom_spectrum", "degeneracy_instants",
+        "errors", "even_harmonic_multiplicity", "flat_torus", "harmonic_multiplicity", "hemisphere_neumann",
+        "index_jump", "interval_neumann", "is_degenerate_pair", "make_family", "morse_index", "product",
+        "round_sphere", "scalars", "sigma_value", "spectra",
+    ]
+
+    def test_public_names_are_their_modules(self):
+        """The package gives the same 40 names as when it imported them all at once, each the
+        object of its defining module; any other name is missing, so hasattr is False."""
+        package = sys.modules["yamabe_bifurcation"]
+        assert package.__all__ == self.NAMES
+        for name in self.NAMES:
+            value = getattr(package, name)
+            if isinstance(value, type(sys)):  # a submodule
+                assert value is sys.modules[f"yamabe_bifurcation.{name}"]
+            else:
+                assert value is getattr(sys.modules[value.__module__], name), name
+        assert not hasattr(package, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            package.no_such_name
+
+    def test_every_public_name_imports_in_a_fresh_process(self):
+        proc = run_python("from yamabe_bifurcation import *\nfrom yamabe_bifurcation import __all__ as names\n"
+                          "print(sum(name in globals() for name in names))")
+        assert (proc.returncode, proc.stdout) == (0, "40\n"), proc.stderr
+
+
 class TestOwnProcess:
     """main without arguments, as ``python -m yamabe_bifurcation.cli`` and the ``yamabe``
     script call it, flushes stdout and stderr and ends the process with os._exit."""
@@ -874,6 +932,11 @@ class TestOwnProcess:
         (EXIT_CONFIG, ["scan", "--custom", "missing.spec", "--custom", "f2.spec", "--window", "0.1:10"]),
         (EXIT_CONFIG, ["scan", "--custom", ".", "--custom", "f2.spec", "--window", "0.1:10"]),  # a directory
         (EXIT_CONFIG, ["scan", "--hemisphere", "2", "--sphere", "2", "--window", "1:3"]),  # factors out of order
+        # windows that no float sampling can take, and a branch coefficient past the float range
+        *((EXIT_CONFIG, [name, *factors, "--window", window]) for name in ("verify", "branches")
+          for factors, window in ((["--sphere", "2", "--interval", "1"], "1e-400:1"),
+                                  (["--torus", "1", "--hemisphere", "2"], "1e300:1e400"))),
+        (EXIT_CONFIG, ["branches", "--sphere", "2", "--interval", "1e-200", "--window", "0.1:1"]),
     ])
     def test_exit_code_and_output_are_mains(self, capsys, tmp_path, monkeypatch, expected, argv):
         write_degenerate_pair(tmp_path)
@@ -1162,7 +1225,7 @@ class TestBranches:
         expected = run(capsys, argv)
         calls, read = [], bifurcation.branch_from_indices
         monkeypatch.setattr(bifurcation, "branch_from_indices", lambda fam, i, j: calls.append((i, j)) or read(fam, i, j))
-        assert run(capsys, [*argv, "--limit", "1000"]) == expected
+        assert run(capsys, [*argv, "--limit", "100000"]) == expected
         assert len(calls) == len(set(calls)) and set(calls) <= {(0, 1), (1, 0), (1, 1)}
 
     def test_limit_enumerates_a_catalog_factor_once_for_the_walk(self, enumerations):
@@ -1439,6 +1502,37 @@ class TestVerify:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == (f"error: bad window {window!r} for verify: "
                        "its ends must be finite floats with 0 < MIN < MAX\n")
+
+    def test_zero_within_the_tolerance_past_a_window_end(self, capsys, tmp_path):
+        """T1 = 1 and T2 = 2, so branch (1, 0), 1 - 2/s, vanishes at s = 2, which lies 1e-9
+        past an end of each window, within the tolerance: scan counts it, as its walk puts a
+        zero that close to the window in it, and the dense scan brackets it from that end."""
+        closed, boundary = tmp_path / "closed.spec", tmp_path / "boundary.spec"
+        for path, curvature, has_boundary, level in ((closed, 3, "false", 2), (boundary, 6, "true", 5)):
+            path.write_text(f"dim = 2\nscalar_curvature = {curvature}\nhas_boundary = {has_boundary}\n"
+                            f"boundary_minimal = {has_boundary}\ntolerance = 1e-9\nlambda_max = 100\n"
+                            f"eig 0 1\neig {level} 1\n")
+        for window, instants in (("1:1.999999999", 1), ("2.000000001:3", 2)):
+            family = ["--custom", str(closed), "--custom", str(boundary), "--window", window]
+            code, out, _ = run(capsys, ["scan", *family])
+            assert code == EXIT_OK and f"instants ({instants}):\n  s = 2  branches = (1,0)" in out
+            code, out, err = run(capsys, ["verify", *family])
+            assert (code, err) == (EXIT_OK, "")
+            assert out.splitlines()[-3] == (f"PASS degeneracy instants vs dense scan: "
+                                            f"{instants} exact instants, {instants} brackets")
+            assert out.splitlines()[-1] == "all checks passed"
+
+    @pytest.mark.parametrize("factors, window, enumerated", [
+        (["--sphere", "2", "--interval", "3"], "0.01:150", 4),
+        (SPHERE_HEMI, "0.1:10", 6),
+    ], ids=["sphere-interval", "sphere-hemisphere"])
+    def test_reads_each_round_factor_once_for_its_checks(self, capsys, enumerations, factors, window, enumerated):
+        """The multiplicity and FD checks read a factor's top level first, so its lower levels
+        come from that one enumeration, not from one more per level: each factor is enumerated
+        by the engine and at most once more by verify (reading level by level made 15 and 22)."""
+        code, out, _ = run(capsys, ["verify", *factors, "--window", window])
+        assert (code, out.splitlines()[-1]) == (EXIT_OK, "all checks passed")
+        assert len(enumerations) == enumerated
 
     def test_morse_line_counts_the_probes_it_compares(self, capsys):
         """Both window ends and two gap midpoints lie on the instants 1/2 and 2,
