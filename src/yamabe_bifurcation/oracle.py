@@ -7,7 +7,9 @@ computation with the exact engine it checks, only the closeness rule
 
 * finite-difference Neumann spectrum of [0, pi], by bisection on Sturm
   counts with Newton steps, on the even and odd mirror blocks of the stencil
-  (Cantoni & Butler 1976), checked by one count on the whole stencil; the
+  (Cantoni & Butler 1976), checked by one count on the whole stencil.  The
+  odd block is counted first at the even block's eigenvalues, which
+  interlace with its own, so Newton starts at once in each bracket; the
   method is in the docstring of ``fd_interval_spectrum`` and its helpers,
 * harmonic-polynomial dimension counts by the exact rank of the Laplacian
   matrix on monomials, one block per parity class of the exponents (the
@@ -23,7 +25,8 @@ computation with the exact engine it checks, only the closeness rule
   window-end test.  For the other pairs, the grid never decreases and
   fl(1/g), fl(b*x) and fl(a + y) are each monotone, so the sampled signs
   are a run of the sign at s_min, a run of zeros and a run of the sign at
-  s_max, whose meeting points bisection over grid indices finds.  The
+  s_max, which meet at the grid index of the float zero -b/a if the signs
+  flip there, or else where bisection over grid indices finds.  The
   brackets are thus bit for bit those of sampling every pair at every point.
   Brackets that overlap merge, and so do two whose far ends are one value
   by ``scalars.close``, so a chain of zeros that the engine counts as one
@@ -43,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -90,10 +94,9 @@ def _sturm_count(diag: Sequence[float], off_sq: Sequence[float], x: float, pivmi
 def _gershgorin(diag: Sequence[float], off: Sequence[float]) -> Tuple[float, float, float]:
     """The Gershgorin interval of the symmetric tridiagonal matrix and the
     bisection width 2 eps ||T|| that it bounds."""
-    radius = [abs(b) for b in off]
-    discs = list(zip(diag, [0.0] + radius, radius + [0.0]))
-    lowest = min(d - left - right for d, left, right in discs)
-    highest = max(d + left + right for d, left, right in discs)
+    radius = list(map(abs, off))
+    reach = list(map(operator.add, [0.0] + radius, radius + [0.0]))
+    lowest, highest = min(map(operator.sub, diag, reach)), max(map(operator.add, diag, reach))
     return lowest, highest, 2 * sys.float_info.epsilon * max(abs(lowest), abs(highest))
 
 
@@ -110,7 +113,8 @@ def _midpoint(lo: float, hi: float) -> float:
     return math.sqrt(lo) * math.sqrt(hi) if 0 < 4 * lo < hi else 0.5 * (lo + hi)
 
 
-def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float], count: int) -> List[float]:
+def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float], count: int,
+                                      seeds: Sequence[float] = ()) -> List[float]:
     """The ``count`` smallest eigenvalues of the symmetric tridiagonal matrix
     with diagonal ``diag`` and off-diagonal ``off``, ascending, by bisection
     on Sturm counts (Barth, Martin & Wilkinson 1967) inside the Gershgorin
@@ -119,37 +123,51 @@ def _smallest_tridiagonal_eigenvalues(diag: Sequence[float], off: Sequence[float
     more than a factor of 4 above 0 is split at its geometric midpoint, so
     that a small eigenvalue of a stiff matrix is reached in a few counts.
 
+    The first counts are at ``seeds``, ascending points >= 0 that should
+    separate the eigenvalues (an interlacing block's), and, if only ``count``,
+    at one as far past the last in square root as it is past the one before.
+
     Once an eigenvalue is alone in its bracket, the next point is the
     Newton iterate of det(T - xI) from the last one, as long as it falls
-    inside the bracket.  When the Newton step is below a quarter of the
-    width, one count half a width inside the bracket closes it; a count
-    that does not confirm the Newton estimate only moves the bracket end,
-    and the search goes on.  Only a pass whose Newton step is read computes
-    it (``_sturm_pass``); the others, before the eigenvalue is alone and
-    the closing count, only count (``_sturm_count``).
-    The first count is taken half a width above the Gershgorin lower end, so
-    that an eigenvalue on it (the constant mode of a Neumann stencil) is
-    closed by that count alone."""
+    inside the bracket; a bracket that is alone when its search starts
+    starts at its sqrt-midpoint.  When the Newton step is below a quarter
+    of the width, one count half a width inside the bracket closes it; a
+    count that does not confirm the Newton estimate only moves the bracket
+    end, and the search goes on.  Only a pass whose Newton step is read
+    computes it (``_sturm_pass``); the others only count (``_sturm_count``).
+    Otherwise the first count is taken half a width above the Gershgorin
+    lower end, so that an eigenvalue on it (the constant mode of a Neumann
+    stencil) is closed by that count alone."""
     lowest, highest, width = _gershgorin(diag, off)
     off_sq, pivmin = _pass_inputs(off)
     lo = [lowest] * count
     hi = [highest] * count
     below_lo = [0] * count  # eigenvalues counted below each bracket end
     below_hi = [len(diag)] * count
+
+    def narrow(x, below, first):
+        for other in range(first, count):
+            if other < below:
+                if x < hi[other]:
+                    hi[other], below_hi[other] = x, below
+            elif x > lo[other]:
+                lo[other], below_lo[other] = x, below
+
+    extra = [(2 * math.sqrt(seeds[-1]) - math.sqrt(seeds[-2])) ** 2] if count == len(seeds) > 1 else []
+    for x in [*seeds[:count + 1], *extra]:
+        narrow(x, _sturm_count(diag, off_sq, x, pivmin), 0)
     for k in range(count):
         x = lowest + 0.5 * width if k == 0 else _midpoint(lo[k], hi[k])
         newton = False  # whether the pass at x is to give the Newton step
+        if below_hi[k] - below_lo[k] == 1 and lo[k] >= 0:  # alone: Newton from the sqrt-midpoint
+            start = (0.5 * (math.sqrt(lo[k]) + math.sqrt(hi[k]))) ** 2
+            x, newton = (start, True) if lo[k] < start < hi[k] else (x, newton)
         while hi[k] - lo[k] > width:
             if newton:
                 below, step = _sturm_pass(diag, off_sq, x, pivmin)
             else:
                 below, step = _sturm_count(diag, off_sq, x, pivmin), math.nan
-            for other in range(k, count):
-                if other < below:
-                    if x < hi[other]:
-                        hi[other], below_hi[other] = x, below
-                elif x > lo[other]:
-                    lo[other], below_lo[other] = x, below
+            narrow(x, below, k)
             isolated = below_hi[k] - below_lo[k] == 1
             # a NaN step (from a count-only pass) fails both tests
             if isolated and abs(step) <= 0.25 * width:
@@ -165,7 +183,8 @@ def _mirror_eigenvalues(diag: List[float], off: List[float], count: int) -> List
     """The ``count`` smallest eigenvalues of the Neumann stencil (``diag``,
     ``off``), ascending.  One of an even size of at least 4 splits into its
     two mirror blocks: the even block, the Neumann stencil of half the rows,
-    splits again by the same rule, and the odd block is bisected.  Any other
+    splits again by the same rule, and the odd block is bisected from the
+    even block's eigenvalues, which interlace with its own.  Any other
     stencil is bisected whole, so that its first count closes the constant
     mode."""
     rows, c = len(diag), diag[0]
@@ -178,7 +197,7 @@ def _mirror_eigenvalues(diag: List[float], off: List[float], count: int) -> List
     even_diag[-1] -= c
     odd_diag[-1] += c
     even = _mirror_eigenvalues(even_diag, half_off, evens)
-    return sorted(even + _smallest_tridiagonal_eigenvalues(odd_diag, half_off, odds))
+    return sorted(even + _smallest_tridiagonal_eigenvalues(odd_diag, half_off, odds, even))
 
 
 def fd_interval_spectrum(grid_points: int, count: int) -> Tuple[float, ...]:
@@ -248,6 +267,7 @@ def _exact_rank(columns: Iterable[Dict[int, int]], rows: int) -> int:
 # basis of the n <= 4, k <= 12 checks; no check within it costs more than
 # the n = 4 sphere's (11 ms for k <= 12 on a 2-core x86-64 box, Python 3.11)
 _BASIS_BUDGET = 5 * math.comb(16, 4)
+_RANKS: Dict[Tuple[int, int, int], int] = {}  # (n, |f|, |p|) -> block rank, for the whole process
 
 
 def kernel_rank_degree_limit(n: int, most: int) -> int:
@@ -279,13 +299,17 @@ def _laplacian_kernel_dimension(n: int, k: int, free: int) -> int:
     permutation of the first ``free`` variables maps a class onto every
     other class of the same weight |p| and commutes with the Laplacian, so
     the C(free, |p|) blocks of one weight have the same rank, and the one
-    with p odd on the first |p| variables is ranked for all of them."""
+    with p odd on the first |p| variables is ranked once for all of them
+    and for every later call (``_RANKS``), a hemisphere's or a sphere's."""
     if kernel_rank_degree_limit(n, k) != k:
         raise ValueError(f"degree {k} in {n + 1} variables is past the kernel-rank budget")
     total = 0
     for weight in range(k % 2, min(k, free) + 1, 2):
         size = (k - weight) // 2  # |f|
-        total += math.comb(free, weight) * (math.comb(n + size, n) - _block_rank(n, size, range(weight)))
+        rank = _RANKS.get(key := (n, size, weight))
+        if rank is None:
+            rank = _RANKS[key] = _block_rank(n, size, range(weight))
+        total += math.comb(free, weight) * (math.comb(n + size, n) - rank)
     return total
 
 
@@ -317,27 +341,33 @@ def _pair_brackets(a: float, b: float, point, samples: int, tol: Optional[float]
     """The brackets of the sampled a + b*(1/s), whose raw signs are monotone
     along the grid: one around each point where it is zero, or within 1e-12
     of its terms on a window end (no neighbor to flip with), and its sign
-    flip, found by bisection and narrowed to relative width 1e-10.  In float
-    mode, as in the engine's walk, a zero -b/a past a window end but within
-    ``tol`` of it lies in the window: its bracket runs from the end to it."""
+    flip, found from the zero's grid index or by bisection, and narrowed to
+    relative width 1e-10.  In float mode, as in the engine's walk, a zero
+    -b/a past a window end but within ``tol`` of it lies in the window: its
+    bracket runs from the end to it."""
     last = samples - 1
     grid = range(samples)
+    s_lo, s_hi, zero = point(0), point(last), -b / a if a else math.inf
 
-    def sign(i):
-        value = a + b * (1.0 / point(i))
+    def sign(s):
+        value = a + b * (1.0 / s)
         return (value > 0) - (value < 0)
 
-    first, final = sign(0), sign(last)
+    first, final = sign(s_lo), sign(s_hi)
     up = (final > first) - (final < first)  # orients the signs to never decrease
     run = range(0) if first else grid  # when the sign stays put
     if up:
-        start = bisect_left(grid, 0, key=lambda i: up * sign(i))
-        run = range(start, bisect_right(grid, 0, start, key=lambda i: up * sign(i)))
-    ends = [end for end in (0, last) for inv in (1.0 / point(end),)
+        def key(i):
+            return up * sign(point(i))
+        share = math.log(zero / s_lo) / math.log(s_hi / s_lo) if s_lo < zero < s_hi else 0.0
+        start = max(1, math.ceil(share * last)) if share < 1 else last
+        if not key(start - 1) < 0 <= key(start):
+            start = bisect_left(grid, 0, key=key)
+        run = range(start, start if key(start) > 0 else bisect_right(grid, 0, start, key=key))
+    ends = [end for end, inv in ((0, 1.0 / s_lo), (last, 1.0 / s_hi))
             if abs(a + b * inv) <= 1e-12 * (abs(a) + abs(b) * inv)]
     brackets = [(s * (1 - 1e-12), s * (1 + 1e-12)) for s in map(point, set(run).union(ends))]
     if tol is not None and a:
-        zero, s_lo, s_hi = -b / a, point(0), point(last)
         end = s_lo if zero < s_lo else s_hi if zero > s_hi else None
         if end is not None and scalars.close(zero, end, tol):
             brackets.append((min(zero, end) * (1 - 1e-12), max(zero, end) * (1 + 1e-12)))

@@ -192,7 +192,7 @@ MUTANTS = (
            "if rows < 4:",
            ("test_oracle.py",)),
     Mutant("dense scan without the window-end rule", "oracle.py",
-           "    ends = [end for end in (0, last) for inv in (1.0 / point(end),)\n"
+           "    ends = [end for end, inv in ((0, 1.0 / s_lo), (last, 1.0 / s_hi))\n"
            "            if abs(a + b * inv) <= 1e-12 * (abs(a) + abs(b) * inv)]\n",
            "    ends = []\n",
            ("test_oracle.py",)),
@@ -335,6 +335,18 @@ MUTANTS = (
     Mutant("verify's dense scan brackets a float zero past a window end at 1e-12 alone", "oracle.py",
            "if tol is not None and a:",
            "if False:",
+           ("test_cli.py",)),
+    Mutant("the odd mirror block gets no seeds", "oracle.py",
+           "_smallest_tridiagonal_eigenvalues(odd_diag, half_off, odds, even)",
+           "_smallest_tridiagonal_eigenvalues(odd_diag, half_off, odds)",
+           ("test_oracle.py",)),
+    Mutant("the flip search ignores the zero's grid index", "oracle.py",
+           "start = max(1, math.ceil(share * last)) if share < 1 else last",
+           "start = 1",
+           ("test_oracle.py",)),
+    Mutant("the rank cache keys a block without its weight", "oracle.py",
+           "rank = _RANKS.get(key := (n, size, weight))",
+           "rank = _RANKS.get(key := (n, size))",
            ("test_cli.py",)),
 )
 

@@ -24,6 +24,7 @@ from yamabe_bifurcation import (
     hemisphere_neumann,
     make_family,
     morse_index,
+    oracle,
     spectra,
 )
 from yamabe_bifurcation.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_FAILURE, EXIT_OK
@@ -937,13 +938,17 @@ class TestOwnProcess:
           for factors, window in ((["--sphere", "2", "--interval", "1"], "1e-400:1"),
                                   (["--torus", "1", "--hemisphere", "2"], "1e300:1e400"))),
         (EXIT_CONFIG, ["branches", "--sphere", "2", "--interval", "1e-200", "--window", "0.1:1"]),
+        (EXIT_CONFIG, ["scan", *FLOAT_FAMILY, "--window", "1e-400:1"]),  # a float window end with no positive float
     ])
     def test_exit_code_and_output_are_mains(self, capsys, tmp_path, monkeypatch, expected, argv):
         write_degenerate_pair(tmp_path)
+        TestScan.write_float_family(tmp_path)
         monkeypatch.chdir(tmp_path)
         proc = subprocess.run(**command(*argv), capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
         assert proc.returncode == expected
+        if expected == EXIT_CONFIG:
+            assert re.fullmatch(r"error: [^\n]+\n", proc.stderr), proc.stderr
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
@@ -1300,6 +1305,10 @@ class TestVerify:
         assert code == EXIT_OK and "instants (0):" in out
         code, out, err = run(capsys, ["verify", *family])
         assert (code, err) == (EXIT_OK, "")
+        assert [line for line in out.splitlines() if line.startswith("SKIP")] == [
+            f"SKIP factor1 {closed}: listed levels: no oracle checks a custom spectrum",
+            f"SKIP factor2 {boundary}: listed levels: no oracle checks a custom spectrum",
+        ]
         assert out.splitlines()[-1] == "all checks passed"
 
     def test_oracles_apply_the_sign_rule_of_scan(self, capsys, tmp_path):
@@ -1533,6 +1542,23 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", *factors, "--window", window])
         assert (code, out.splitlines()[-1]) == (EXIT_OK, "all checks passed")
         assert len(enumerations) == enumerated
+
+    def test_ranks_each_laplacian_block_once(self, capsys, monkeypatch):
+        """S^3 (k <= 12) and S^3+ (k <= 10) need the blocks (n, |f|, |p|) =
+        (3, (k - w)/2, w) for w of the parity of k up to 4 and up to 3: the
+        hemisphere's are among the sphere's, and each is ranked once."""
+        ranked = []
+        block_rank = oracle._block_rank
+        monkeypatch.setattr(oracle, "_block_rank",
+                            lambda n, size, odd: ranked.append((n, size, len(odd))) or block_rank(n, size, odd))
+        monkeypatch.setattr(oracle, "_RANKS", {})
+        code, out, _ = run(capsys, ["verify", "--sphere", "3", "--hemisphere", "3", "--window", "0.1:10"])
+        assert out.splitlines()[:2] == [
+            "PASS factor1 S^3(r2=1): sphere multiplicities: harmonic kernel ranks, k <= 12",
+            "PASS factor2 S^3+(r2=1): hemisphere multiplicities: even-harmonic kernel ranks, k <= 10",
+        ]
+        assert code == EXIT_OK
+        assert sorted(ranked) == sorted({(3, (k - w) // 2, w) for k in range(13) for w in range(k % 2, min(k, 4) + 1, 2)})
 
     def test_morse_line_counts_the_probes_it_compares(self, capsys):
         """Both window ends and two gap midpoints lie on the instants 1/2 and 2,

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 import random
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from yamabe_bifurcation import (
     morse_index,
     oracle,
     round_sphere,
+    scalars,
     spectra,
 )
 from yamabe_bifurcation.bifurcation import enumeration_bounds
@@ -75,14 +78,20 @@ class TestFiniteDifference:
         diag[0] = diag[-1] = 1.0 / h**2
         return diag, [-1.0 / h**2] * (grid_points - 1), 4.0 / h**2
 
-    @pytest.mark.parametrize("grid_points", [16, 17, 64, 96, 101, 1000, 2000, 2001, 4000])
+    @pytest.mark.parametrize("grid_points", [16, 17, 64, 96, 100, 101, 1000, 2000, 2001, 4000])
     def test_mirror_blocks_equal_the_full_stencil(self, grid_points):
         """The mirror blocks give the eigenvalues of the whole stencil, for
         odd counts (where the even block gives one more) and even ones, and
         for even sizes whose split recurses several levels: 64 down to a
-        2-row stencil, 96 to a 3-row one, 1000 and 4000 to 125 rows."""
+        2-row stencil, 96 to a 3-row one, 100 to a 25-row one, 1000 and 4000
+        to 125 rows.  On the small sizes every count up to N/4 is asked for,
+        up to where the eigenvalues no longer grow like k^2: an odd block
+        that owes as many eigenvalues as its even block gives starts its
+        last one from the count past the last even eigenvalue, and one that
+        owes a single eigenvalue, with the constant mode as its only seed,
+        bisects."""
         diag, off, norm = self._stencil(grid_points)
-        for count in (1, 3, min(grid_points // 4, 10)):
+        for count in range(1, grid_points // 4 + 1) if grid_points <= 101 else (1, 3, 10):
             want = _smallest_tridiagonal_eigenvalues(diag, off, count)
             got = fd_interval_spectrum(grid_points, count)
             assert len(got) == count
@@ -90,9 +99,13 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("length_over_pi", [1, Fraction(3, 2), 2, Fraction(5, 2), 3])
     def test_work_is_bounded(self, monkeypatch, length_over_pi):
-        """The recursive mirror split takes about 53,000 Sturm rows, counts
-        and Newton passes together; the whole stencil takes 124,000-126,000.
-        The constant mode closes at once, on the stencil of any length."""
+        """The recursive mirror split, each odd block counted first at the
+        eigenvalues of its even block, takes about 30,000 Sturm rows, counts
+        and Newton passes together; unseeded it took 53,000, and the whole
+        stencil takes 124,000-126,000.  On the stencil of any length, the
+        constant mode closes at once, and the geometric midpoints reach the
+        next eigenvalue, 1/lambda^2 at the bottom of a Gershgorin interval
+        1.6e6/lambda^2 wide, in a few counts, where midpoints take 26 passes."""
         work = {"calls": 0, "rows": 0}
 
         def counted(loop):
@@ -105,16 +118,19 @@ class TestFiniteDifference:
         monkeypatch.setattr(oracle, "_sturm_pass", counted(oracle._sturm_pass))
         monkeypatch.setattr(oracle, "_sturm_count", counted(oracle._sturm_count))
         fd_interval_spectrum(2000, 10)
-        assert work["rows"] <= 60_000
+        assert work["rows"] <= 32_000
         work["calls"] = 0
         diag, off, norm = self._stencil(2000, length_over_pi)
         assert abs(_smallest_tridiagonal_eigenvalues(diag, off, 1)[0]) <= 16 * sys.float_info.epsilon * norm
         assert work["calls"] <= 2
+        work["calls"] = 0
+        assert _smallest_tridiagonal_eigenvalues(diag, off, 2)[1] == pytest.approx(1 / float(length_over_pi) ** 2, 1e-6)
+        assert work["calls"] <= 14
 
     def test_guard_count_catches_a_missed_eigenvalue(self, monkeypatch):
         smallest = oracle._smallest_tridiagonal_eigenvalues
         monkeypatch.setattr(oracle, "_smallest_tridiagonal_eigenvalues",
-                            lambda diag, off, count: smallest(diag, off, count + 1)[1:])
+                            lambda diag, off, count, seeds=(): smallest(diag, off, count + 1, seeds)[1:])
         with pytest.raises(ArithmeticError):
             fd_interval_spectrum(2000, 10)
 
@@ -212,11 +228,13 @@ class TestHarmonicDimensions:
 
     def test_one_block_rank_per_weight(self, monkeypatch):
         """Every parity class of one weight has the same block rank, and
-        the kernel dimension ranks one block per weight."""
+        the kernel dimension, with no block ranked before, ranks one block
+        per weight."""
         ranked = []
         exact_rank = oracle._exact_rank
         monkeypatch.setattr(oracle, "_exact_rank",
                             lambda columns, rows: ranked.append(rows) or exact_rank(columns, rows))
+        monkeypatch.setattr(oracle, "_RANKS", {})
         for n in range(1, 5):
             for k in range(13):
                 for free in (n + 1, n):
@@ -226,8 +244,9 @@ class TestHarmonicDimensions:
                                  for odd in itertools.combinations(range(free), weight)}
                         assert len(ranks) == 1
                     ranked.clear()
+                    oracle._RANKS.clear()
                     oracle._laplacian_kernel_dimension(n, k, free)
-                    assert len(ranked) <= len(weights)
+                    assert len(ranked) == len(weights)
 
     def test_exact_rank_raises_on_a_repeated_lowest_row(self):
         """A lowest row that repeats before every row has one raises, whether
@@ -425,6 +444,93 @@ class TestDenseScan:
         assert repr(dense_scan_degeneracy(fam, window, samples, 12, 12)) == repr(
             self._every_branch_scan(fam, window, samples, 12)
         )
+
+    @staticmethod
+    def _bisected_pair_brackets(a, b, point, samples, tol):
+        """The reference: ``_pair_brackets`` with its sign flip found by
+        bisection over the whole grid, as before the search started at the
+        zero's grid index."""
+        last = samples - 1
+        grid = range(samples)
+
+        def sign(i):
+            value = a + b * (1.0 / point(i))
+            return (value > 0) - (value < 0)
+
+        first, final = sign(0), sign(last)
+        up = (final > first) - (final < first)
+        run = range(0) if first else grid
+        if up:
+            start = bisect_left(grid, 0, key=lambda i: up * sign(i))
+            run = range(start, bisect_right(grid, 0, start, key=lambda i: up * sign(i)))
+        ends = [end for end in (0, last) for inv in (1.0 / point(end),)
+                if abs(a + b * inv) <= 1e-12 * (abs(a) + abs(b) * inv)]
+        brackets = [(s * (1 - 1e-12), s * (1 + 1e-12)) for s in map(point, set(run).union(ends))]
+        if tol is not None and a:
+            zero, s_lo, s_hi = -b / a, point(0), point(last)
+            end = s_lo if zero < s_lo else s_hi if zero > s_hi else None
+            if end is not None and scalars.close(zero, end, tol):
+                brackets.append((min(zero, end) * (1 - 1e-12), max(zero, end) * (1 + 1e-12)))
+        if up and not run and {run.start - 1, run.start}.isdisjoint(ends):
+            lo, hi = point(run.start - 1), point(run.start)
+            flo = a + b / lo
+            while hi - lo > 1e-10 * lo:
+                mid = 0.5 * (lo + hi)
+                fmid = a + b / mid
+                if fmid == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fmid < 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fmid
+            brackets.append((lo, hi))
+        return brackets
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flip_search_from_the_zero_gives_the_bisected_brackets(self, data):
+        """The search that starts at the grid index of -b/a gives the
+        brackets of bisection over the whole grid, down to the last bit, on
+        random pairs and windows and on zeros placed where a guess can miss:
+        on a grid point, within 1e-12 of a window end, just outside the
+        window, and -b/a past the float range when |a| is tiny against |b|;
+        exact and in float mode at a tolerance."""
+        s_lo = data.draw(st.floats(1e-4, 1e4))
+        s_hi = s_lo * data.draw(st.sampled_from([1 + 1e-12, 1 + 1e-9, 1.5, 40.0, 1e6]))
+        assume(s_lo < s_hi)
+        samples = data.draw(st.integers(1000, 20000))
+        point = functools.partial(_grid_point, s_lo, s_hi, samples)
+        a = data.draw(st.floats(-1e3, 1e3).filter(lambda x: abs(x) > 1e-6))
+        where = data.draw(st.sampled_from(["random", "grid point", "window end", "outside", "tiny a"]))
+        if where == "random":
+            b = data.draw(st.floats(-1e6, 1e6))
+        elif where == "tiny a":
+            a, b = data.draw(st.sampled_from([5e-324, -1e-300, 1e-20, 0.0])), data.draw(st.floats(-1e3, 1e3))
+        else:
+            if where == "grid point":
+                zero = point(data.draw(st.integers(0, samples - 1)))
+            else:
+                end = data.draw(st.sampled_from([s_lo, s_hi]))
+                shift = data.draw(st.floats(-1e-12, 1e-12) if where == "window end" else st.sampled_from([-2e-9, 2e-9]))
+                zero = end * (1 + shift)
+            b = -a * zero
+        tol = data.draw(st.sampled_from([None, 1e-9]))
+        got = sorted(oracle._pair_brackets(a, b, point, samples, tol))
+        assert repr(got) == repr(sorted(self._bisected_pair_brackets(a, b, point, samples, tol)))
+
+    @pytest.mark.parametrize("samples", [1000, 20000])
+    @pytest.mark.parametrize("a, b", [(1.0, -0.37), (-2.5, 3.0), (1e-3, -2e-5), (7.0, -7.0 * 3.3)])
+    def test_one_zero_in_the_window_samples_a_handful_of_points(self, a, b, samples):
+        """A pair whose zero -b/a lies inside the window reads 7 grid
+        points: both window ends, the two points around its grid index, the
+        upper one again for the run of zeros, and the two again as the ends
+        of the bracket it narrows; bisection over the grid read 24 to 35."""
+        calls = []
+        grid = functools.partial(_grid_point, 0.01, 10.0, samples)
+        brackets = oracle._pair_brackets(a, b, lambda i: calls.append(i) or grid(i), samples, None)
+        assert len(brackets) == 1 and brackets[0][0] <= -b / a <= brackets[0][1]
+        assert len(calls) <= 7
 
     def test_same_brackets_as_sampling_on_a_narrow_window(self, sphere_hemisphere):
         """A window 1e-12 wide around an instant, where many grid points
