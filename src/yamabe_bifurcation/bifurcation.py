@@ -15,7 +15,7 @@ instant when the Morse index differs on its two sides.
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import scalars
 from .errors import (
@@ -318,15 +318,6 @@ def index_jump(fam: ProductFamily, instant: DegeneracyInstant) -> Tuple[int, int
     return below + increasing, below + decreasing, increasing != decreasing
 
 
-def _side(branches: Sequence[EigenBranch]) -> str:
-    kinds = {br.monotonicity for br in branches}
-    if kinds == {Monotonicity.INCREASING}:
-        return "tending-to-zero"
-    if kinds == {Monotonicity.DECREASING}:
-        return "unbounded"
-    return "mixed"
-
-
 _ACCUMULATION = {
     FamilyCase.BOTH_POSITIVE: "instants accumulate at 0 and at +inf",
     FamilyCase.RIGID_NON_POSITIVE: "no degeneracy instants; locally rigid on (0, +inf)",
@@ -361,8 +352,11 @@ def classify_family(fam: ProductFamily, window, lam=None) -> FamilyClassificatio
     certified = []
     for inst in instants:
         n_minus, n_plus = n_plus, n_plus + inst.jump
+        # no vanishing branch is constant, so the jump is +total when all decrease, -total when all increase
+        total = inst.total_multiplicity
+        side = {total: "unbounded", -total: "tending-to-zero"}.get(inst.jump, "mixed")
         certified.append(CertifiedInstant(instant=inst, n_minus=n_minus, n_plus=n_plus,
-                                          certified=n_minus != n_plus, side=_side(inst.branches)))
+                                          certified=n_minus != n_plus, side=side))
     if instants:
         recount = index_jump(fam, instants[-1])[1]
         if recount != n_plus:

@@ -236,48 +236,23 @@ def _quote(text: str) -> str:
     return json.dumps(text)
 
 
-class _Rows:
-    """A payload's list of rows, each written ``template % row``: the template holds the row's
-    line breaks and indents, so the list must sit at the first level of its payload."""
-    __slots__ = ("template", "rows")
-
-    def __init__(self, template, rows):
-        self.template, self.rows = template, rows
-
-
-# the rows of spectrum's eigenvalues and of scan's instants, and the branch pairs [i, j] of an instant
+# spectrum's and scan's outputs: one header template per format, then rows from one row template; every
+# value but the label, which _quote writes, is a number, a fixed word or a scalar that needs no JSON escape
+_SPECTRUM_JSON = ('{\n  "label": %s,\n  "dim": %d,\n  "scalar_curvature": "%s",\n  "has_boundary": %s,'
+                  '\n  "boundary_minimal": %s,\n  "mode": "%s",\n  "below": "%s",\n  "eigenvalues": %s\n}\n')
+_SPECTRUM_TEXT = "factor: %s\ndim = %d  R = %s  boundary = %s  minimal = %s  mode = %s\neigenvalues below %s:\n"
 _LEVEL = '\n    {\n      "value": "%s",\n      "multiplicity": %d\n    }'
+_SCAN_JSON = ('{\n  "family": %s,\n  "classification": "%s",\n  "accumulation": "%s",'
+              '\n  "window": [\n    "%s",\n    "%s"\n  ],\n  "instants": %s,\n  "lambda_max": %s,\n  "mode": "%s"\n}\n')
+_SCAN_TEXT = ("family: %s\nclassification: %s\naccumulation: %s\n"
+              "window: [%s, %s]  lambda_max: %s  mode: %s\ninstants (%d):\n")
 _INSTANT = ('\n    {\n      "s": "%s",\n      "branches": [%s\n      ],\n      "multiplicity": %d,'
             '\n      "n_minus": %d,\n      "n_plus": %d,\n      "certified": %s,\n      "side": "%s"\n    }')
-_PAIR = "\n        [\n          %d,\n          %d\n        ]"
 
 
-def _json(value, pad="\n") -> str:
-    """``json.dumps(value, indent=2)`` for the values of the JSON payloads: dicts with str keys,
-    lists, str, int, True, False, None and ``_Rows``, and a TypeError for any other; ``pad`` is
-    the line break and indent of the enclosing level."""
-    kind = type(value)
-    if kind is _Rows:
-        return "[" + ",".join(map(value.template.__mod__, value.rows)) + pad + "]" if value.rows else "[]"
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return str(value)
-    if kind is dict or kind is list:
-        if not value:
-            return "{}" if kind is dict else "[]"
-        inner = pad + "  "
-        if kind is dict:
-            items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
-        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + pad + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    raise TypeError(f"{kind.__name__} is not a value of a JSON payload")
+def _rows(template, rows) -> str:
+    """The JSON list of ``template % row`` for each row, at the first level of its document."""
+    return "[" + ",".join(map(template.__mod__, rows)) + "\n  ]" if rows else "[]"
 
 
 def _mode_of(fam_or_spec) -> str:
@@ -294,84 +269,47 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("missing --below Q")
     tol = spec.tolerance
     rows = [(scalars.fmt(e, tol), m) for e, m in spec.eigenvalues_below(bound)]
-    payload = {
-        "label": spec.label,
-        "dim": spec.dim,
-        "scalar_curvature": scalars.fmt(spec.scalar_curvature, tol),
-        "has_boundary": spec.has_boundary,
-        "boundary_minimal": spec.boundary_minimal,
-        "mode": _mode_of(spec),
-        "below": scalars.fmt(bound, tol),
-        "eigenvalues": _Rows(_LEVEL, rows),
-    }
+    head = (spec.dim, scalars.fmt(spec.scalar_curvature, tol), str(spec.has_boundary).lower(),
+            str(spec.boundary_minimal).lower(), _mode_of(spec), scalars.fmt(bound, tol))
     if args.format == "json":
-        text = _json(payload) + "\n"
+        text = _SPECTRUM_JSON % (_quote(spec.label), *head, _rows(_LEVEL, rows))
     else:
-        lines = [
-            f"factor: {payload['label']}",
-            f"dim = {payload['dim']}  R = {payload['scalar_curvature']}  "
-            f"boundary = {str(payload['has_boundary']).lower()}  "
-            f"minimal = {str(payload['boundary_minimal']).lower()}  mode = {payload['mode']}",
-            f"eigenvalues below {payload['below']}:",
-        ]
-        text = "\n".join(lines + ["  %s  x%d" % row for row in rows]) + "\n"
+        text = _SPECTRUM_TEXT % (spec.label, *head) + "".join(["  %s  x%d\n" % row for row in rows])
     _emit(text, args.out)
     return EXIT_OK
 
 
 # per scan format: an instant's branch pair (i, j), the text between its pairs, and certified (False, True)
-_SPELLINGS = {"json": (_PAIR, ",", ("false", "true")), "csv": ("%d:%d", ";", ("False", "True")),
-              "text": ("(%d,%d)", " ", ("no", "yes"))}
-
-
-def _scan_payload(fam, result, lam, spelling) -> dict:
-    """scan's payload; each instant is the row (s, branches, multiplicity, n_minus, n_plus, certified,
-    side), its branches and certified in ``spelling``, a value of ``_SPELLINGS``."""
-    pair, between, flags = spelling
-    tol = fam.tolerance
-    return {
-        "family": fam.label,
-        "classification": result.case.value,
-        "accumulation": result.accumulation,
-        "window": [scalars.fmt(result.window[0], tol), scalars.fmt(result.window[1], tol)],
-        "instants": [(scalars.fmt(ci.instant.s, tol), between.join([pair % (br.i, br.j) for br in ci.instant.branches]),
-                      ci.instant.total_multiplicity, ci.n_minus, ci.n_plus, flags[ci.certified], ci.side)
-                     for ci in result.instants],
-        "lambda_max": None if lam is None else scalars.fmt(lam, tol),
-        "mode": _mode_of(fam),
-    }
-
-
-def _scan_text(payload) -> str:
-    lines = [
-        f"family: {payload['family']}",
-        f"classification: {payload['classification']}",
-        f"accumulation: {payload['accumulation']}",
-        f"window: [{payload['window'][0]}, {payload['window'][1]}]  "
-        f"lambda_max: {payload['lambda_max']}  mode: {payload['mode']}",
-        f"instants ({len(payload['instants'])}):",
-    ]
-    row = "  s = %s  branches = %s  mult = %d  n- = %d  n+ = %d  certified = %s  side = %s"
-    return "\n".join(lines + [row % instant for instant in payload["instants"]]) + "\n"
+_SPELLINGS = {"json": ("\n        [\n          %d,\n          %d\n        ]", ",", ("false", "true")),
+              "csv": ("%d:%d", ";", ("False", "True")), "text": ("(%d,%d)", " ", ("no", "yes"))}
 
 
 def cmd_scan(args) -> int:
     from . import bifurcation
     fam, window, lam = _family(args)
     result = bifurcation.classify_family(fam, window, lam)
-    payload = _scan_payload(fam, result, lam, _SPELLINGS[args.format or "text"])
-    if args.format == "json":
-        payload["instants"] = _Rows(_INSTANT, payload["instants"])
-        text = _json(payload) + "\n"
-    elif args.format == "csv":
+    tol, form = fam.tolerance, args.format or "text"
+    pair, between, flags = _SPELLINGS[form]
+    # each instant is the row (s, branches, multiplicity, n_minus, n_plus, certified, side)
+    rows = [(scalars.fmt(ci.instant.s, tol), between.join([pair % (br.i, br.j) for br in ci.instant.branches]),
+             ci.instant.total_multiplicity, ci.n_minus, ci.n_plus, flags[ci.certified], ci.side)
+            for ci in result.instants]
+    head = (result.case.value, result.accumulation, *[scalars.fmt(end, tol) for end in result.window])
+    lam = None if lam is None else scalars.fmt(lam, tol)
+    if form == "json":
+        text = _SCAN_JSON % (_quote(fam.label), *head, _rows(_INSTANT, rows),
+                             "null" if lam is None else f'"{lam}"', _mode_of(fam))
+    elif form == "csv":
         import csv  # only the CSV writers need it
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["s", "branches", "multiplicity", "n_minus", "n_plus", "certified", "side"])
-        writer.writerows(payload["instants"])
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = _scan_text(payload)
+        text = _SCAN_TEXT % (fam.label, *head, lam, _mode_of(fam), len(rows)) + "".join(
+            ["  s = %s  branches = %s  mult = %d  n- = %d  n+ = %d  certified = %s  side = %s\n" % row
+             for row in rows])
     _emit(text, args.out)
     if result.case is bifurcation.FamilyCase.DEGENERATE_PAIR:
         raise DegeneratePairError(fam.label)

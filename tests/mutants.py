@@ -276,25 +276,29 @@ MUTANTS = (
            "text.isprintable() and '\"' not in text and",
            "text.isprintable() and",
            ("test_cli.py",)),
-    Mutant("the JSON writer indents a nested level by one space", "cli.py",
-           'inner = pad + "  "',
-           'inner = pad + " "',
-           ("test_cli.py",)),
-    Mutant("the JSON writer prints an empty list as {}", "cli.py",
-           'return "{}" if kind is dict else "[]"',
-           'return "{}"',
-           ("test_cli.py",)),
     Mutant("the JSON rows writer prints an empty row list across two lines", "cli.py",
-           'pad + "]" if value.rows else "[]"',
-           'pad + "]" if value.rows else "[" + pad + "]"',
+           '"\\n  ]" if rows else "[]"',
+           '"\\n  ]" if rows else "[\\n  ]"',
            ("test_cli.py",)),
     Mutant("an instant's branch pairs are separated by a comma and a space", "cli.py",
-           '"json": (_PAIR, ",",',
-           '"json": (_PAIR, ", ",',
+           '%d\\n        ]", ",",',
+           '%d\\n        ]", ", ",',
            ("test_cli.py",)),
     Mutant("an instant's certified flag is written in Python's spelling in JSON", "cli.py",
-           '("false", "true")',
-           '("False", "True")',
+           '", ",", ("false", "true"))',
+           '", ",", ("False", "True"))',
+           ("test_cli.py",)),
+    Mutant("spectrum's JSON spells has_boundary True", "cli.py",
+           "str(spec.has_boundary).lower()",
+           "str(spec.has_boundary)",
+           ("test_cli.py",)),
+    Mutant("scan's JSON prints a missing lambda_max as \"None\"", "cli.py",
+           '"null" if lam is None else f\'"{lam}"\'',
+           'f\'"{lam}"\'',
+           ("test_cli.py",)),
+    Mutant("scan's text header drops the instant count", "cli.py",
+           "instants (%d):\\n",
+           "instants:\\n%.0s",
            ("test_cli.py",)),
     Mutant("stdout gets one write of the bytes, however few it takes", "cli.py",
            "while data:\n        data = data[buffer.write(data):]",
@@ -331,6 +335,10 @@ MUTANTS = (
     Mutant("a public name maps to the wrong module", "__init__.py",
            '"product": ["ProductFamily", "make_family"],',
            '"product": ["ProductFamily", "make_family", "sigma_value"],',
+           ("test_cli.py",)),
+    Mutant("a mixed instant of jump 0 reads unbounded", "bifurcation.py",
+           '.get(inst.jump, "mixed")',
+           '.get(inst.jump, "mixed" if inst.jump else "unbounded")',
            ("test_cli.py",)),
     Mutant("verify's dense scan brackets a float zero past a window end at 1e-12 alone", "oracle.py",
            "if tol is not None and a:",

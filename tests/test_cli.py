@@ -170,11 +170,12 @@ class TestSpectrum:
         ["spectrum", "--hemisphere", "2", "--r2", "1e400", "--below", "3"],
         ["scan", "--torus", "1e400", "--hemisphere", "2", "--window", "1/10:1"],
         ["verify", "--torus", "1e400", "--hemisphere", "2", "--window", "1/10:1"],
+        ["spectrum", "--torus", "1e12,1e12", "--below", "1"],
     ])
     def test_factor_too_large_to_enumerate_is_one_error_line(self, argv):
         """No list holds a factor's levels past a cap of 10**7 entries: an error
         line at once, not an OverflowError traceback or endless allocation."""
-        proc = subprocess.run(**command(*argv), capture_output=True, text=True, timeout=30)
+        proc = subprocess.run(**command(*argv), capture_output=True, text=True, timeout=5)
         assert (proc.returncode, proc.stdout) == (EXIT_FAILURE, "")
         assert re.fullmatch(r"error: [^\n]+ are too many to enumerate\n", proc.stderr), proc.stderr[-300:]
 
@@ -209,6 +210,7 @@ class TestScan:
             "1/83", "1/62", "1/44", "1/29", "1/17", "1/8", "1/2", "2", "8", "17",
         ]
         assert all(inst["certified"] for inst in payload["instants"])
+        assert payload["lambda_max"] is None
         at_half = payload["instants"][6]
         assert at_half["branches"] == [[1, 0]]
         assert (at_half["n_minus"], at_half["n_plus"]) == (3, 0)
@@ -510,25 +512,16 @@ class TestScan:
 # the texts a label can hold: non-ASCII, control and astral characters, quotes, backslashes and
 # the lone surrogate that a file name which is not UTF-8 decodes to
 _TEXTS = st.text() | st.sampled_from(["", "é", "\x00\n\t\x7f", '"', "\\", "𝄞", "\udcff", 'a "b" \\ c'])
-_PAYLOADS = st.recursive(
-    st.none() | st.booleans() | st.integers() | _TEXTS,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXTS, children, max_size=4),
-    max_leaves=12,
-)
 
 
 class TestJsonWriter:
-    """The JSON formats print ``json.dumps(payload, indent=2)`` without importing json."""
+    """The JSON formats print ``json.dumps(payload, indent=2)`` without importing json: their templates
+    hold every value but the label, which ``_quote`` writes."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_PAYLOADS)
-    def test_is_the_stdlib_with_indent_2(self, value):
-        assert cli._json(value) == json.dumps(value, indent=2)
-
-    @pytest.mark.parametrize("value", [0.0, (1, 2), {3}, {"s": [1.5]}], ids=["float", "tuple", "set", "nested-float"])
-    def test_another_type_is_a_type_error(self, value):
-        with pytest.raises(TypeError):
-            cli._json(value)
+    @given(_TEXTS)
+    def test_is_the_stdlib_with_indent_2(self, text):
+        assert cli._quote(text) == json.dumps(text, indent=2)
 
 
 _SMALL = st.fractions(Fraction(1, 4), 4, max_denominator=4)
